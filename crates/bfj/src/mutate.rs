@@ -8,9 +8,10 @@
 //! the edit changes cross-method *facts* (kill-set effects, volatility)
 //! or only the method's own body.
 //!
-//! Mutated programs are analyzed statically, never executed, so edits do
-//! not need to be run-time meaningful (an `acq` on an unassigned local is
-//! fine); they only need to be well-formed ASTs.
+//! Edits read only bound variables, so a mutated program never stops on
+//! an unbound variable: an `acq` in `main` locks a fresh object of the
+//! program's first class. A class method's `acq` locks its first
+//! parameter, and running it is a type error when that holds an array.
 
 use crate::ast::{Block, Expr, Program, Stmt, StmtKind};
 use crate::Sym;
@@ -30,6 +31,10 @@ pub enum MutationKind {
     /// Append an `acq`/`rel` pair. Flips the method's `acquires` and
     /// `releases` effects — the strongest dependency-cone stressor,
     /// since lock effects feed both the forward and backward passes.
+    /// A class method locks its first parameter (or `this`); `main` first
+    /// binds `__ml = new C` for the program's first class `C` and locks
+    /// that. `main` of a program without classes has no object to lock,
+    /// so there the edit falls back to [`MutationKind::ArithTweak`].
     AddLock,
 }
 
@@ -79,23 +84,25 @@ pub fn mutate(p: &mut Program, target: usize, kind: MutationKind, salt: i64) -> 
     if target >= sites {
         return None;
     }
-    let name;
-    let class_field;
-    let lock_var;
-    {
-        let (body, label, field, lock) = locate(p, target);
-        name = label;
-        class_field = field;
-        lock_var = lock;
-        append_edit(body, kind, salt, class_field, lock_var);
-    }
+    let (body, name, class_field, lock) = locate(p, target);
+    append_edit(body, kind, salt, class_field, lock);
     p.renumber();
     Some(name)
 }
 
+/// What an [`MutationKind::AddLock`] edit acquires.
+enum Lock {
+    /// A variable the method already binds.
+    Bound(Sym),
+    /// A fresh object of this class, bound to `__ml` first.
+    Fresh(Sym),
+    /// Nothing: the program has no class to allocate.
+    Unavailable,
+}
+
 /// Resolves a site index to `(body, qualified-name, a declared
-/// non-volatile field of the enclosing class if any, a lock variable)`.
-fn locate(p: &mut Program, target: usize) -> (&mut Block, String, Option<(Sym, Sym)>, Sym) {
+/// non-volatile field of the enclosing class if any, the lock to take)`.
+fn locate(p: &mut Program, target: usize) -> (&mut Block, String, Option<(Sym, Sym)>, Lock) {
     let mut i = target;
     for ci in 0..p.classes.len() {
         let n = p.classes[ci].methods.len();
@@ -112,11 +119,20 @@ fn locate(p: &mut Program, target: usize) -> (&mut Block, String, Option<(Sym, S
                 .first()
                 .copied()
                 .unwrap_or_else(|| Sym::intern("this"));
-            return (&mut p.classes[ci].methods[i].body, label, field, lock);
+            return (
+                &mut p.classes[ci].methods[i].body,
+                label,
+                field,
+                Lock::Bound(lock),
+            );
         }
         i -= n;
     }
-    (&mut p.main, "main".to_string(), None, Sym::intern("__ml"))
+    let lock = match p.classes.first() {
+        Some(c) => Lock::Fresh(c.name),
+        None => Lock::Unavailable,
+    };
+    (&mut p.main, "main".to_string(), None, lock)
 }
 
 fn append_edit(
@@ -124,7 +140,7 @@ fn append_edit(
     kind: MutationKind,
     salt: i64,
     class_field: Option<(Sym, Sym)>,
-    lock_var: Sym,
+    lock: Lock,
 ) {
     let push = |body: &mut Block, k: StmtKind| body.stmts.push(Stmt::new(k));
     match kind {
@@ -173,6 +189,17 @@ fn append_edit(
             }
         }
         MutationKind::AddLock => {
+            let lock_var = match lock {
+                Lock::Bound(x) => x,
+                Lock::Fresh(class) => {
+                    let x = Sym::intern("__ml");
+                    push(body, StmtKind::New { x, class });
+                    x
+                }
+                Lock::Unavailable => {
+                    return append_edit(body, MutationKind::ArithTweak, salt, class_field, lock)
+                }
+            };
             push(body, StmtKind::Acquire { lock: lock_var });
             push(
                 body,
@@ -232,6 +259,21 @@ mod tests {
             Some("main".to_string())
         );
         assert_eq!(mutate(&mut p, 3, MutationKind::ArithTweak, 1), None);
+    }
+
+    #[test]
+    fn add_lock_on_main_binds_its_lock() {
+        let mut p = parse_program(SRC).unwrap();
+        mutate(&mut p, 2, MutationKind::AddLock, 5);
+        let text = crate::pretty(&p);
+        assert!(text.contains("__ml = new C;"), "{text}");
+        assert!(text.contains("acq(__ml);"), "{text}");
+        // Without a class there is nothing to lock: an arithmetic tweak.
+        let mut bare = parse_program("main { skip; }").unwrap();
+        mutate(&mut bare, 0, MutationKind::AddLock, 5);
+        let mut tweaked = parse_program("main { skip; }").unwrap();
+        mutate(&mut tweaked, 0, MutationKind::ArithTweak, 5);
+        assert_eq!(bare, tweaked);
     }
 
     #[test]

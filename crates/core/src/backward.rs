@@ -5,6 +5,19 @@
 //! forward pass defer (or skip) checks: a pending past access whose
 //! location will certainly be accessed again is covered by the future
 //! access's check.
+//!
+//! Loops are a greatest fixed point over the loop body. The iterations run
+//! *quiet*: a depth counter keeps them from recording per-statement
+//! tables, and only the final pass with the converged head set records. A
+//! loop's transfer is a pure function of the anticipated set after the
+//! loop (the history tables are fixed for the whole pass), so it is
+//! memoized per (loop statement, incoming set): a loop nested in another is
+//! solved once per distinct incoming set instead of once per iteration of
+//! every enclosing fixed point.
+//!
+//! The histories that sharpen the meets at joins come from the forward
+//! pre-pass ([`crate::forward::record_histories`]), which records them at
+//! the start of every branch and loop body.
 
 use crate::facts::{APath, Anticipated, History, PathFact};
 use crate::killset::KillSets;
@@ -51,6 +64,8 @@ pub fn anticipate_body_view(
     let mut bw = BackwardPass {
         facts,
         h_pre,
+        quiet: 0,
+        loops: HashMap::new(),
         tables: ATables::default(),
     };
     // Nothing is anticipated at method end.
@@ -58,13 +73,25 @@ pub fn anticipate_body_view(
     bw.tables
 }
 
+/// One solved loop: the anticipated set after it, the converged head set,
+/// and the set before it.
+struct LoopSolution {
+    after: Anticipated,
+    head: Anticipated,
+    before: Anticipated,
+}
+
 struct BackwardPass<'a> {
     facts: FactView<'a>,
     h_pre: &'a HashMap<StmtId, History>,
+    /// Nesting depth of fixed-point iterations; tables record only at 0.
+    quiet: usize,
+    /// Solved loops per loop statement.
+    loops: HashMap<StmtId, Vec<LoopSolution>>,
     tables: ATables,
 }
 
-impl BackwardPass<'_> {
+impl<'a> BackwardPass<'a> {
     /// Processes a block backward; returns the anticipated set at its
     /// start.
     fn block(&mut self, b: &Block, post: Anticipated) -> Anticipated {
@@ -76,6 +103,9 @@ impl BackwardPass<'_> {
     }
 
     fn stmt(&mut self, s: &Stmt, post: Anticipated) -> Anticipated {
+        if self.quiet > 0 {
+            return self.transfer(s, post);
+        }
         self.tables.post.insert(s.id, post.clone());
         let pre = self.transfer(s, post);
         self.tables.pre.insert(s.id, pre.clone());
@@ -176,66 +206,82 @@ impl BackwardPass<'_> {
             StmtKind::If { then_b, else_b, .. } => {
                 let a1 = self.block(then_b, a.clone());
                 let a2 = self.block(else_b, a);
-                let h1 = then_b
-                    .stmts
-                    .first()
-                    .and_then(|s| self.h_pre.get(&s.id))
-                    .cloned()
-                    .unwrap_or_default();
-                let h2 = else_b
-                    .stmts
-                    .first()
-                    .and_then(|s| self.h_pre.get(&s.id))
-                    .cloned()
-                    .unwrap_or_default();
-                meet(&a1, &h1, &a2, &h2)
+                let h1 = self.block_context(then_b.stmts.first());
+                let h2 = self.block_context(else_b.stmts.first());
+                meet(&a1, h1, &a2, h2)
             }
-            StmtKind::Loop { head, exit, tail } => {
-                // Greatest fixed point: A_head must survive
-                //   A_head = bw(head, meet(A_out, bw(tail, A_head)))
-                // where A_out is the anticipated set after the loop (the
-                // incoming `a`). Seed with the accesses the body performs.
-                let h_ctx = head
-                    .stmts
-                    .first()
-                    .or(tail.stmts.first())
-                    .and_then(|s| self.h_pre.get(&s.id))
-                    .cloned()
-                    .unwrap_or_default();
-                let mut a_head = seed_candidates(head, tail);
-                for _ in 0..MAX_LOOP_ITERS {
-                    let a_tail_pre = self.block_quiet(tail, a_head.clone());
-                    let a_junction = meet(&a, &h_ctx, &a_tail_pre, &h_ctx);
-                    let next =
-                        intersect_entailed(&self.block_quiet(head, a_junction), &a_head, &h_ctx);
-                    if next == a_head {
-                        break;
-                    }
-                    a_head = next;
-                }
-                // Final pass to record per-statement tables with the
-                // converged sets.
+            StmtKind::Loop { head, tail, .. } => {
+                let solved = self
+                    .loops
+                    .get(&s.id)
+                    .and_then(|solved| solved.iter().find(|sol| sol.after == a));
+                let known_head = match solved {
+                    Some(sol) if self.quiet > 0 => return sol.before.clone(),
+                    Some(sol) => Some(sol.head.clone()),
+                    None => None,
+                };
+                // The history at the loop head, for the meets inside the loop.
+                let h_ctx = self.block_context(head.stmts.first().or(tail.stmts.first()));
+                let is_new = known_head.is_none();
+                let a_head =
+                    known_head.unwrap_or_else(|| self.loop_head_fixpoint(head, tail, &a, h_ctx));
+                // One more pass with the converged head set yields the set
+                // before the loop and, outside fixed-point iterations,
+                // records the per-statement tables.
                 let a_tail_pre = self.block(tail, a_head.clone());
-                let a_junction = meet(&a, &h_ctx, &a_tail_pre, &h_ctx);
+                let a_junction = meet(&a, h_ctx, &a_tail_pre, h_ctx);
                 let a_pre = self.block(head, a_junction);
-                self.tables.loop_head.insert(s.id, a_head.clone());
-                let _ = exit;
+                if self.quiet == 0 {
+                    self.tables.loop_head.insert(s.id, a_head.clone());
+                }
+                if is_new {
+                    self.loops.entry(s.id).or_default().push(LoopSolution {
+                        after: a,
+                        head: a_head,
+                        before: a_pre.clone(),
+                    });
+                }
                 a_pre
             }
         }
     }
 
-    /// Like [`BackwardPass::block`] but without recording tables (used
-    /// inside fixed-point iteration).
-    fn block_quiet(&mut self, b: &Block, post: Anticipated) -> Anticipated {
-        let saved_pre = self.tables.pre.clone();
-        let saved_post = self.tables.post.clone();
-        let saved_loops = self.tables.loop_head.clone();
-        let r = self.block(b, post);
-        self.tables.pre = saved_pre;
-        self.tables.post = saved_post;
-        self.tables.loop_head = saved_loops;
-        r
+    /// The pre-pass history at the start of the block that begins with
+    /// `first` (empty when unrecorded).
+    fn block_context(&self, first: Option<&Stmt>) -> &'a History {
+        static EMPTY: History = History {
+            bools: Vec::new(),
+            aliases: Vec::new(),
+            accesses: Vec::new(),
+            checks: Vec::new(),
+        };
+        first.and_then(|s| self.h_pre.get(&s.id)).unwrap_or(&EMPTY)
+    }
+
+    /// The loop-head anticipated set: the greatest fixed point of
+    ///   A_head = bw(head, meet(A_out, bw(tail, A_head)))
+    /// where A_out is the anticipated set after the loop, seeded with the
+    /// accesses the body performs. Iterations record no tables.
+    fn loop_head_fixpoint(
+        &mut self,
+        head: &Block,
+        tail: &Block,
+        a: &Anticipated,
+        h_ctx: &History,
+    ) -> Anticipated {
+        let mut a_head = seed_candidates(head, tail);
+        self.quiet += 1;
+        for _ in 0..MAX_LOOP_ITERS {
+            let a_tail_pre = self.block(tail, a_head.clone());
+            let a_junction = meet(a, h_ctx, &a_tail_pre, h_ctx);
+            let next = intersect_entailed(&self.block(head, a_junction), &a_head, h_ctx);
+            if next == a_head {
+                break;
+            }
+            a_head = next;
+        }
+        self.quiet -= 1;
+        a_head
     }
 }
 

@@ -1,13 +1,29 @@
 //! The forward check-placement pass (Fig. 7), including loop-invariant
 //! inference by Cartesian predicate abstraction (§5 "Loop Invariants").
 //!
-//! The engine is run twice per method: once without anticipated
-//! information to record the history tables the backward pass needs
-//! (`h_pre`), and once with the backward pass's anticipated tables to
-//! produce the final instrumented body. History facts (booleans, aliases,
-//! past accesses) evolve identically in both runs — placed checks only add
-//! `√` facts, which nothing else reads — so the recorded tables stay
-//! valid.
+//! A method is analyzed in two forward runs around the backward pass:
+//!
+//! 1. [`record_histories`] is a *history-only* pre-pass. It evolves the
+//!    bool, alias and access facts, infers every loop invariant, and places
+//!    no check. It records the history at the start of every block (the
+//!    first statement of the body, of each branch and of each loop body,
+//!    which is all the backward pass reads) and the invariant of every
+//!    loop.
+//! 2. [`place_checks`] runs again with the backward pass's anticipated
+//!    tables, places the checks and builds the instrumented body. It takes
+//!    each loop invariant from the pre-pass instead of inferring it again.
+//!
+//! Both reuses are exact because placed checks only add `√` facts, and
+//! nothing reads `√` facts to build bools, aliases or accesses: history
+//! facts evolve identically with and without placement, and a loop
+//! invariant depends only on the bool, alias and access facts at the loop
+//! entry. [`forward_pass_view`] is the one-run form, which infers the
+//! invariants itself; the pipeline uses it when anticipation is off.
+//!
+//! Invariant inference simulates the loop body in history-only mode. It is
+//! memoized per (loop statement, entry bool/alias/access facts), so a loop
+//! nested in another is inferred once per distinct entry history instead of
+//! once per simulation of every enclosing loop.
 //!
 //! Checks are emitted only where the rules demand them: before
 //! acquire-like and release-like operations (including calls whose kill
@@ -29,8 +45,10 @@ const MAX_INV_ITERS: usize = 4;
 /// Results of one forward run over a method body.
 #[derive(Debug, Default)]
 pub struct ForwardTables {
-    /// History before each statement (bool/alias/access facts; `√` facts
-    /// included on the placement run).
+    /// History at the start of each block, keyed by the block's first
+    /// statement: the method body, both branches of every conditional and
+    /// the head (or, when empty, the tail) of every loop. Bool, alias and
+    /// access facts; `√` facts too on a placement run.
     pub h_pre: HashMap<StmtId, History>,
     /// Inferred loop invariant per loop statement.
     pub loop_inv: HashMap<StmtId, History>,
@@ -55,9 +73,9 @@ impl Default for PlacementOptions {
     }
 }
 
-/// Runs the forward pass. With `at = None` this is the recording pre-pass;
-/// with anticipated tables it is the placement pass. Returns the rewritten
-/// body and the tables.
+/// Runs the forward placement pass in one run, inferring loop invariants
+/// itself. `at` holds the backward pass's anticipated tables; with `None`
+/// nothing is anticipated. Returns the rewritten body and the tables.
 pub fn forward_pass(
     body: &Block,
     kills: &KillSets,
@@ -86,23 +104,50 @@ pub fn forward_pass_view(
     at: Option<&ATables>,
     opts: PlacementOptions,
 ) -> (Block, ForwardTables) {
-    let mut f = Fwd {
-        facts,
-        at,
-        opts,
-        tables: ForwardTables::default(),
-    };
-    let (mut stmts, mut h) = f.block(&body.stmts, History::new());
-    // Method end: check everything still pending ([STMT]).
-    let end = f.pending(&h, None, None);
-    f.emit(&mut h, &end, &mut stmts);
-    (Block { stmts }, f.tables)
+    let mut f = Fwd::new(facts, opts, true, at, None);
+    let placed = f.method(body);
+    (placed, f.tables)
+}
+
+/// The history-only pre-pass: evolves histories and infers loop
+/// invariants without placing checks. Its tables equal those of a
+/// placement run up to `√` facts.
+pub(crate) fn record_histories(
+    body: &Block,
+    facts: FactView<'_>,
+    opts: PlacementOptions,
+) -> ForwardTables {
+    let mut f = Fwd::new(facts, opts, false, None, None);
+    f.method(body);
+    f.tables
+}
+
+/// The placement run after a [`record_histories`] pre-pass `pre`: the same
+/// body as [`forward_pass_view`] with `Some(at)`, with every loop invariant
+/// taken from `pre.loop_inv`.
+pub(crate) fn place_checks(
+    body: &Block,
+    facts: FactView<'_>,
+    pre: &ForwardTables,
+    at: &ATables,
+    opts: PlacementOptions,
+) -> Block {
+    Fwd::new(facts, opts, true, Some(at), Some(&pre.loop_inv)).method(body)
 }
 
 struct Fwd<'a> {
     facts: FactView<'a>,
     at: Option<&'a ATables>,
     opts: PlacementOptions,
+    /// Place checks and build the output body. False on the history-only
+    /// pre-pass and inside invariant simulations.
+    place: bool,
+    /// Invariants of a history-only pre-pass, used instead of inferring.
+    known_inv: Option<&'a HashMap<StmtId, History>>,
+    /// Nesting depth of invariant simulations; tables record only at 0.
+    simulating: usize,
+    /// Inferred invariants per loop: (entry facts without `√`, invariant).
+    inv_memo: HashMap<StmtId, Vec<(History, History)>>,
     tables: ForwardTables,
 }
 
@@ -115,19 +160,52 @@ pub(crate) fn eq_fact(x: Sym, e: &Expr) -> Expr {
     Expr::Binop(Binop::Eq, Box::new(Expr::Var(x)), Box::new(e.clone()))
 }
 
-impl Fwd<'_> {
-    fn a_post(&self, id: StmtId) -> Anticipated {
-        self.at
-            .and_then(|t| t.post.get(&id))
-            .cloned()
-            .unwrap_or_default()
+/// True if `a` and `b` agree on every fact but `√`.
+fn same_history_facts(a: &History, b: &History) -> bool {
+    a.bools == b.bools && a.aliases == b.aliases && a.accesses == b.accesses
+}
+
+impl<'a> Fwd<'a> {
+    fn new(
+        facts: FactView<'a>,
+        opts: PlacementOptions,
+        place: bool,
+        at: Option<&'a ATables>,
+        known_inv: Option<&'a HashMap<StmtId, History>>,
+    ) -> Fwd<'a> {
+        Fwd {
+            facts,
+            at,
+            opts,
+            place,
+            known_inv,
+            simulating: 0,
+            inv_memo: HashMap::new(),
+            tables: ForwardTables::default(),
+        }
     }
 
-    fn a_loop_head(&self, id: StmtId) -> Anticipated {
-        self.at
-            .and_then(|t| t.loop_head.get(&id))
-            .cloned()
-            .unwrap_or_default()
+    /// Runs over a method body and checks everything still pending at its
+    /// end ([STMT]).
+    fn method(&mut self, body: &Block) -> Block {
+        let (mut stmts, mut h) = self.block(&body.stmts, History::new());
+        self.check_pending(&mut h, None, None, &mut stmts);
+        Block { stmts }
+    }
+
+    fn a_post(&self, id: StmtId) -> Option<&'a Anticipated> {
+        self.at.and_then(|t| t.post.get(&id))
+    }
+
+    fn a_loop_head(&self, id: StmtId) -> Option<&'a Anticipated> {
+        self.at.and_then(|t| t.loop_head.get(&id))
+    }
+
+    /// Copies an unchanged statement to the output when placing.
+    fn copy(&self, s: &Stmt, out: &mut Vec<Stmt>) {
+        if self.place {
+            out.push(s.clone());
+        }
     }
 
     /// Past accesses of `h` that still need a check here: not entailed by
@@ -160,6 +238,20 @@ impl Fwd<'_> {
         out
     }
 
+    /// Checks the [`Fwd::pending`] accesses here, when placing.
+    fn check_pending(
+        &self,
+        h: &mut History,
+        against: Option<&History>,
+        excuse: Option<&Anticipated>,
+        out: &mut Vec<Stmt>,
+    ) {
+        if self.place {
+            let facts = self.pending(h, against, excuse);
+            self.emit(h, &facts, out);
+        }
+    }
+
     /// Emits a coalesced check for `facts` (if any) and records them as
     /// checked in `h`.
     fn emit(&self, h: &mut History, facts: &[PathFact], out: &mut Vec<Stmt>) {
@@ -182,22 +274,26 @@ impl Fwd<'_> {
         if !h.mentions(x) {
             return;
         }
-        let affected: Vec<PathFact> = {
-            let mut kb = h.kb();
-            h.accesses
-                .iter()
-                .filter(|f| f.path.mentions(x) && !h.covered_by_check(&mut kb, f))
-                .cloned()
-                .collect()
-        };
-        self.emit(h, &affected, out);
+        if self.place {
+            let affected: Vec<PathFact> = {
+                let mut kb = h.kb();
+                h.accesses
+                    .iter()
+                    .filter(|f| f.path.mentions(x) && !h.covered_by_check(&mut kb, f))
+                    .cloned()
+                    .collect()
+            };
+            self.emit(h, &affected, out);
+        }
         h.kill_var(x);
     }
 
     fn block(&mut self, stmts: &[Stmt], mut h: History) -> (Vec<Stmt>, History) {
+        if let (0, Some(first)) = (self.simulating, stmts.first()) {
+            self.tables.h_pre.insert(first.id, h.clone());
+        }
         let mut out = Vec::new();
         for s in stmts {
-            self.tables.h_pre.insert(s.id, h.clone());
             h = self.stmt(s, h, &mut out);
         }
         (out, h)
@@ -206,7 +302,7 @@ impl Fwd<'_> {
     fn stmt(&mut self, s: &Stmt, mut h: History, out: &mut Vec<Stmt>) -> History {
         match &s.kind {
             StmtKind::Skip => {
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::Assign { x, e } => {
@@ -214,19 +310,19 @@ impl Fwd<'_> {
                 if !e.mentions(*x) {
                     h.add_bool(eq_fact(*x, e));
                 }
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::Rename { fresh, old } => {
                 self.ensure_fresh(&mut h, *fresh, out);
                 h.rename(*old, *fresh);
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::New { x, .. } => {
                 self.ensure_fresh(&mut h, *x, out);
                 h.kill_var(*x);
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::NewArray { x, len } => {
@@ -239,19 +335,18 @@ impl Fwd<'_> {
                         Box::new(len.clone()),
                     ));
                 }
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::ReadField { x, obj, field } => {
                 if self.facts.is_volatile(*field) {
                     // Volatile read: acquire-like synchronization; the
                     // access itself is not race-checked (§5).
-                    let facts = self.pending(&h, None, None);
-                    self.emit(&mut h, &facts, out);
+                    self.check_pending(&mut h, None, None, out);
                     h.aliases.clear();
                     self.ensure_fresh(&mut h, *x, out);
                     h.kill_var(*x);
-                    out.push(s.clone());
+                    self.copy(s, out);
                     return h;
                 }
                 self.ensure_fresh(&mut h, *x, out);
@@ -270,21 +365,19 @@ impl Fwd<'_> {
                         field: *field,
                     },
                 );
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::WriteField { obj, field, src } => {
                 if self.facts.is_volatile(*field) {
                     // Volatile write: release-like synchronization.
-                    let a = self.a_post(s.id);
-                    let facts = self.pending(&h, None, Some(&a));
-                    self.emit(&mut h, &facts, out);
+                    self.check_pending(&mut h, None, self.a_post(s.id), out);
                     h.forget_accesses_and_checks();
                     let fld = *field;
                     h.aliases.retain(
                         |(_, rhs)| !matches!(rhs, AliasRhs::Field { field, .. } if *field == fld),
                     );
-                    out.push(s.clone());
+                    self.copy(s, out);
                     return h;
                 }
                 h.add_access(PathFact {
@@ -307,13 +400,13 @@ impl Fwd<'_> {
                         field: *field,
                     },
                 );
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::ReadArr { x, arr, idx } => {
                 self.ensure_fresh(&mut h, *x, out);
                 h.kill_var(*x);
-                out.push(s.clone());
+                self.copy(s, out);
                 match linearize(idx) {
                     Some(l) => {
                         h.add_access(PathFact {
@@ -339,7 +432,7 @@ impl Fwd<'_> {
                 h
             }
             StmtKind::WriteArr { arr, idx, src } => {
-                out.push(s.clone());
+                self.copy(s, out);
                 // Any array write invalidates element alias facts.
                 h.aliases
                     .retain(|(_, rhs)| !matches!(rhs, AliasRhs::Elem { .. }));
@@ -372,41 +465,33 @@ impl Fwd<'_> {
                 // pending afterwards (their legitimate range extends to
                 // the next release); alias facts die (other threads'
                 // writes become visible).
-                let facts = self.pending(&h, None, None);
-                self.emit(&mut h, &facts, out);
+                self.check_pending(&mut h, None, None, out);
                 h.aliases.clear();
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::Release { .. } => {
                 // [REL]: anticipated accesses excuse pending checks; all
                 // access and check facts are forgotten afterwards.
-                let a = self.a_post(s.id);
-                let facts = self.pending(&h, None, Some(&a));
-                self.emit(&mut h, &facts, out);
+                self.check_pending(&mut h, None, self.a_post(s.id), out);
                 h.forget_accesses_and_checks();
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::Fork { x, .. } => {
-                let a = self.a_post(s.id);
-                let facts = self.pending(&h, None, Some(&a));
-                self.emit(&mut h, &facts, out);
+                self.check_pending(&mut h, None, self.a_post(s.id), out);
                 h.forget_accesses_and_checks();
                 self.ensure_fresh(&mut h, *x, out);
                 h.kill_var(*x);
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::Call { x, meth, .. } => {
                 let eff = self.facts.effects(*meth);
                 if eff.acquires {
-                    let facts = self.pending(&h, None, None);
-                    self.emit(&mut h, &facts, out);
+                    self.check_pending(&mut h, None, None, out);
                 } else if eff.releases {
-                    let a = self.a_post(s.id);
-                    let facts = self.pending(&h, None, Some(&a));
-                    self.emit(&mut h, &facts, out);
+                    self.check_pending(&mut h, None, self.a_post(s.id), out);
                 }
                 if eff.releases {
                     h.forget_accesses_and_checks();
@@ -416,38 +501,39 @@ impl Fwd<'_> {
                 }
                 self.ensure_fresh(&mut h, *x, out);
                 h.kill_var(*x);
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::Wait { .. } => {
                 // Both a release and an acquire: every pending access must
                 // be checked here, and nothing survives.
-                let facts = self.pending(&h, None, None);
-                self.emit(&mut h, &facts, out);
+                self.check_pending(&mut h, None, None, out);
                 h.forget_accesses_and_checks();
                 h.aliases.clear();
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::Notify { .. } => {
                 // The caller already holds the monitor; the wakeup edge
                 // flows through the monitor's release, so no checks move.
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::Check { paths } => {
                 // Pre-existing (hand-written) checks: record their √ facts.
-                for cp in paths {
-                    if let Some(aps) = APath::from_ast(&cp.path) {
-                        for p in aps {
-                            h.add_check(PathFact {
-                                path: p,
-                                kind: cp.kind,
-                            });
+                if self.place {
+                    for cp in paths {
+                        if let Some(aps) = APath::from_ast(&cp.path) {
+                            for p in aps {
+                                h.add_check(PathFact {
+                                    path: p,
+                                    kind: cp.kind,
+                                });
+                            }
                         }
                     }
                 }
-                out.push(s.clone());
+                self.copy(s, out);
                 h
             }
             StmtKind::If {
@@ -461,34 +547,37 @@ impl Fwd<'_> {
                 h2.add_bool(negate(cond));
                 let (mut rb1, mut h1p) = self.block(&then_b.stmts, h1);
                 let (mut rb2, mut h2p) = self.block(&else_b.stmts, h2);
-                let a_out = self.a_post(s.id);
                 // Accesses surviving the merge: entailed on both sides.
-                let merged_acc = merge_accesses(&h1p, &h2p);
                 let merged_hist = History {
-                    accesses: merged_acc,
+                    accesses: merge_accesses(&h1p, &h2p),
                     ..History::new()
                 };
                 // Branch-end checks for forgotten accesses ([IF]).
-                let c1 = self.pending(&h1p, Some(&merged_hist), Some(&a_out));
-                self.emit(&mut h1p, &c1, &mut rb1);
-                let c2 = self.pending(&h2p, Some(&merged_hist), Some(&a_out));
-                self.emit(&mut h2p, &c2, &mut rb2);
+                let a_out = self.a_post(s.id);
+                self.check_pending(&mut h1p, Some(&merged_hist), a_out, &mut rb1);
+                self.check_pending(&mut h2p, Some(&merged_hist), a_out, &mut rb2);
                 let hout = merge(&h1p, &h2p, merged_hist.accesses);
-                out.push(Stmt::new(StmtKind::If {
-                    cond: cond.clone(),
-                    then_b: Block { stmts: rb1 },
-                    else_b: Block { stmts: rb2 },
-                }));
+                if self.place {
+                    out.push(Stmt::new(StmtKind::If {
+                        cond: cond.clone(),
+                        then_b: Block { stmts: rb1 },
+                        else_b: Block { stmts: rb2 },
+                    }));
+                }
                 hout
             }
             StmtKind::Loop { head, exit, tail } => {
-                let inv = self.infer_invariant(&h, head, exit, tail);
-                self.tables.loop_inv.insert(s.id, inv.clone());
+                let inv = match self.known_inv.and_then(|t| t.get(&s.id)) {
+                    Some(inv) => inv.clone(),
+                    None => self.infer_invariant(s.id, &h, head, exit, tail),
+                };
+                if self.simulating == 0 {
+                    self.tables.loop_inv.insert(s.id, inv.clone());
+                }
                 let a_head = self.a_loop_head(s.id);
                 // [LOOP] Cin: accesses of the entry context the invariant
                 // forgets.
-                let cin = self.pending(&h, Some(&inv), Some(&a_head));
-                self.emit(&mut h, &cin, out);
+                self.check_pending(&mut h, Some(&inv), a_head, out);
                 let (rhead, hj) = self.block(&head.stmts, inv.clone());
                 let mut hout = hj.clone();
                 hout.add_bool(exit.clone());
@@ -496,13 +585,14 @@ impl Fwd<'_> {
                 hback_pre.add_bool(negate(exit));
                 let (mut rtail, mut hback) = self.block(&tail.stmts, hback_pre);
                 // [LOOP] Cback: accesses the back edge forgets.
-                let cback = self.pending(&hback, Some(&inv), Some(&a_head));
-                self.emit(&mut hback, &cback, &mut rtail);
-                out.push(Stmt::new(StmtKind::Loop {
-                    head: Block { stmts: rhead },
-                    exit: exit.clone(),
-                    tail: Block { stmts: rtail },
-                }));
+                self.check_pending(&mut hback, Some(&inv), a_head, &mut rtail);
+                if self.place {
+                    out.push(Stmt::new(StmtKind::Loop {
+                        head: Block { stmts: rhead },
+                        exit: exit.clone(),
+                        tail: Block { stmts: rtail },
+                    }));
+                }
                 hout
             }
         }
@@ -510,6 +600,9 @@ impl Fwd<'_> {
 
     /// Emits an immediate singleton check (for untrackable array indices).
     fn check_here(&self, arr: Sym, idx: &Expr, kind: AccessKind, out: &mut Vec<Stmt>) {
+        if !self.place {
+            return;
+        }
         out.push(Stmt::new(StmtKind::Check {
             paths: vec![bigfoot_bfj::CheckPath {
                 kind,
@@ -520,11 +613,42 @@ impl Fwd<'_> {
 
     // ---------------- loop invariants ----------------
 
+    /// [`Fwd::compute_invariant`], memoized per loop statement and entry
+    /// facts: the invariant reads no `√` fact of `h_in`.
+    fn infer_invariant(
+        &mut self,
+        id: StmtId,
+        h_in: &History,
+        head: &Block,
+        exit: &Expr,
+        tail: &Block,
+    ) -> History {
+        let known = self.inv_memo.get(&id).and_then(|entries| {
+            entries
+                .iter()
+                .find(|(entry, _)| same_history_facts(entry, h_in))
+                .map(|(_, inv)| inv.clone())
+        });
+        if let Some(inv) = known {
+            return inv;
+        }
+        let inv = self.compute_invariant(h_in, head, exit, tail);
+        let entry = History {
+            checks: Vec::new(),
+            ..h_in.clone()
+        };
+        self.inv_memo
+            .entry(id)
+            .or_default()
+            .push((entry, inv.clone()));
+        inv
+    }
+
     /// Infers the loop invariant history by Cartesian predicate
     /// abstraction: candidate facts from induction-variable analysis plus
     /// loop-invariant entry facts, pruned by a greatest fixed point over
-    /// the loop body.
-    fn infer_invariant(
+    /// the loop body, which is simulated in history-only mode.
+    fn compute_invariant(
         &mut self,
         h_in: &History,
         head: &Block,
@@ -617,11 +741,7 @@ impl Fwd<'_> {
                     continue;
                 }
                 let f = &range.lo;
-                let k = f
-                    .terms
-                    .get(&bigfoot_entail::Atom::Var(ind.var))
-                    .copied()
-                    .unwrap_or(0);
+                let k = f.coeff(bigfoot_entail::Atom::Var(ind.var));
                 // Other atoms of the index must be loop-invariant. Opaque
                 // (non-linear) atoms such as `i * n` qualify when none of
                 // their variables is assigned in the loop — this is what
@@ -666,6 +786,8 @@ impl Fwd<'_> {
         // Greatest fixed point: prune candidates until entry and back edge
         // both establish them.
         bigfoot_obs::count!("static.loop_invariant.loops");
+        let place = std::mem::replace(&mut self.place, false);
+        self.simulating += 1;
         for _ in 0..MAX_INV_ITERS {
             bigfoot_obs::count!("static.loop_invariant.iterations");
             let before = (inv.bools.len(), inv.aliases.len(), inv.accesses.len());
@@ -681,6 +803,8 @@ impl Fwd<'_> {
                 break;
             }
         }
+        self.simulating -= 1;
+        self.place = place;
         inv
     }
 }
@@ -844,7 +968,6 @@ struct Induction {
 }
 
 fn detect_induction(head: &Block, tail: &Block) -> Vec<Induction> {
-    let assigned = assigned_vars(head, tail);
     let mut assignment_counts: HashMap<Sym, usize> = HashMap::new();
     fn count(b: &Block, m: &mut HashMap<Sym, usize>) {
         for s in &b.stmts {
@@ -894,10 +1017,8 @@ fn detect_induction(head: &Block, tail: &Block) -> Vec<Induction> {
             _ => {}
         }
     }
-    let _ = assigned;
     out
 }
-// (assigned_vars is recomputed here only to keep the scan self-contained.)
 
 /// The induction variable's symbolic initial value, from an entry equality
 /// fact `x == E` with loop-invariant `E`.

@@ -1,10 +1,10 @@
 //! The end-to-end S TATIC BF pipeline: freshen → forward pre-pass →
 //! backward anticipation → placement → cleanup → field-proxy analysis.
 
-use crate::backward::{anticipate_body, anticipate_body_view};
+use crate::backward::anticipate_body_view;
 use crate::cache::{CacheEntry, PlacementCache, CACHE_VERSION};
 use crate::cleanup::cleanup_program;
-use crate::forward::{forward_pass_opts, forward_pass_view, PlacementOptions};
+use crate::forward::{forward_pass_view, place_checks, record_histories, PlacementOptions};
 use crate::killset::{scan_method_body, volatile_fields, KillSets, KillSummary};
 use crate::proxy::field_proxies;
 use crate::readset::{FactView, ReadSet, READSET_VERSION};
@@ -116,26 +116,9 @@ pub fn instrument_with(p: &Program, options: InstrumentOptions) -> Instrumented 
     let volatiles = volatile_fields(&out);
     let mut stats = AnalysisStats::default();
 
-    let popts = PlacementOptions {
-        coalescing: options.coalescing,
-        loop_invariants: options.loop_invariants,
-    };
-    // Per-method: record → anticipate → place.
     let analyze = |body: &Block, kills: &KillSets| -> (Block, Duration) {
-        let _span = bigfoot_obs::span!("static.method");
         let t0 = Instant::now();
-        let at = if options.anticipation {
-            let _span = bigfoot_obs::span!("static.backward");
-            let (_, tables) = forward_pass_opts(body, kills, &volatiles, None, popts);
-            Some(anticipate_body(body, kills, &volatiles, &tables.h_pre))
-        } else {
-            None
-        };
-        let placed = {
-            let _span = bigfoot_obs::span!("static.forward");
-            let (placed, _) = forward_pass_opts(body, kills, &volatiles, at.as_ref(), popts);
-            placed
-        };
+        let placed = analyze_body(body, FactView::new(kills, &volatiles), options);
         (placed, t0.elapsed())
     };
 
@@ -180,6 +163,30 @@ pub fn instrument_with(p: &Program, options: InstrumentOptions) -> Instrumented 
         proxies,
         stats,
     }
+}
+
+/// StaticBF on one freshened method body: the history-only forward
+/// pre-pass, backward anticipation, then placement with the pre-pass's
+/// loop invariants. Without anticipation, one placement run that infers
+/// the invariants itself.
+fn analyze_body(body: &Block, facts: FactView<'_>, options: InstrumentOptions) -> Block {
+    let _span = bigfoot_obs::span!("static.method");
+    let popts = PlacementOptions {
+        coalescing: options.coalescing,
+        loop_invariants: options.loop_invariants,
+    };
+    if !options.anticipation {
+        let _span = bigfoot_obs::span!("static.forward");
+        return forward_pass_view(body, facts, None, popts).0;
+    }
+    let (pre, at) = {
+        let _span = bigfoot_obs::span!("static.backward");
+        let pre = record_histories(body, facts, popts);
+        let at = anticipate_body_view(body, facts, &pre.h_pre);
+        (pre, at)
+    };
+    let _span = bigfoot_obs::span!("static.forward");
+    place_checks(body, facts, &pre, &at, popts)
 }
 
 /// Freshens every body and renumbers so statement ids are program-unique
@@ -373,10 +380,6 @@ pub fn instrument_incremental(
         KillSets::from_summaries(summaries)
     };
 
-    let popts = PlacementOptions {
-        coalescing: options.coalescing,
-        loop_invariants: options.loop_invariants,
-    };
     let mut stats = AnalysisStats::default();
     let mut new_entries = std::collections::BTreeMap::new();
 
@@ -401,21 +404,9 @@ pub fn instrument_incremental(
             None => {
                 bigfoot_obs::count!("static.cache.misses");
                 inc.misses += 1;
-                let _span = bigfoot_obs::span!("static.method");
                 let log = RefCell::new(ReadSet::default());
-                let view = FactView::tracked(&kills, &volatiles, &log);
-                let at = if options.anticipation {
-                    let _span = bigfoot_obs::span!("static.backward");
-                    let (_, tables) = forward_pass_view(&body, view, None, popts);
-                    Some(anticipate_body_view(&body, view, &tables.h_pre))
-                } else {
-                    None
-                };
-                let placed = {
-                    let _span = bigfoot_obs::span!("static.forward");
-                    let (placed, _) = forward_pass_view(&body, view, at.as_ref(), popts);
-                    placed
-                };
+                let placed =
+                    analyze_body(&body, FactView::tracked(&kills, &volatiles, &log), options);
                 let readset = log.into_inner();
                 let facts_fp = readset.fingerprint();
                 let kill = scan_method_body(&body.stmts, &volatiles);

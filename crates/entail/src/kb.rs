@@ -248,18 +248,17 @@ impl Kb {
 
     /// Canonicalizes the atoms of a linear term against the union-find.
     fn canon_lin(&self, l: &Lin) -> Lin {
-        let mut out = Lin::constant(l.konst);
-        for (a, &c) in &l.terms {
-            let a = match a {
-                Atom::Var(x) => Atom::Var(self.find(*x)),
-                Atom::Len(x) => Atom::Len(self.find(*x)),
-                Atom::Opaque(s) => Atom::Opaque(*s),
-            };
-            let mut t = Lin::atom(a).scale(c);
-            t.konst = 0;
-            out = out.add(&t);
-        }
-        out
+        Lin::from_terms(
+            l.konst,
+            l.terms().iter().map(|&(a, c)| {
+                let a = match a {
+                    Atom::Var(x) => Atom::Var(self.find(x)),
+                    Atom::Len(x) => Atom::Len(self.find(x)),
+                    Atom::Opaque(s) => Atom::Opaque(s),
+                };
+                (a, c)
+            }),
+        )
     }
 
     /// True if `x` and `y` provably reference the same object/array.
@@ -523,7 +522,7 @@ fn fm_infeasible(rows: &mut Vec<Lin>) -> bool {
         neg.clear();
         rest.clear();
         for r in rows.drain(..) {
-            match r.terms.get(&atom).copied().unwrap_or(0) {
+            match r.coeff(atom) {
                 0 => rest.push(r),
                 c if c > 0 => pos.push((c, r)),
                 c => neg.push((-c, r)),
@@ -535,7 +534,7 @@ fn fm_infeasible(rows: &mut Vec<Lin>) -> bool {
                 // cp·x + rp' >= 0 and -cn·x + rn' >= 0
                 // → cn·rp + cp·rn >= 0 (x eliminated)
                 let combined = rp.scale(*cn).add(&rn.scale(*cp));
-                debug_assert!(combined.terms.get(&atom).copied().unwrap_or(0) == 0);
+                debug_assert!(combined.coeff(atom) == 0);
                 if combined.is_const() && combined.konst < 0 {
                     return true;
                 }

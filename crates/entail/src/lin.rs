@@ -8,7 +8,6 @@
 //! `a.length/2` across two program points).
 
 use bigfoot_bfj::{pretty_expr, Binop, Expr, Sym, Unop};
-use std::collections::BTreeMap;
 
 /// An atom of a linear expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,10 +31,15 @@ impl std::fmt::Display for Atom {
 }
 
 /// A linear expression `Σ cᵢ·atomᵢ + k` with integer coefficients.
+///
+/// The terms are a vector sorted by atom with no atom twice, so ordering,
+/// equality and hashing agree with those of a `BTreeMap<Atom, i64>` of the
+/// same terms. Arithmetic wraps on overflow. A coefficient that wraps to
+/// zero under [`Lin::scale`] stays as a term; [`Lin::add`] drops a zero
+/// only at the atoms of its right operand.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lin {
-    /// Non-zero coefficients per atom.
-    pub terms: BTreeMap<Atom, i64>,
+    terms: Vec<(Atom, i64)>,
     /// The constant offset.
     pub konst: i64,
 }
@@ -44,21 +48,52 @@ impl Lin {
     /// The constant expression `k`.
     pub fn constant(k: i64) -> Lin {
         Lin {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             konst: k,
         }
     }
 
     /// The expression `1·atom`.
     pub fn atom(a: Atom) -> Lin {
-        let mut terms = BTreeMap::new();
-        terms.insert(a, 1);
-        Lin { terms, konst: 0 }
+        Lin {
+            terms: vec![(a, 1)],
+            konst: 0,
+        }
     }
 
     /// The variable expression `x`.
     pub fn var(x: Sym) -> Lin {
         Lin::atom(Atom::Var(x))
+    }
+
+    /// `Σ cᵢ·atomᵢ + konst` from terms in any order: coefficients of a
+    /// repeated atom are summed (wrapping) and atoms whose sum is zero
+    /// are dropped.
+    pub fn from_terms(konst: i64, terms: impl IntoIterator<Item = (Atom, i64)>) -> Lin {
+        let mut terms: Vec<(Atom, i64)> = terms.into_iter().collect();
+        terms.sort_by_key(|&(a, _)| a);
+        terms.dedup_by(|(a, c), (kept, sum)| {
+            let same = a == kept;
+            if same {
+                *sum = sum.wrapping_add(*c);
+            }
+            same
+        });
+        terms.retain(|&(_, c)| c != 0);
+        Lin { terms, konst }
+    }
+
+    /// The terms `(atom, coefficient)`, sorted by atom.
+    pub fn terms(&self) -> &[(Atom, i64)] {
+        &self.terms
+    }
+
+    /// The coefficient of `a` (0 when absent).
+    pub fn coeff(&self, a: Atom) -> i64 {
+        match self.terms.binary_search_by_key(&a, |&(b, _)| b) {
+            Ok(i) => self.terms[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// True if the expression is a constant.
@@ -73,16 +108,38 @@ impl Lin {
 
     /// `self + other`.
     pub fn add(&self, other: &Lin) -> Lin {
-        let mut out = self.clone();
-        out.konst = out.konst.wrapping_add(other.konst);
-        for (a, c) in &other.terms {
-            let e = out.terms.entry(*a).or_insert(0);
-            *e = e.wrapping_add(*c);
-            if *e == 0 {
-                out.terms.remove(a);
+        let (a, b) = (&self.terms, &other.terms);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((x, cx), (y, cy)) = (a[i], b[j]);
+            match x.cmp(&y) {
+                std::cmp::Ordering::Less => {
+                    terms.push((x, cx));
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    if cy != 0 {
+                        terms.push((y, cy));
+                    }
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let c = cx.wrapping_add(cy);
+                    if c != 0 {
+                        terms.push((x, c));
+                    }
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        out
+        terms.extend_from_slice(&a[i..]);
+        terms.extend(b[j..].iter().filter(|&&(_, c)| c != 0));
+        Lin {
+            terms,
+            konst: self.konst.wrapping_add(other.konst),
+        }
     }
 
     /// `self - other`.
@@ -99,7 +156,7 @@ impl Lin {
             terms: self
                 .terms
                 .iter()
-                .map(|(a, k)| (*a, k.wrapping_mul(c)))
+                .map(|&(a, k)| (a, k.wrapping_mul(c)))
                 .collect(),
             konst: self.konst.wrapping_mul(c),
         }
@@ -114,19 +171,19 @@ impl Lin {
 
     /// The atoms mentioned.
     pub fn atoms(&self) -> impl Iterator<Item = Atom> + '_ {
-        self.terms.keys().copied()
+        self.terms.iter().map(|&(a, _)| a)
     }
 
     /// Reconstructs a BFJ expression denoting this value.
     pub fn to_expr(&self) -> Expr {
         let mut acc: Option<Expr> = None;
-        for (a, &c) in &self.terms {
+        for &(a, c) in &self.terms {
             let base = match a {
-                Atom::Var(x) => Expr::Var(*x),
-                Atom::Len(x) => Expr::Len(*x),
+                Atom::Var(x) => Expr::Var(x),
+                Atom::Len(x) => Expr::Len(x),
                 // Opaque atoms are keyed by their rendering, which is
                 // valid expression syntax; re-parse to recover the term.
-                Atom::Opaque(s) => bigfoot_bfj::parse_expr(s.as_str()).unwrap_or(Expr::Var(*s)),
+                Atom::Opaque(s) => bigfoot_bfj::parse_expr(s.as_str()).unwrap_or(Expr::Var(s)),
             };
             let term = match c {
                 1 => base,

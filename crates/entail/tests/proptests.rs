@@ -1,10 +1,13 @@
 //! Property-based tests for the entailment engine: every symbolic answer
-//! is validated against brute-force evaluation on concrete assignments.
+//! is validated against brute-force evaluation on concrete assignments,
+//! and [`Lin`] arithmetic against a `BTreeMap` reference model.
 
-use bigfoot_bfj::{parse_expr, Expr};
-use bigfoot_entail::{coalesce, covered_by_union, linearize, subsumes, Kb, Lin, SymRange};
+use bigfoot_bfj::{parse_expr, Expr, Sym};
+use bigfoot_entail::{coalesce, covered_by_union, linearize, subsumes, Atom, Kb, Lin, SymRange};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 /// A concrete strided range over small integers.
 #[derive(Debug, Clone, Copy)]
@@ -195,4 +198,211 @@ fn val_helper(e: &Expr, xv: i64, yv: i64, zv: i64) -> i64 {
         },
         other => panic!("unexpected term {other:?}"),
     }
+}
+
+// ---------------- Lin against a BTreeMap reference model ----------------
+
+/// The reference model for [`Lin`]: the same terms in a `BTreeMap`, with
+/// the map-based arithmetic `Lin` must agree with, wrapping cases included.
+/// Field order matches `Lin`'s, so the derived orderings are comparable.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct MapLin {
+    terms: BTreeMap<Atom, i64>,
+    konst: i64,
+}
+
+impl MapLin {
+    fn constant(k: i64) -> MapLin {
+        MapLin {
+            terms: BTreeMap::new(),
+            konst: k,
+        }
+    }
+
+    fn atom(a: Atom) -> MapLin {
+        MapLin {
+            terms: BTreeMap::from([(a, 1)]),
+            konst: 0,
+        }
+    }
+
+    /// Adds term by term; a sum that reaches zero drops its atom.
+    fn add(&self, other: &MapLin) -> MapLin {
+        let mut out = self.clone();
+        out.konst = out.konst.wrapping_add(other.konst);
+        for (a, c) in &other.terms {
+            let e = out.terms.entry(*a).or_insert(0);
+            *e = e.wrapping_add(*c);
+            if *e == 0 {
+                out.terms.remove(a);
+            }
+        }
+        out
+    }
+
+    /// Scales every coefficient, keeping those that wrap to zero.
+    fn scale(&self, c: i64) -> MapLin {
+        if c == 0 {
+            return MapLin::constant(0);
+        }
+        MapLin {
+            terms: self
+                .terms
+                .iter()
+                .map(|(a, k)| (*a, k.wrapping_mul(c)))
+                .collect(),
+            konst: self.konst.wrapping_mul(c),
+        }
+    }
+
+    fn sub(&self, other: &MapLin) -> MapLin {
+        self.add(&other.scale(-1))
+    }
+
+    fn offset(&self, k: i64) -> MapLin {
+        MapLin {
+            terms: self.terms.clone(),
+            konst: self.konst.wrapping_add(k),
+        }
+    }
+
+    fn as_const(&self) -> Option<i64> {
+        self.terms.is_empty().then_some(self.konst)
+    }
+}
+
+fn atoms() -> [Atom; 5] {
+    [
+        Atom::Var(Sym::intern("lin_x")),
+        Atom::Var(Sym::intern("lin_y")),
+        Atom::Len(Sym::intern("lin_x")),
+        Atom::Len(Sym::intern("lin_a")),
+        Atom::Opaque(Sym::intern("lin_x * lin_y")),
+    ]
+}
+
+/// Coefficients and constants: small values plus the wrapping edges.
+fn coeff() -> BoxedStrategy<i64> {
+    prop_oneof![
+        -4i64..5,
+        Just(i64::MIN),
+        Just(i64::MAX),
+        Just(i64::MIN + 1),
+        Just(1i64 << 62),
+        Just(-(1i64 << 62)),
+        Just(2),
+        Just(-1),
+    ]
+}
+
+/// A `Lin` and its model, built from the constant `k` by adding
+/// `coeff · atom` for each `(atom index, coeff)` and then scaling by `s`.
+/// Scaling by a wrapping factor leaves zero-coefficient terms behind.
+fn build(k: i64, terms: &[(usize, i64)], s: i64) -> (Lin, MapLin) {
+    let atoms = atoms();
+    let mut lin = Lin::constant(k);
+    let mut model = MapLin::constant(k);
+    for &(i, c) in terms {
+        let a = atoms[i % atoms.len()];
+        lin = lin.add(&Lin::atom(a).scale(c));
+        model = model.add(&MapLin::atom(a).scale(c));
+    }
+    (lin.scale(s), model.scale(s))
+}
+
+/// The inputs of [`build`]: constant, `(atom index, coeff)` terms, scale.
+type LinParts = (i64, Vec<(usize, i64)>, i64);
+
+fn lin_parts() -> BoxedStrategy<LinParts> {
+    (
+        coeff(),
+        prop::collection::vec((0usize..5, coeff()), 0..6),
+        prop_oneof![Just(1i64), Just(-1), Just(2), Just(4), coeff()],
+    )
+        .boxed()
+}
+
+/// True if `lin` has exactly the model's terms and constant.
+fn agrees(lin: &Lin, model: &MapLin) -> bool {
+    let terms: Vec<(Atom, i64)> = model.terms.iter().map(|(a, c)| (*a, *c)).collect();
+    lin.terms() == terms.as_slice() && lin.konst == model.konst
+}
+
+fn std_hash<T: Hash>(v: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `add`, `sub`, `scale` and `offset` agree with the map model term
+    /// for term, zero-coefficient terms and wrapping included.
+    #[test]
+    fn lin_arithmetic_matches_map_model(a in lin_parts(), b in lin_parts(), c in coeff()) {
+        let (la, ma) = build(a.0, &a.1, a.2);
+        let (lb, mb) = build(b.0, &b.1, b.2);
+        prop_assert!(agrees(&la, &ma), "{:?} vs {:?}", la, ma);
+        prop_assert!(agrees(&la.add(&lb), &ma.add(&mb)), "add {:?} {:?}", la, lb);
+        prop_assert!(agrees(&la.sub(&lb), &ma.sub(&mb)), "sub {:?} {:?}", la, lb);
+        prop_assert!(agrees(&la.scale(c), &ma.scale(c)), "scale {:?} by {}", la, c);
+        prop_assert!(agrees(&la.offset(c), &ma.offset(c)), "offset {:?} by {}", la, c);
+    }
+
+    /// `coeff`, `as_const` and `atoms` read the same terms as the model.
+    #[test]
+    fn lin_accessors_match_map_model(a in lin_parts()) {
+        let (la, ma) = build(a.0, &a.1, a.2);
+        for atom in atoms() {
+            prop_assert_eq!(la.coeff(atom), ma.terms.get(&atom).copied().unwrap_or(0));
+        }
+        prop_assert_eq!(la.as_const(), ma.as_const());
+        prop_assert_eq!(la.atoms().collect::<Vec<_>>(), ma.terms.keys().copied().collect::<Vec<_>>());
+    }
+
+    /// `Eq`, `Ord` and `Hash` of two `Lin`s agree with those of their
+    /// models.
+    #[test]
+    fn lin_order_and_hash_match_map_model(a in lin_parts(), b in lin_parts()) {
+        let (la, ma) = build(a.0, &a.1, a.2);
+        let (lb, mb) = build(b.0, &b.1, b.2);
+        prop_assert_eq!(la == lb, ma == mb);
+        prop_assert_eq!(la.cmp(&lb), ma.cmp(&mb));
+        prop_assert_eq!(std_hash(&la), std_hash(&ma));
+    }
+
+    /// `from_terms` sums repeated atoms (wrapping) and drops zero sums.
+    #[test]
+    fn lin_from_terms_matches_repeated_add(k in coeff(), terms in prop::collection::vec((0usize..5, coeff()), 0..8)) {
+        let atoms = atoms();
+        let pairs: Vec<(Atom, i64)> = terms.iter().map(|&(i, c)| (atoms[i], c)).collect();
+        let mut model = MapLin::constant(k);
+        for &(a, c) in &pairs {
+            model = model.add(&MapLin::atom(a).scale(c));
+        }
+        prop_assert!(agrees(&Lin::from_terms(k, pairs), &model));
+    }
+}
+
+/// The wrapping edge cases, spelled out.
+#[test]
+fn lin_wrapping_edges() {
+    let x = Atom::Var(Sym::intern("lin_x"));
+    // A coefficient that wraps to zero under `scale` stays a term...
+    let z = Lin::atom(x).scale(1 << 62).scale(4);
+    assert_eq!(z.terms(), &[(x, 0)]);
+    assert_eq!(z.coeff(x), 0);
+    assert_eq!(z.as_const(), None);
+    // ...`add` keeps it where only the left operand has the atom...
+    assert_eq!(z.add(&Lin::constant(3)).terms(), &[(x, 0)]);
+    // ...and drops a zero at an atom of the right operand.
+    assert!(Lin::constant(3).add(&z).is_const());
+    assert!(z.add(&z).is_const());
+    // i64::MIN is its own negation.
+    let m = Lin::atom(x).scale(i64::MIN);
+    assert_eq!(m.scale(-1), m);
+    assert!(m.sub(&m).is_const());
+    assert_eq!(m.add(&m).terms(), &[]);
+    assert_eq!(Lin::constant(i64::MAX).offset(1), Lin::constant(i64::MIN));
 }

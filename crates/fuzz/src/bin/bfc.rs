@@ -137,7 +137,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(e @ CliError::Failed(_)) => {
+            eprintln!("bfc: {e}");
+            ExitCode::from(2)
+        }
+        Err(CliError::Usage(msg)) => {
             eprintln!("bfc: {msg}");
             eprintln!();
             eprintln!("usage:");
@@ -170,9 +174,49 @@ fn main() -> ExitCode {
     }
 }
 
-fn load(path: &str) -> Result<Program, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_program(&src).map_err(|e| format!("{path}: {e}"))
+/// Why a command failed. Both kinds exit with status 2; only a usage
+/// error is followed by the usage text.
+enum CliError {
+    /// A malformed command line: unknown command or flag value, missing
+    /// argument.
+    Usage(String),
+    /// The command line was fine but the command failed: unreadable or
+    /// malformed input, an unwritable output, a run-time error.
+    Failed(String),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError::Usage(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> CliError {
+        CliError::Usage(msg.to_owned())
+    }
+}
+
+fn failed(msg: String) -> CliError {
+    CliError::Failed(msg)
+}
+
+fn runtime_error(e: RuntimeError) -> CliError {
+    failed(format!("runtime error: {e}"))
+}
+
+fn load(path: &str) -> Result<Program, CliError> {
+    let src =
+        std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+    parse_program(&src).map_err(|e| failed(format!("{path}: {e}")))
 }
 
 /// Stable per-site fingerprints for `bfc analyze`: every class method
@@ -215,7 +259,7 @@ fn races_json(stats: &Stats) -> Json {
     races
 }
 
-fn run(args: Vec<String>) -> Result<ExitCode, String> {
+fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
     let args = CliArgs::parse(
         args,
         &[
@@ -283,7 +327,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             };
             if let Some(path) = out_file {
                 std::fs::write(path, pretty(&inst.program))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                    .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             }
             let fps = site_fingerprints(&program);
             if json {
@@ -357,7 +401,8 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             let text = pretty(&edited);
             let out_file = args.value("--out");
             if let Some(path) = out_file {
-                std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+                std::fs::write(path, &text)
+                    .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             }
             if json {
                 let mut report = envelope("mutate", &file);
@@ -380,9 +425,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         }
         "run" => {
             let mut interp = Interp::new(&program, SchedPolicy::default());
-            interp
-                .run(&mut NullSink)
-                .map_err(|e| format!("runtime error: {e}"))?;
+            interp.run(&mut NullSink).map_err(runtime_error)?;
             if let Some(env) = interp.final_env(Tid(0)) {
                 let mut vars: Vec<_> = env
                     .iter()
@@ -440,7 +483,8 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                     }
                 };
                 let bytes = record_trace(&program, which, policy, compiled, compress_trace)?;
-                std::fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
+                std::fs::write(path, &bytes)
+                    .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             }
             let mut any_race = false;
             let mut schedule_reports = Json::array();
@@ -511,7 +555,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 let path = guard.path().display().to_string();
                 guard
                     .finish()
-                    .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
+                    .map_err(|e| failed(format!("cannot write trace to {path}: {e}")))?;
             }
             Ok(if any_race {
                 ExitCode::FAILURE
@@ -524,12 +568,12 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             let mut bf = Detector::bigfoot(inst.proxies.clone());
             Interp::new(&inst.program, SchedPolicy::default())
                 .run(&mut bf)
-                .map_err(|e| format!("runtime error: {e}"))?;
+                .map_err(runtime_error)?;
             let bf = bf.finish();
             let mut ft = Detector::fasttrack();
             Interp::new(&program, SchedPolicy::default())
                 .run(&mut ft)
-                .map_err(|e| format!("runtime error: {e}"))?;
+                .map_err(runtime_error)?;
             let ft = ft.finish();
             if json {
                 let mut report = envelope("stats", &file);
@@ -603,7 +647,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             let mut sink = bigfoot_bfj::RecordingSink::default();
             Interp::new(&inst.program, policy)
                 .run(&mut sink)
-                .map_err(|e| format!("runtime error: {e}"))?;
+                .map_err(runtime_error)?;
             let total = sink.events.len();
             for ev in sink.events.iter().take(limit) {
                 outln!("{ev:?}");
@@ -652,7 +696,8 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                     compiled,
                     compress_trace,
                 )?;
-                std::fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
+                std::fs::write(path, &bytes)
+                    .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             }
             // A runtime error does not discard the profile: the detector
             // flushes its aggregated counters on drop, so the snapshot
@@ -668,7 +713,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 compiled,
             ) {
                 Ok(stats) => (Some(stats), None),
-                Err(e) => (None, Some(e)),
+                Err(e) => (None, Some(e.to_string())),
             };
             // Fold recorder totals (`trace.events`/`trace.dropped`) into
             // the snapshot the report is built from.
@@ -678,7 +723,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 let path = guard.path().display().to_string();
                 guard
                     .finish()
-                    .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
+                    .map_err(|e| failed(format!("cannot write trace to {path}: {e}")))?;
             }
             let exit = if run_error.is_some() {
                 ExitCode::FAILURE
@@ -776,12 +821,12 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             }
             Ok(exit)
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 
 /// The `bfc fuzz` subcommand: a differential fuzzing campaign.
-fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, String> {
+fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
     let json = args.has("--json");
     let range = args.value("--seed-range").unwrap_or("1..501");
     let (lo, hi) = range
@@ -873,7 +918,7 @@ fn validate_workers(
     detect_workers: Option<usize>,
     pipelined: bool,
     replay_workers: Option<usize>,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     if replay_workers == Some(0) {
         return Err("--replay-workers wants at least 1 worker".into());
     }
@@ -897,7 +942,7 @@ fn validate_recording(
     record_out: Option<&str>,
     compress_trace: bool,
     schedules: u64,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     if compress_trace && record_out.is_none() {
         return Err("--compress-trace requires --record-out FILE to write the container to".into());
     }
@@ -919,15 +964,15 @@ fn record_trace(
     policy: SchedPolicy,
     compiled: bool,
     compress: bool,
-) -> Result<Vec<u8>, String> {
-    let rec = |prog: &Program| -> Result<Vec<u8>, String> {
+) -> Result<Vec<u8>, CliError> {
+    let rec = |prog: &Program| -> Result<Vec<u8>, CliError> {
         if compress {
             let mut w = CompressedTraceWriter::new();
-            execute(prog, policy, compiled, &mut w).map_err(|e| format!("runtime error: {e}"))?;
+            execute(prog, policy, compiled, &mut w).map_err(runtime_error)?;
             Ok(w.into_bytes())
         } else {
             let mut w = TraceWriter::new();
-            execute(prog, policy, compiled, &mut w).map_err(|e| format!("runtime error: {e}"))?;
+            execute(prog, policy, compiled, &mut w).map_err(runtime_error)?;
             Ok(w.into_bytes())
         }
     };
@@ -942,17 +987,18 @@ fn record_trace(
 /// The trace-file subcommands: `replay` detects races directly on a
 /// recorded trace (raw or compressed, auto-detected from the magic
 /// bytes), `compress`/`decompress` convert between the two encodings.
-fn trace_file_cmd(cmd: &str, args: &CliArgs) -> Result<ExitCode, String> {
+fn trace_file_cmd(cmd: &str, args: &CliArgs) -> Result<ExitCode, CliError> {
     let input = args.positional(1).ok_or("missing input trace file")?;
-    let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    let bytes = std::fs::read(input).map_err(|e| failed(format!("cannot read {input}: {e}")))?;
     match cmd {
         "compress" => {
             let output = args.positional(2).ok_or("missing output file")?;
             if is_compressed(&bytes) {
-                return Err(format!("{input}: already a BFTC container"));
+                return Err(failed(format!("{input}: already a BFTC container")));
             }
-            let packed = compress(&bytes).map_err(|e| format!("{input}: {e}"))?;
-            std::fs::write(output, &packed).map_err(|e| format!("cannot write {output}: {e}"))?;
+            let packed = compress(&bytes).map_err(|e| failed(format!("{input}: {e}")))?;
+            std::fs::write(output, &packed)
+                .map_err(|e| failed(format!("cannot write {output}: {e}")))?;
             outln!(
                 "{output}: {} -> {} bytes ({:.2}x)",
                 bytes.len(),
@@ -964,12 +1010,13 @@ fn trace_file_cmd(cmd: &str, args: &CliArgs) -> Result<ExitCode, String> {
         "decompress" => {
             let output = args.positional(2).ok_or("missing output file")?;
             if !is_compressed(&bytes) {
-                return Err(format!(
+                return Err(failed(format!(
                     "{input}: not a BFTC container (raw BFTR traces need no decompression)"
-                ));
+                )));
             }
-            let raw = decompress(&bytes).map_err(|e| format!("{input}: {e}"))?;
-            std::fs::write(output, &raw).map_err(|e| format!("cannot write {output}: {e}"))?;
+            let raw = decompress(&bytes).map_err(|e| failed(format!("{input}: {e}")))?;
+            std::fs::write(output, &raw)
+                .map_err(|e| failed(format!("cannot write {output}: {e}")))?;
             outln!("{output}: {} -> {} bytes", bytes.len(), raw.len());
             Ok(ExitCode::SUCCESS)
         }
@@ -981,7 +1028,7 @@ fn trace_file_cmd(cmd: &str, args: &CliArgs) -> Result<ExitCode, String> {
 /// containers run the memoizing compressed-replay engine directly on
 /// the grammar; raw `BFTR` traces go through the standard replay path —
 /// verdicts are byte-identical either way.
-fn replay_file_cmd(input: &str, bytes: &[u8], args: &CliArgs) -> Result<ExitCode, String> {
+fn replay_file_cmd(input: &str, bytes: &[u8], args: &CliArgs) -> Result<ExitCode, CliError> {
     let which = args.one_of(
         "--detector",
         &["bigfoot", "fasttrack", "redcard", "slimstate", "slimcard"],
@@ -1001,11 +1048,11 @@ fn replay_file_cmd(input: &str, bytes: &[u8], args: &CliArgs) -> Result<ExitCode
     };
     let compressed = is_compressed(bytes);
     let (stats, memo) = if compressed {
-        let (stats, report) =
-            replay_compressed_report(bytes, &config).map_err(|e| format!("{input}: {e}"))?;
+        let (stats, report) = replay_compressed_report(bytes, &config)
+            .map_err(|e| failed(format!("{input}: {e}")))?;
         (stats, Some(report))
     } else {
-        let stats = replay_trace(bytes, &config).map_err(|e| format!("{input}: {e}"))?;
+        let stats = replay_trace(bytes, &config).map_err(|e| failed(format!("{input}: {e}")))?;
         (stats, None)
     };
     if args.has("--json") {
@@ -1099,24 +1146,24 @@ fn check_once(
     pipelined: bool,
     detect_workers: Option<usize>,
     compiled: bool,
-) -> Result<Stats, String> {
+) -> Result<Stats, CliError> {
     if let Some(workers) = detect_workers {
         return check_sharded(program, which, policy, workers, compiled);
     }
     if let Some(workers) = replay_workers {
         return check_replay(program, which, policy, workers, pipelined, compiled);
     }
-    let run_detector = |prog: &Program, mut det: Detector| -> Result<Stats, String> {
+    let run_detector = |prog: &Program, mut det: Detector| -> Result<Stats, CliError> {
         if pipelined {
             let (run, stats) = detect_pipelined(
                 &PipelineConfig::default(),
                 |sink| execute(prog, policy, compiled, sink),
                 det,
             );
-            run.map_err(|e| format!("runtime error: {e}"))?;
+            run.map_err(runtime_error)?;
             return Ok(stats);
         }
-        execute(prog, policy, compiled, &mut det).map_err(|e| format!("runtime error: {e}"))?;
+        execute(prog, policy, compiled, &mut det).map_err(runtime_error)?;
         Ok(det.finish())
     };
     match which {
@@ -1141,15 +1188,14 @@ fn check_once(
                     |sink| execute(program, policy, compiled, sink),
                     DjitDetector::new(),
                 );
-                run.map_err(|e| format!("runtime error: {e}"))?;
+                run.map_err(runtime_error)?;
                 return Ok(det.finish());
             }
             let mut det = DjitDetector::new();
-            execute(program, policy, compiled, &mut det)
-                .map_err(|e| format!("runtime error: {e}"))?;
+            execute(program, policy, compiled, &mut det).map_err(runtime_error)?;
             Ok(det.finish())
         }
-        other => Err(format!("unknown detector `{other}`")),
+        other => Err(format!("unknown detector `{other}`").into()),
     }
 }
 
@@ -1164,20 +1210,20 @@ fn check_sharded(
     policy: SchedPolicy,
     workers: usize,
     compiled: bool,
-) -> Result<Stats, String> {
+) -> Result<Stats, CliError> {
     let pipeline = PipelineConfig::default();
     if which == "djit" {
         let (run, stats) = djit_sharded(&pipeline, workers, |sink| {
             execute(program, policy, compiled, sink)
         });
-        run.map_err(|e| format!("runtime error: {e}"))?;
+        run.map_err(runtime_error)?;
         return Ok(stats);
     }
-    let sharded = |prog: &Program, config: ReplayConfig| -> Result<Stats, String> {
+    let sharded = |prog: &Program, config: ReplayConfig| -> Result<Stats, CliError> {
         let (run, stats) = replay_sharded(&pipeline, &config, |sink| {
             execute(prog, policy, compiled, sink)
         });
-        run.map_err(|e| format!("runtime error: {e}"))?;
+        run.map_err(runtime_error)?;
         Ok(stats)
     };
     match which {
@@ -1198,7 +1244,7 @@ fn check_sharded(
             let (rc, proxies) = redcard_instrument(program);
             sharded(&rc, ReplayConfig::slimcard(proxies, workers))
         }
-        other => Err(format!("unknown detector `{other}`")),
+        other => Err(format!("unknown detector `{other}`").into()),
     }
 }
 
@@ -1212,21 +1258,21 @@ fn check_replay(
     workers: usize,
     pipelined: bool,
     compiled: bool,
-) -> Result<Stats, String> {
-    let record = |prog: &Program| -> Result<Vec<u8>, String> {
+) -> Result<Stats, CliError> {
+    let record = |prog: &Program| -> Result<Vec<u8>, CliError> {
         let mut w = TraceWriter::new();
-        execute(prog, policy, compiled, &mut w).map_err(|e| format!("runtime error: {e}"))?;
+        execute(prog, policy, compiled, &mut w).map_err(runtime_error)?;
         Ok(w.into_bytes())
     };
-    let replay = |prog: &Program, config: ReplayConfig| -> Result<Stats, String> {
+    let replay = |prog: &Program, config: ReplayConfig| -> Result<Stats, CliError> {
         if pipelined {
             let (run, stats) = replay_pipelined(&PipelineConfig::default(), &config, |sink| {
                 execute(prog, policy, compiled, sink)
             });
-            run.map_err(|e| format!("runtime error: {e}"))?;
+            run.map_err(runtime_error)?;
             return Ok(stats);
         }
-        replay_trace(&record(prog)?, &config).map_err(|e| format!("replay error: {e}"))
+        replay_trace(&record(prog)?, &config).map_err(|e| failed(format!("replay error: {e}")))
     };
     match which {
         "bigfoot" => {
@@ -1247,7 +1293,7 @@ fn check_replay(
             replay(&rc, ReplayConfig::slimcard(proxies, workers))
         }
         "djit" => Err("--replay-workers is not supported for --detector djit".into()),
-        other => Err(format!("unknown detector `{other}`")),
+        other => Err(format!("unknown detector `{other}`").into()),
     }
 }
 
@@ -1259,13 +1305,16 @@ mod tests {
     fn zero_workers_is_rejected_for_both_engines() {
         assert!(validate_workers(Some(0), true, None)
             .unwrap_err()
+            .to_string()
             .contains("--detect-workers wants at least 1"));
         assert!(validate_workers(None, false, Some(0))
             .unwrap_err()
+            .to_string()
             .contains("--replay-workers wants at least 1"));
         // The zero check fires even when another validation would too.
         assert!(validate_workers(Some(2), true, Some(0))
             .unwrap_err()
+            .to_string()
             .contains("--replay-workers wants at least 1"));
     }
 
@@ -1273,9 +1322,11 @@ mod tests {
     fn detect_workers_needs_the_pipeline_and_excludes_replay() {
         assert!(validate_workers(Some(2), false, None)
             .unwrap_err()
+            .to_string()
             .contains("requires --pipeline"));
         assert!(validate_workers(Some(2), true, Some(2))
             .unwrap_err()
+            .to_string()
             .contains("mutually exclusive"));
     }
 
@@ -1292,6 +1343,7 @@ mod tests {
     fn compress_trace_without_record_out_is_rejected() {
         assert!(validate_recording(None, true, 1)
             .unwrap_err()
+            .to_string()
             .contains("requires --record-out"));
     }
 
@@ -1299,10 +1351,12 @@ mod tests {
     fn record_out_excludes_multi_schedule_sweeps() {
         assert!(validate_recording(Some("t.bftr"), false, 3)
             .unwrap_err()
+            .to_string()
             .contains("exactly one schedule"));
         // The missing-output contradiction is reported first.
         assert!(validate_recording(None, true, 3)
             .unwrap_err()
+            .to_string()
             .contains("requires --record-out"));
     }
 

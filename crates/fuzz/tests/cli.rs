@@ -115,6 +115,24 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn runtime_errors_exit_2_without_usage_text() {
+    let neg = write_program("negative_len.bfj", "main { n = 0 - 3; a = new_array(n); }");
+    for args in [vec!["run", neg.as_str()], vec!["check", neg.as_str()]] {
+        let out = bfc(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("runtime error: negative array length -3"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("usage:"), "{args:?} printed usage: {err}");
+    }
+    // A usage error still prints the usage text.
+    let err = String::from_utf8_lossy(&bfc(&["frobnicate", &neg]).stderr).into_owned();
+    assert!(err.contains("usage:"), "{err}");
+}
+
+#[test]
 fn every_detector_flag_works() {
     let racy = write_program("racy2.bfj", RACY);
     for det in [
