@@ -1013,17 +1013,17 @@ fn static_stats(results: &[BenchResult]) {
             .iter()
             .map(|r| r.static_stats.time_per_method().as_secs_f64()),
     );
-    let analysis_ns: u64 = results.iter().map(|r| r.static_obs.analysis_ns).sum();
-    let entail_ns: u64 = results.iter().map(|r| r.static_obs.entail_ns).sum();
+    let total = bigfoot_bench::StaticObsStats::total(results.iter().map(|r| &r.static_obs));
     println!("mean: {avg:.5} s/method (paper: 0.16 s/method on much larger Java methods)");
-    if analysis_ns > 0 {
+    if total.analysis_ns > 0 {
         println!(
             "entailment engine: {:.1}% of analysis wall time ({} queries)",
-            entail_ns as f64 / analysis_ns as f64 * 100.0,
-            results
-                .iter()
-                .map(|r| r.static_obs.entail_queries)
-                .sum::<u64>(),
+            total.entail_share() * 100.0,
+            total.entail_queries,
+        );
+        println!(
+            "Fourier–Motzkin: {} component runs over {} rows, {} fallbacks to all rows",
+            total.fm_components, total.fm_rows, total.fm_fallbacks,
         );
     }
     let _ = DETECTORS;

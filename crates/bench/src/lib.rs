@@ -60,9 +60,48 @@ pub struct StaticObsStats {
     pub entail_ns: u64,
     /// Entailment queries issued (all `entail.query.*` counters).
     pub entail_queries: u64,
+    /// Independent components Fourier–Motzkin ran over
+    /// (`entail.fm.components`).
+    pub fm_components: u64,
+    /// Rows Fourier–Motzkin runs started from (`entail.fm.rows`).
+    pub fm_rows: u64,
+    /// Refutations that fell back to FM over all rows
+    /// (`entail.fm.fallbacks`).
+    pub fm_fallbacks: u64,
 }
 
 impl StaticObsStats {
+    /// The delta between two snapshots taken around an analysis.
+    pub fn between(
+        before: &bigfoot_obs::Snapshot,
+        after: &bigfoot_obs::Snapshot,
+    ) -> StaticObsStats {
+        let counter = |name: &str| after.counter(name) - before.counter(name);
+        StaticObsStats {
+            analysis_ns: after.timer_total("static.instrument")
+                - before.timer_total("static.instrument"),
+            entail_ns: after.timer_total("entail.query") - before.timer_total("entail.query"),
+            entail_queries: after.counter_total("entail.query.")
+                - before.counter_total("entail.query."),
+            fm_components: counter("entail.fm.components"),
+            fm_rows: counter("entail.fm.rows"),
+            fm_fallbacks: counter("entail.fm.fallbacks"),
+        }
+    }
+
+    /// The field-wise sum over several analyses.
+    pub fn total<'a>(all: impl IntoIterator<Item = &'a StaticObsStats>) -> StaticObsStats {
+        all.into_iter()
+            .fold(StaticObsStats::default(), |acc, s| StaticObsStats {
+                analysis_ns: acc.analysis_ns + s.analysis_ns,
+                entail_ns: acc.entail_ns + s.entail_ns,
+                entail_queries: acc.entail_queries + s.entail_queries,
+                fm_components: acc.fm_components + s.fm_components,
+                fm_rows: acc.fm_rows + s.fm_rows,
+                fm_fallbacks: acc.fm_fallbacks + s.fm_fallbacks,
+            })
+    }
+
     /// Fraction of analysis wall time spent in the entailment engine.
     pub fn entail_share(&self) -> f64 {
         if self.analysis_ns == 0 {
@@ -140,12 +179,7 @@ pub fn measure(name: &'static str, program: &Program, reps: usize) -> BenchResul
     let snap0 = bigfoot_obs::snapshot();
     let inst: Instrumented = instrument(program);
     let snap1 = bigfoot_obs::snapshot();
-    let static_obs = StaticObsStats {
-        analysis_ns: snap1.timer_total("static.instrument")
-            - snap0.timer_total("static.instrument"),
-        entail_ns: snap1.timer_total("entail.query") - snap0.timer_total("entail.query"),
-        entail_queries: snap1.counter_total("entail.query.") - snap0.counter_total("entail.query."),
-    };
+    let static_obs = StaticObsStats::between(&snap0, &snap1);
     let (rc_prog, rc_proxies) = redcard_instrument(program);
     let naive = naive_instrument(program);
 

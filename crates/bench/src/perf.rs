@@ -139,12 +139,7 @@ pub fn measure_perf(name: &'static str, program: &Program, reps: usize) -> PerfB
     let snap0 = bigfoot_obs::snapshot();
     let inst: Instrumented = instrument(program);
     let snap1 = bigfoot_obs::snapshot();
-    let static_obs = StaticObsStats {
-        analysis_ns: snap1.timer_total("static.instrument")
-            - snap0.timer_total("static.instrument"),
-        entail_ns: snap1.timer_total("entail.query") - snap0.timer_total("entail.query"),
-        entail_queries: snap1.counter_total("entail.query.") - snap0.counter_total("entail.query."),
-    };
+    let static_obs = StaticObsStats::between(&snap0, &snap1);
     let entail_cache_hits = snap1.counter("entail.cache.hit") - snap0.counter("entail.cache.hit");
     let entail_cache_misses =
         snap1.counter("entail.cache.miss") - snap0.counter("entail.cache.miss");
@@ -872,6 +867,7 @@ pub fn perf_json(
         stat.set("entail_ms", r.static_obs.entail_ns as f64 / 1e6);
         stat.set("entail_share", r.static_obs.entail_share());
         stat.set("entail_queries", r.static_obs.entail_queries);
+        crate::report::set_fm_fields(&mut stat, &r.static_obs);
         stat.set("entail_cache_hits", r.entail_cache_hits);
         stat.set("entail_cache_misses", r.entail_cache_misses);
         b.set("static", stat);
@@ -894,17 +890,9 @@ pub fn perf_json(
         rates.set(d, geomean(results.iter().map(|r| r.run(d).events_per_sec)));
     }
     summary.set("events_per_sec_geomean", rates);
-    let analysis_ns: u64 = results.iter().map(|r| r.static_obs.analysis_ns).sum();
-    let entail_ns: u64 = results.iter().map(|r| r.static_obs.entail_ns).sum();
-    summary.set("static_analysis_ms", analysis_ns as f64 / 1e6);
-    summary.set(
-        "entail_share",
-        if analysis_ns == 0 {
-            0.0
-        } else {
-            entail_ns as f64 / analysis_ns as f64
-        },
-    );
+    let total = StaticObsStats::total(results.iter().map(|r| &r.static_obs));
+    summary.set("static_analysis_ms", total.analysis_ns as f64 / 1e6);
+    summary.set("entail_share", total.entail_share());
     let mut space = Json::object();
     for d in DETECTORS {
         space.set(

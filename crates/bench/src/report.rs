@@ -20,7 +20,7 @@
 //! `crates/bench/tests/golden_json.rs` pin the invariants (keys present,
 //! `checks <= accesses`, check ratio in `[0, 1]`, …).
 
-use crate::{geomean, mean, BenchResult, DetectorRun, ReplayResult, DETECTORS};
+use crate::{geomean, mean, BenchResult, DetectorRun, ReplayResult, StaticObsStats, DETECTORS};
 use bigfoot_detectors::Stats;
 use bigfoot_obs::json::Json;
 
@@ -81,6 +81,7 @@ pub fn benchmark_json(r: &BenchResult) -> Json {
     stat.set("entail_ms", r.static_obs.entail_ns as f64 / 1e6);
     stat.set("entail_share", r.static_obs.entail_share());
     stat.set("entail_queries", r.static_obs.entail_queries);
+    set_fm_fields(&mut stat, &r.static_obs);
     out.set("static", stat);
 
     let mut detectors = Json::object();
@@ -89,6 +90,13 @@ pub fn benchmark_json(r: &BenchResult) -> Json {
     }
     out.set("detectors", detectors);
     out
+}
+
+/// The Fourier–Motzkin split counters of a static block.
+pub(crate) fn set_fm_fields(stat: &mut Json, s: &StaticObsStats) {
+    stat.set("fm_components", s.fm_components);
+    stat.set("fm_rows", s.fm_rows);
+    stat.set("fm_fallbacks", s.fm_fallbacks);
 }
 
 fn with_benchmarks(mut env: Json, results: &[BenchResult]) -> Json {
@@ -207,25 +215,12 @@ pub fn static_json(
                 .map(|r| r.static_stats.time_per_method().as_secs_f64()),
         ),
     );
-    let analysis_ns: u64 = results.iter().map(|r| r.static_obs.analysis_ns).sum();
-    let entail_ns: u64 = results.iter().map(|r| r.static_obs.entail_ns).sum();
-    summary.set("analysis_ms", analysis_ns as f64 / 1e6);
-    summary.set("entail_ms", entail_ns as f64 / 1e6);
-    summary.set(
-        "entail_share",
-        if analysis_ns == 0 {
-            0.0
-        } else {
-            entail_ns as f64 / analysis_ns as f64
-        },
-    );
-    summary.set(
-        "entail_queries",
-        results
-            .iter()
-            .map(|r| r.static_obs.entail_queries)
-            .sum::<u64>(),
-    );
+    let total = StaticObsStats::total(results.iter().map(|r| &r.static_obs));
+    summary.set("analysis_ms", total.analysis_ns as f64 / 1e6);
+    summary.set("entail_ms", total.entail_ns as f64 / 1e6);
+    summary.set("entail_share", total.entail_share());
+    summary.set("entail_queries", total.entail_queries);
+    set_fm_fields(&mut summary, &total);
     let cold_ns: u64 = incremental.iter().map(|r| r.cold_ns).sum();
     let warm_ns: u64 = incremental.iter().map(|r| r.warm_ns).sum();
     summary.set("incremental_cold_ms", cold_ns as f64 / 1e6);

@@ -134,6 +134,12 @@ fn static_json_reports_entailment_share_from_spans() {
             .unwrap()
             > 0
     );
+    // The solver's component split ran and never fell back on the
+    // suite.
+    let fm = |key: &str| summary.get(key).and_then(Json::as_u64).unwrap();
+    assert!(fm("fm_components") > 0);
+    assert!(fm("fm_rows") > 0);
+    assert_eq!(fm("fm_fallbacks"), 0);
     // The incremental pipeline's cold/warm wall times and skip rate.
     let cold = summary
         .get("incremental_cold_ms")

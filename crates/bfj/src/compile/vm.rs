@@ -1138,10 +1138,7 @@ fn exec_new_array<S: EventSink>(
     next: u32,
 ) -> Result<(), RuntimeError> {
     let n = as_int(eval(prog, heap, frame, regs, len)?)?;
-    if n < 0 {
-        return Err(RuntimeError::NegativeArrayLength(n));
-    }
-    let arr = heap.alloc_array(n as usize);
+    let arr = heap.alloc_array(n)?;
     frame.set(dst, Value::Arr(arr));
     frame.pc = next;
     sink.event(&Event::AllocArr {

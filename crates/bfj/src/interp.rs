@@ -133,13 +133,22 @@ impl Heap {
         id
     }
 
-    pub(crate) fn alloc_array(&mut self, len: usize) -> ArrId {
+    /// Allocates a zeroed array of `len` elements. Both executors allocate
+    /// here, so they fail alike on a negative length or one over
+    /// [`MAX_ARRAY_LEN`].
+    pub(crate) fn alloc_array(&mut self, len: i64) -> Result<ArrId, RuntimeError> {
+        if len < 0 {
+            return Err(RuntimeError::NegativeArrayLength(len));
+        }
+        if len > MAX_ARRAY_LEN {
+            return Err(RuntimeError::ArrayTooLong(len));
+        }
         let id = ArrId(self.arrays.len() as u32);
         self.arrays.push(ArrayObj {
-            data: vec![Value::Int(0); len],
+            data: vec![Value::Int(0); len as usize],
         });
         self.cells += len as u64;
-        id
+        Ok(id)
     }
 }
 
@@ -169,6 +178,12 @@ impl Default for SchedPolicy {
     }
 }
 
+/// The longest array `new_array` allocates. A longer one is a
+/// [`RuntimeError::ArrayTooLong`] rather than an allocation failure that
+/// aborts the process. Suite, corpus and generated programs allocate at
+/// most 16,384 elements.
+pub const MAX_ARRAY_LEN: i64 = 1 << 24;
+
 /// An error raised during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
@@ -191,6 +206,8 @@ pub enum RuntimeError {
     DivisionByZero,
     /// Negative array length.
     NegativeArrayLength(i64),
+    /// Array length over [`MAX_ARRAY_LEN`].
+    ArrayTooLong(i64),
     /// Every live thread is blocked.
     Deadlock,
     /// The step budget was exhausted.
@@ -210,6 +227,9 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::DivisionByZero => write!(f, "division by zero"),
             RuntimeError::NegativeArrayLength(n) => write!(f, "negative array length {n}"),
+            RuntimeError::ArrayTooLong(n) => {
+                write!(f, "array length {n} exceeds the limit of {MAX_ARRAY_LEN}")
+            }
             RuntimeError::Deadlock => write!(f, "deadlock: all live threads are blocked"),
             RuntimeError::StepLimitExceeded(n) => write!(f, "step limit of {n} exceeded"),
             RuntimeError::IllegalRelease => write!(f, "released a lock that is not held"),
@@ -779,10 +799,7 @@ impl<'p> Interp<'p> {
             StmtKind::NewArray { x, len } => {
                 let env = &self.threads[ti].frames.last().expect("frame").env;
                 let n = as_int(eval(env, &self.heap, len)?)?;
-                if n < 0 {
-                    return Err(RuntimeError::NegativeArrayLength(n));
-                }
-                let arr = self.heap.alloc_array(n as usize);
+                let arr = self.heap.alloc_array(n)?;
                 self.env(t).insert(*x, Value::Arr(arr));
                 sink.event(&Event::AllocArr {
                     t,

@@ -56,10 +56,11 @@ pub use fingerprint::{
 };
 pub use interp::{
     eval, Env, Heap, Interp, ProgramIndex, RunOutcome, RuntimeError, SchedPolicy, SymHasher, Value,
+    MAX_ARRAY_LEN,
 };
 pub use lexer::{tokenize, LexError, Token};
 pub use mutate::{mutate, site_count, MutationKind};
-pub use parser::{parse_expr, parse_program, ParseError};
+pub use parser::{parse_expr, parse_program, ParseError, MAX_NESTING};
 pub use pretty::{pretty, pretty_check_path, pretty_expr, pretty_stmt};
 pub use sym::Sym;
 pub use trace::compress::{

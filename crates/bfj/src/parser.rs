@@ -29,6 +29,15 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting the parser accepts, counted over parenthesized and
+/// other sub-expressions, unary operators, operators chained at one level
+/// (`a + b + c` nests as `(a + b) + c`) and blocks. The parser and every
+/// later pass recurse over the tree, so the budget bounds their stack
+/// depth: a deeper input is a [`ParseError`], not a stack overflow. The
+/// suite, the fuzz corpus and the random generators nest at most 9
+/// levels deep.
+pub const MAX_NESTING: u32 = 100;
+
 /// Parses a complete BFJ program and assigns statement ids.
 ///
 /// # Errors
@@ -66,6 +75,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         tokens,
         pos: 0,
         tmp_counter: 0,
+        depth: 0,
     };
     let mut program = p.program()?;
     program.renumber();
@@ -90,6 +100,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
         tokens,
         pos: 0,
         tmp_counter: 0,
+        depth: 0,
     };
     let e = p.expr()?;
     if p.peek() != &Token::Eof {
@@ -126,6 +137,9 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     tmp_counter: u32,
+    /// Current nesting, bounded by [`MAX_NESTING`]. Not unwound on error:
+    /// a parse error ends the parse.
+    depth: u32,
 }
 
 impl Parser {
@@ -165,6 +179,15 @@ impl Parser {
         } else {
             false
         }
+    }
+
+    /// Enters one more level of nesting.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -312,6 +335,7 @@ impl Parser {
 
     fn block(&mut self) -> Result<Block, ParseError> {
         self.eat(&Token::LBrace)?;
+        self.descend()?;
         let mut stmts = Vec::new();
         while self.peek() != &Token::RBrace {
             if self.peek() == &Token::Eof {
@@ -320,6 +344,7 @@ impl Parser {
             self.stmt_into(&mut stmts)?;
         }
         self.bump();
+        self.depth -= 1;
         Ok(Block { stmts })
     }
 
@@ -687,24 +712,35 @@ impl Parser {
     // ---------------- expressions ----------------
 
     fn expr(&mut self) -> Result<SExpr, ParseError> {
-        self.or_expr()
+        self.descend()?;
+        let e = self.or_expr()?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn or_expr(&mut self) -> Result<SExpr, ParseError> {
         let mut e = self.and_expr()?;
+        let mut chain = 0;
         while self.eat_if(&Token::OrOr) {
+            self.descend()?;
+            chain += 1;
             let rhs = self.and_expr()?;
             e = SExpr::Binop(Binop::Or, Box::new(e), Box::new(rhs));
         }
+        self.depth -= chain;
         Ok(e)
     }
 
     fn and_expr(&mut self) -> Result<SExpr, ParseError> {
         let mut e = self.cmp_expr()?;
+        let mut chain = 0;
         while self.eat_if(&Token::AndAnd) {
+            self.descend()?;
+            chain += 1;
             let rhs = self.cmp_expr()?;
             e = SExpr::Binop(Binop::And, Box::new(e), Box::new(rhs));
         }
+        self.depth -= chain;
         Ok(e)
     }
 
@@ -726,6 +762,7 @@ impl Parser {
 
     fn add_expr(&mut self) -> Result<SExpr, ParseError> {
         let mut e = self.mul_expr()?;
+        let mut chain = 0;
         loop {
             let op = match self.peek() {
                 Token::Plus => Binop::Add,
@@ -733,14 +770,18 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
+            chain += 1;
             let rhs = self.mul_expr()?;
             e = SExpr::Binop(op, Box::new(e), Box::new(rhs));
         }
+        self.depth -= chain;
         Ok(e)
     }
 
     fn mul_expr(&mut self) -> Result<SExpr, ParseError> {
         let mut e = self.unary_expr()?;
+        let mut chain = 0;
         loop {
             let op = match self.peek() {
                 Token::Star => Binop::Mul,
@@ -749,31 +790,36 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
+            chain += 1;
             let rhs = self.unary_expr()?;
             e = SExpr::Binop(op, Box::new(e), Box::new(rhs));
         }
+        self.depth -= chain;
         Ok(e)
     }
 
     fn unary_expr(&mut self) -> Result<SExpr, ParseError> {
-        match self.peek() {
-            Token::Minus => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(SExpr::Unop(Unop::Neg, Box::new(e)))
-            }
-            Token::Bang => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(SExpr::Unop(Unop::Not, Box::new(e)))
-            }
-            _ => self.postfix(),
-        }
+        let op = match self.peek() {
+            Token::Minus => Unop::Neg,
+            Token::Bang => Unop::Not,
+            _ => return self.postfix(),
+        };
+        self.bump();
+        self.descend()?;
+        let e = self.unary_expr()?;
+        self.depth -= 1;
+        Ok(SExpr::Unop(op, Box::new(e)))
     }
 
     fn postfix(&mut self) -> Result<SExpr, ParseError> {
         let mut e = self.primary()?;
+        let mut chain = 0;
         loop {
+            if matches!(self.peek(), Token::Dot | Token::LBracket) {
+                self.descend()?;
+                chain += 1;
+            }
             match self.peek() {
                 Token::Dot => {
                     self.bump();
@@ -804,6 +850,7 @@ impl Parser {
                 _ => break,
             }
         }
+        self.depth -= chain;
         Ok(e)
     }
 
@@ -913,6 +960,22 @@ mod tests {
     #[test]
     fn missing_main_is_error() {
         assert!(parse_program("class C { }").is_err());
+    }
+
+    #[test]
+    fn nesting_over_the_budget_is_an_error() {
+        let n = MAX_NESTING as usize;
+        let parens = |k: usize| format!("{}x{}", "(".repeat(k), ")".repeat(k));
+        // `parse_expr` spends one level on the whole expression.
+        assert!(parse_expr(&parens(n - 1)).is_ok());
+        let err = parse_expr(&parens(n)).unwrap_err();
+        assert!(err.msg.contains("nesting deeper than"), "{err}");
+        let fields = format!("main {{ y = x{}; }}", ".f".repeat(20_000));
+        let err = parse_program(&fields).unwrap_err();
+        assert!(err.msg.contains("nesting deeper than"), "{err}");
+        // Levels are released on the way out: siblings do not add up.
+        let wide = format!("main {{ {} }}", "if (x) { y = (((1))); } ".repeat(2 * n));
+        assert!(parse_program(&wide).is_ok());
     }
 
     #[test]

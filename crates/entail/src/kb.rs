@@ -15,6 +15,41 @@
 //!
 //! All answers are conservative: "don't know" means *not entailed*, which
 //! at worst places a redundant check (never an unsound one).
+//!
+//! # Refuting over one component
+//!
+//! A query is refuted by Fourier–Motzkin (FM) elimination over the fact
+//! rows plus the negated query row. Most facts share no atom with a given
+//! query: a method's facts split into several independent components, and
+//! the query's row touches one or two. So [`Kb`] splits the canonical fact
+//! rows once per fact generation, by a union-find over their atoms, and
+//! solves each component alone. A query then eliminates only the rows of
+//! the components its atoms touch, merged in their original order, with
+//! the query row appended. The answer is "the query's component is
+//! infeasible, or some untouched component is".
+//!
+//! That answer is the whole-system answer, caps included:
+//!
+//! * A combined row mentions only atoms of its parents, so it stays in
+//!   their component. Eliminating another component's atom moves all of
+//!   this component's rows to the kept rows unchanged and in order. So
+//!   the rows of each component, in each round of the whole-system run,
+//!   are exactly the rows of that component's own run at the same stage.
+//! * Each component's own run records its peak: the most rows it holds
+//!   at the start or after any completed round. Constant rows belong to
+//!   no component and are held throughout. After any whole-system round
+//!   the rows held are at most Σ peaks + constant rows. When that bound is
+//!   within `FM_MAX_ROWS`, the row cap never fires, and the whole-system
+//!   run returns true exactly when some component derives a negative
+//!   constant.
+//! * The checks before the elimination keep their order: a negative
+//!   constant row first, then the atom cap on all atoms (fact atoms plus
+//!   query atoms).
+//!
+//! When the bound is exceeded, or a component broke the row cap on its
+//! own, the query falls back to the same elimination run on all rows
+//! (`entail.fm.fallbacks` counts these), so no verdict depends on the
+//! split.
 
 use crate::lin::{linearize, Atom, Lin};
 use bigfoot_bfj::{Binop, Expr, Sym, Unop};
@@ -94,6 +129,8 @@ pub struct Kb {
     /// of on every query.
     canon_rows: Vec<Lin>,
     canon_gen: Option<u64>,
+    /// The independent components of `canon_rows`, rebuilt with them.
+    parts: FactParts,
     /// Scratch row storage reused across Fourier–Motzkin queries.
     fm_scratch: Vec<Lin>,
 }
@@ -289,8 +326,16 @@ impl Kb {
         let mut rows = std::mem::take(&mut self.canon_rows);
         rows.clear();
         rows.extend(self.ineqs.iter().map(|f| self.canon_lin(f)));
+        self.parts = FactParts::split(&rows);
         self.canon_rows = rows;
         self.canon_gen = Some(self.generation);
+    }
+
+    /// True if the facts, plus `query` when given, are infeasible.
+    fn refute(&mut self, query: Option<&Lin>) -> bool {
+        self.refresh_canon_rows();
+        self.parts
+            .refute(&self.canon_rows, query, &mut self.fm_scratch)
     }
 
     /// Proves `l >= 0` from the assumed facts.
@@ -318,14 +363,8 @@ impl Kb {
             return v;
         }
         bigfoot_obs::count!("entail.cache.miss");
-        self.refresh_canon_rows();
         // Refute facts ∧ (q <= -1), i.e. facts ∧ (-q - 1 >= 0).
-        let mut rows = std::mem::take(&mut self.fm_scratch);
-        rows.clear();
-        rows.extend_from_slice(&self.canon_rows);
-        rows.push(q.scale(-1).offset(-1));
-        let v = fm_infeasible(&mut rows);
-        self.fm_scratch = rows;
+        let v = self.refute(Some(&q.scale(-1).offset(-1)));
         self.memo.insert(q, v);
         v
     }
@@ -342,12 +381,7 @@ impl Kb {
             return v;
         }
         self.close();
-        self.refresh_canon_rows();
-        let mut rows = std::mem::take(&mut self.fm_scratch);
-        rows.clear();
-        rows.extend_from_slice(&self.canon_rows);
-        let v = fm_infeasible(&mut rows);
-        self.fm_scratch = rows;
+        let v = self.refute(None);
         self.inconsistent = Some(v);
         v
     }
@@ -490,6 +524,184 @@ fn negate_cmp(e: &Expr) -> Option<Expr> {
     }
 }
 
+/// The independent components of one generation's canonical fact rows.
+#[derive(Debug, Clone, Default)]
+struct FactParts {
+    /// Every atom of the rows, sorted.
+    atoms: Vec<Atom>,
+    /// The union-find over `atoms`, flattened: the part of `atoms[i]`.
+    part_of: Vec<usize>,
+    parts: Vec<Part>,
+    /// Rows with no atom. They belong to no part.
+    const_rows: usize,
+    /// Whether some constant row is negative (the facts are infeasible).
+    neg_const: bool,
+    /// Whether every part's `elim` is filled.
+    solved: bool,
+}
+
+/// One independent component: rows sharing no atom with any other part.
+#[derive(Debug, Clone, Default)]
+struct Part {
+    /// Indices into the canonical rows, ascending.
+    rows: Vec<u32>,
+    /// The atoms the rows mention, sorted.
+    atoms: Vec<Atom>,
+    /// FM over this part alone once solved; `None` if it broke the row
+    /// cap.
+    elim: Option<Elim>,
+}
+
+impl FactParts {
+    /// Splits `rows` into components by a union-find over their atoms.
+    fn split(rows: &[Lin]) -> FactParts {
+        let mut atoms: Vec<Atom> = rows.iter().flat_map(|r| r.atoms()).collect();
+        atoms.sort_unstable();
+        atoms.dedup();
+        let index = |a: &Atom| atoms.binary_search(a).expect("collected atom");
+        let mut parent: Vec<usize> = (0..atoms.len()).collect();
+        fn root(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        let (mut const_rows, mut neg_const) = (0, false);
+        for r in rows {
+            let mut it = r.atoms();
+            let Some(first) = it.next() else {
+                const_rows += 1;
+                neg_const |= r.konst < 0;
+                continue;
+            };
+            let a = root(&mut parent, index(&first));
+            for other in it {
+                let b = root(&mut parent, index(&other));
+                parent[b] = a;
+            }
+        }
+        // Number the parts in order of their smallest atom.
+        let mut part_of = vec![usize::MAX; atoms.len()];
+        let mut parts: Vec<Part> = Vec::new();
+        for i in 0..atoms.len() {
+            let r = root(&mut parent, i);
+            if part_of[r] == usize::MAX {
+                part_of[r] = parts.len();
+                parts.push(Part::default());
+            }
+            part_of[i] = part_of[r];
+            parts[part_of[i]].atoms.push(atoms[i]);
+        }
+        for (i, r) in rows.iter().enumerate() {
+            if let Some(first) = r.atoms().next() {
+                parts[part_of[index(&first)]].rows.push(i as u32);
+            }
+        }
+        FactParts {
+            atoms,
+            part_of,
+            parts,
+            const_rows,
+            neg_const,
+            solved: false,
+        }
+    }
+
+    /// Runs FM over every part alone, once per generation.
+    fn solve(&mut self, rows: &[Lin]) {
+        if self.solved {
+            return;
+        }
+        let mut buf: Vec<Lin> = Vec::new();
+        for part in &mut self.parts {
+            bigfoot_obs::count!("entail.fm.components");
+            buf.clear();
+            buf.extend(part.rows.iter().map(|&i| rows[i as usize].clone()));
+            part.elim = fm_eliminate(&mut buf, part.atoms.clone());
+        }
+        self.solved = true;
+    }
+
+    /// True if `rows` (the rows this was split from), plus `query` when
+    /// given, are infeasible: FM over the query's own component (see the
+    /// module docs), or over all rows when the component bound does not
+    /// hold. `scratch` is a row buffer kept across queries.
+    fn refute(&mut self, rows: &[Lin], query: Option<&Lin>, scratch: &mut Vec<Lin>) -> bool {
+        if self.neg_const || query.is_some_and(|r| r.is_const() && r.konst < 0) {
+            return true;
+        }
+        let new_atoms = self.new_atoms(query);
+        if self.atoms.len() + new_atoms.len() > FM_MAX_ATOMS {
+            return false;
+        }
+        self.solve(rows);
+        let verdict = self.refute_split(rows, query, new_atoms, scratch);
+        bigfoot_obs::count!("entail.fm.fallbacks", verdict.is_none() as u64);
+        verdict.unwrap_or_else(|| {
+            scratch.clear();
+            scratch.extend_from_slice(rows);
+            scratch.extend(query.cloned());
+            fm_infeasible(scratch)
+        })
+    }
+
+    /// The atoms of `query` that no fact mentions.
+    fn new_atoms(&self, query: Option<&Lin>) -> Vec<Atom> {
+        query
+            .into_iter()
+            .flat_map(|r| r.atoms())
+            .filter(|a| self.atoms.binary_search(a).is_err())
+            .collect()
+    }
+
+    /// The component path of [`FactParts::refute`] over solved parts;
+    /// `None` when the whole-system run must decide instead. `atoms` are
+    /// the query's atoms no fact mentions.
+    fn refute_split(
+        &self,
+        rows: &[Lin],
+        query: Option<&Lin>,
+        mut atoms: Vec<Atom>,
+        scratch: &mut Vec<Lin>,
+    ) -> Option<bool> {
+        let mut touched: Vec<usize> = query
+            .into_iter()
+            .flat_map(|r| r.atoms())
+            .filter_map(|a| self.atoms.binary_search(&a).ok())
+            .map(|i| self.part_of[i])
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let (mut held, mut untouched_infeasible) = (self.const_rows, false);
+        for (i, part) in self.parts.iter().enumerate() {
+            if touched.binary_search(&i).is_err() {
+                let elim = part.elim?;
+                held += elim.peak;
+                untouched_infeasible |= elim.infeasible;
+            }
+        }
+        let Some(query) = query else {
+            return (held <= FM_MAX_ROWS).then_some(untouched_infeasible);
+        };
+        let mut idx: Vec<u32> = Vec::new();
+        for &p in &touched {
+            idx.extend_from_slice(&self.parts[p].rows);
+            atoms.extend_from_slice(&self.parts[p].atoms);
+        }
+        if touched.len() > 1 {
+            idx.sort_unstable();
+        }
+        atoms.sort_unstable();
+        scratch.clear();
+        scratch.extend(idx.iter().map(|&i| rows[i as usize].clone()));
+        scratch.push(query.clone());
+        bigfoot_obs::count!("entail.fm.components");
+        let own = fm_eliminate(scratch, atoms)?;
+        (held + own.peak <= FM_MAX_ROWS).then_some(own.infeasible || untouched_infeasible)
+    }
+}
+
 /// Fourier–Motzkin: returns true if the conjunction of `rows` (each
 /// `lin >= 0`) is infeasible over the rationals.
 ///
@@ -504,15 +716,30 @@ fn fm_infeasible(rows: &mut Vec<Lin>) -> bool {
     if rows.iter().any(|r| r.is_const() && r.konst < 0) {
         return true;
     }
-    let mut atoms: Vec<Atom> = {
-        let mut s: Vec<Atom> = rows.iter().flat_map(|r| r.atoms()).collect();
-        s.sort();
-        s.dedup();
-        s
-    };
+    let mut atoms: Vec<Atom> = rows.iter().flat_map(|r| r.atoms()).collect();
+    atoms.sort_unstable();
+    atoms.dedup();
     if atoms.len() > FM_MAX_ATOMS {
         return false;
     }
+    fm_eliminate(rows, atoms).is_some_and(|e| e.infeasible)
+}
+
+/// The outcome of an FM elimination that kept within the row cap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Elim {
+    /// A negative constant was derived.
+    infeasible: bool,
+    /// The most rows held at the start or after any completed round.
+    peak: usize,
+}
+
+/// Eliminates `atoms` (sorted; every atom of `rows`) from `rows`, last atom
+/// first. Stops at the first derived negative constant. Returns `None` if
+/// a round ends holding more than `FM_MAX_ROWS` rows.
+fn fm_eliminate(rows: &mut Vec<Lin>, mut atoms: Vec<Atom>) -> Option<Elim> {
+    bigfoot_obs::count!("entail.fm.rows", rows.len());
+    let mut peak = rows.len();
     // Partition buffers reused across elimination rounds.
     let mut pos: Vec<(i64, Lin)> = Vec::new(); // c > 0:  c·x + r >= 0  →  x >= -r/c
     let mut neg: Vec<(i64, Lin)> = Vec::new(); // c < 0 rows
@@ -525,7 +752,8 @@ fn fm_infeasible(rows: &mut Vec<Lin>) -> bool {
             match r.coeff(atom) {
                 0 => rest.push(r),
                 c if c > 0 => pos.push((c, r)),
-                c => neg.push((-c, r)),
+                // Wrapping, like all `Lin` arithmetic: `i64::MIN` stays.
+                c => neg.push((c.wrapping_neg(), r)),
             }
         }
         // Combine each (pos, neg) pair, eliminating `atom`.
@@ -533,10 +761,13 @@ fn fm_infeasible(rows: &mut Vec<Lin>) -> bool {
             for (cn, rn) in &neg {
                 // cp·x + rp' >= 0 and -cn·x + rn' >= 0
                 // → cn·rp + cp·rn >= 0 (x eliminated)
-                let combined = rp.scale(*cn).add(&rn.scale(*cp));
+                let combined = rp.add_scaled(*cn, rn, *cp);
                 debug_assert!(combined.coeff(atom) == 0);
                 if combined.is_const() && combined.konst < 0 {
-                    return true;
+                    return Some(Elim {
+                        infeasible: true,
+                        peak,
+                    });
                 }
                 if !combined.is_const() {
                     rest.push(combined);
@@ -544,18 +775,21 @@ fn fm_infeasible(rows: &mut Vec<Lin>) -> bool {
             }
         }
         if rest.len() > FM_MAX_ROWS {
-            return false;
+            return None;
         }
+        peak = peak.max(rest.len());
         std::mem::swap(rows, &mut rest);
-        // Drop rows mentioning already-eliminated atoms? None remain by
-        // construction: we eliminate from the full current set each round.
     }
-    false
+    Some(Elim {
+        infeasible: false,
+        peak,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn expr(src: &str) -> Expr {
         let p = bigfoot_bfj::parse_program(&format!("main {{ q$q = {src}; }}")).unwrap();
@@ -694,5 +928,210 @@ mod tests {
     fn ne_entailed_by_strict_order() {
         let mut kb = kb_with(&["a < b"]);
         assert!(kb.entails(&expr("a != b")));
+    }
+
+    // ---------------- the component split ----------------
+
+    /// `n` fresh atoms in elimination order: FM eliminates the last atom
+    /// of a sorted set first, so `atoms(n)[0]` goes first.
+    fn atoms(n: usize) -> Vec<Atom> {
+        let mut v: Vec<Atom> = (0..n)
+            .map(|i| Atom::Var(Sym::intern(&format!("fm_atom_{i}"))))
+            .collect();
+        v.sort_unstable();
+        v.reverse();
+        v
+    }
+
+    fn row(konst: i64, terms: &[(Atom, i64)]) -> Lin {
+        Lin::from_terms(konst, terms.iter().copied())
+    }
+
+    /// The component verdict next to the whole-system one, and whether
+    /// the split decided without falling back.
+    fn both(facts: &[Lin], query: Option<&Lin>) -> (bool, bool, bool) {
+        let mut all: Vec<Lin> = facts.to_vec();
+        all.extend(query.cloned());
+        let whole = fm_infeasible(&mut all);
+        let mut parts = FactParts::split(facts);
+        let mut scratch = Vec::new();
+        let split = parts.refute(facts, query, &mut scratch);
+        let decided = parts.solved
+            && parts
+                .refute_split(facts, query, parts.new_atoms(query), &mut scratch)
+                .is_some();
+        (split, whole, decided)
+    }
+
+    /// `count` rows over `(hi, lo)` whose elimination of `hi` yields
+    /// `count²` rows over `lo`: over the row cap once `count² > 600`.
+    fn blow_up(hi: Atom, lo: Atom, count: i64) -> Vec<Lin> {
+        let mut rows = Vec::new();
+        for k in 0..count {
+            rows.push(row(k, &[(hi, 1), (lo, 1)]));
+            rows.push(row(k, &[(hi, -1), (lo, 1)]));
+        }
+        rows
+    }
+
+    #[test]
+    fn independent_parts_are_found_in_row_order() {
+        let a = atoms(4);
+        let facts = vec![
+            row(0, &[(a[0], 1), (a[1], -1)]),
+            row(3, &[]),
+            row(0, &[(a[2], 1)]),
+            row(1, &[(a[1], 1)]),
+            row(0, &[(a[3], 2), (a[2], -1)]),
+        ];
+        let parts = FactParts::split(&facts);
+        assert_eq!(parts.parts.len(), 2);
+        assert_eq!(parts.const_rows, 1);
+        assert!(!parts.neg_const);
+        let mut rows: Vec<Vec<u32>> = parts.parts.iter().map(|p| p.rows.clone()).collect();
+        rows.sort();
+        assert_eq!(rows, vec![vec![0, 3], vec![2, 4]]);
+        for p in &parts.parts {
+            assert!(p.atoms.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn split_decides_ordinary_queries_without_fallback() {
+        let a = atoms(4);
+        // a0 >= 1, a1 >= a0, a2 - a3 >= 0: is a1 >= 1? Refute a1 <= 0.
+        let facts = vec![
+            row(-1, &[(a[0], 1)]),
+            row(0, &[(a[1], 1), (a[0], -1)]),
+            row(0, &[(a[2], 1), (a[3], -1)]),
+        ];
+        let q = row(0, &[(a[1], -1)]);
+        assert_eq!(both(&facts, Some(&q)), (true, true, true));
+        let q = row(-1, &[(a[2], -1)]);
+        assert_eq!(both(&facts, Some(&q)), (false, false, true));
+        assert_eq!(both(&facts, None), (false, false, true));
+    }
+
+    #[test]
+    fn a_part_over_the_row_cap_falls_back_to_the_whole_system() {
+        let a = atoms(3);
+        let contradiction = |x: Atom| vec![row(-1, &[(x, 1)]), row(0, &[(x, -1)])];
+        // The contradiction's atom goes first: the whole system finds it
+        // before the other part's round breaks the cap.
+        let mut facts = contradiction(a[0]);
+        facts.extend(blow_up(a[1], a[2], 25));
+        assert_eq!(both(&facts, None), (true, true, false));
+        let q = row(0, &[(a[2], 1)]);
+        assert_eq!(both(&facts, Some(&q)), (true, true, false));
+        // The contradiction's atom goes last: the cap fires first, and the
+        // whole system answers "unknown", which the split must repeat.
+        let mut facts = blow_up(a[0], a[1], 25);
+        facts.extend(contradiction(a[2]));
+        assert_eq!(both(&facts, None), (false, false, false));
+        let q = row(0, &[(a[1], 1)]);
+        assert_eq!(both(&facts, Some(&q)), (false, false, false));
+        // A query over the contradiction's part alone still falls back.
+        let q = row(0, &[(a[2], 1)]);
+        assert_eq!(both(&facts, Some(&q)), (false, false, false));
+    }
+
+    #[test]
+    fn parts_within_the_cap_alone_but_not_together_fall_back() {
+        let a = atoms(5);
+        // Two parts of peak 400 each: 800 rows held together.
+        let mut facts = blow_up(a[0], a[1], 20);
+        facts.extend(blow_up(a[2], a[3], 20));
+        facts.push(row(-1, &[(a[4], 1)]));
+        facts.push(row(0, &[(a[4], -1)]));
+        let (split, whole, decided) = both(&facts, None);
+        assert_eq!(split, whole);
+        assert!(!decided);
+    }
+
+    #[test]
+    fn the_atom_cap_counts_fact_and_query_atoms() {
+        let a = atoms(FM_MAX_ATOMS + 1);
+        let chain = |n: usize| -> Vec<Lin> {
+            let mut rows = vec![row(-1, &[(a[0], 1)])];
+            rows.extend((1..n).map(|i| row(0, &[(a[i], 1), (a[i - 1], -1)])));
+            rows
+        };
+        // FM_MAX_ATOMS atoms: the chain entails a[last] >= 1.
+        let facts = chain(FM_MAX_ATOMS);
+        let q = row(0, &[(a[FM_MAX_ATOMS - 1], -1)]);
+        assert_eq!(both(&facts, Some(&q)), (true, true, true));
+        // One atom more, from the facts or from the query: "unknown",
+        // decided before any elimination.
+        let q25 = row(0, &[(a[FM_MAX_ATOMS - 1], -1), (a[FM_MAX_ATOMS], 1)]);
+        assert_eq!(both(&facts, Some(&q25)), (false, false, false));
+        let facts = chain(FM_MAX_ATOMS + 1);
+        assert_eq!(both(&facts, Some(&q)), (false, false, false));
+        // A negative constant row is checked before the atom cap.
+        let mut facts = chain(FM_MAX_ATOMS + 1);
+        facts.push(row(-2, &[]));
+        assert_eq!(both(&facts, Some(&q)), (true, true, false));
+    }
+
+    fn coeff() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            1i64..65,
+            -64i64..0,
+            1i64..65,
+            -64i64..0,
+            1i64..4,
+            -3i64..0,
+            Just(i64::MAX),
+            Just(i64::MIN),
+            Just(i64::MIN + 1),
+        ]
+    }
+
+    /// A row as `(konst, [(atom slot, coefficient)])`; no terms makes a
+    /// constant row, mostly a non-negative one. A row's atoms lie close
+    /// together, so the rows form several components.
+    fn raw_row() -> impl Strategy<Value = (i64, Vec<(usize, i64)>)> {
+        let konst = || prop_oneof![-8i64..9, -8i64..9, -8i64..9, Just(i64::MIN), Just(i64::MAX)];
+        let terms = || {
+            (
+                0usize..26,
+                prop::collection::vec((0usize..3, coeff()), 1..4),
+            )
+                .prop_map(|(base, terms)| terms.into_iter().map(|(d, c)| (base + d, c)).collect())
+        };
+        let constant = prop_oneof![0i64..9, 0i64..9, 0i64..9, -2i64..0, Just(i64::MAX)];
+        prop_oneof![
+            (konst(), terms()),
+            (konst(), terms()),
+            (konst(), terms()),
+            (konst(), terms()),
+            (konst(), terms()),
+            (konst(), terms()),
+            (konst(), terms()),
+            constant.prop_map(|k| (k, Vec::new())),
+        ]
+    }
+
+    fn build(pool: &[Atom], n: usize, (konst, terms): &(i64, Vec<(usize, i64)>)) -> Lin {
+        Lin::from_terms(*konst, terms.iter().map(|&(i, c)| (pool[i % n], c)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The component path answers exactly as FM over all rows.
+        #[test]
+        fn split_matches_whole_system_fm(
+            n in 1usize..27,
+            facts in prop::collection::vec(raw_row(), 1..41),
+            query in raw_row(),
+            ask in 0u32..4,
+        ) {
+            let pool = atoms(26);
+            let facts: Vec<Lin> = facts.iter().map(|r| build(&pool, n, r)).collect();
+            let query = build(&pool, n, &query);
+            let query = (ask > 0).then_some(&query);
+            let (split, whole, _) = both(&facts, query);
+            prop_assert_eq!(split, whole, "facts {:?} query {:?}", facts, query);
+        }
     }
 }

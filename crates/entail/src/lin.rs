@@ -142,6 +142,55 @@ impl Lin {
         }
     }
 
+    /// `a·self + b·other`, built in one merge: the same terms as
+    /// `self.scale(a).add(&other.scale(b))`, zero coefficients included.
+    pub fn add_scaled(&self, a: i64, other: &Lin, b: i64) -> Lin {
+        if a == 0 || b == 0 {
+            return self.scale(a).add(&other.scale(b));
+        }
+        let (x, y) = (&self.terms, &other.terms);
+        let mut terms = Vec::with_capacity(x.len() + y.len());
+        let (mut i, mut j) = (0, 0);
+        while i < x.len() && j < y.len() {
+            let ((p, cp), (q, cq)) = (x[i], y[j]);
+            match p.cmp(&q) {
+                std::cmp::Ordering::Less => {
+                    terms.push((p, cp.wrapping_mul(a)));
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    let c = cq.wrapping_mul(b);
+                    if c != 0 {
+                        terms.push((q, c));
+                    }
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let c = cp.wrapping_mul(a).wrapping_add(cq.wrapping_mul(b));
+                    if c != 0 {
+                        terms.push((p, c));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        terms.extend(x[i..].iter().map(|&(p, cp)| (p, cp.wrapping_mul(a))));
+        terms.extend(
+            y[j..]
+                .iter()
+                .map(|&(q, cq)| (q, cq.wrapping_mul(b)))
+                .filter(|&(_, c)| c != 0),
+        );
+        Lin {
+            terms,
+            konst: self
+                .konst
+                .wrapping_mul(a)
+                .wrapping_add(other.konst.wrapping_mul(b)),
+        }
+    }
+
     /// `self - other`.
     pub fn sub(&self, other: &Lin) -> Lin {
         self.add(&other.scale(-1))

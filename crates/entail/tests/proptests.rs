@@ -348,6 +348,9 @@ proptest! {
         prop_assert!(agrees(&la.sub(&lb), &ma.sub(&mb)), "sub {:?} {:?}", la, lb);
         prop_assert!(agrees(&la.scale(c), &ma.scale(c)), "scale {:?} by {}", la, c);
         prop_assert!(agrees(&la.offset(c), &ma.offset(c)), "offset {:?} by {}", la, c);
+        let (fused, split) = (la.add_scaled(c, &lb, b.2), la.scale(c).add(&lb.scale(b.2)));
+        prop_assert!(fused.terms() == split.terms() && fused.konst == split.konst,
+            "add_scaled {:?} {} {:?} {}", la, c, lb, b.2);
     }
 
     /// `coeff`, `as_const` and `atoms` read the same terms as the model.

@@ -132,6 +132,73 @@ fn runtime_errors_exit_2_without_usage_text() {
     assert!(err.contains("usage:"), "{err}");
 }
 
+/// Runs `args` on `path` and expects exit 2 with `want` on stderr and no
+/// usage text.
+fn expect_typed_error(path: &str, want: &str) {
+    for args in [
+        vec!["run", path],
+        vec!["check", path],
+        vec!["check", path, "--compiled"],
+        vec!["stats", path],
+    ] {
+        let out = bfc(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+        assert!(!err.contains("usage:"), "{args:?} printed usage: {err}");
+    }
+}
+
+#[test]
+fn huge_arrays_are_a_runtime_error_not_an_abort() {
+    let huge = write_program("huge_array.bfj", "main { a = new_array(4000000000000); }");
+    expect_typed_error(
+        &huge,
+        "runtime error: array length 4000000000000 exceeds the limit",
+    );
+}
+
+#[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    let deep = 20_000;
+    let parens = format!("main {{ x = {}1{}; }}", "(".repeat(deep), ")".repeat(deep));
+    let chain = format!("main {{ x = 1{}; }}", " + 1".repeat(deep));
+    let negs = format!("main {{ x = {}1; }}", "-".repeat(deep));
+    let blocks = format!(
+        "main {{ {}{} }}",
+        "if (true) { ".repeat(deep),
+        "}".repeat(deep)
+    );
+    for (name, src) in [
+        ("deep_parens.bfj", parens),
+        ("deep_chain.bfj", chain),
+        ("deep_negs.bfj", negs),
+        ("deep_blocks.bfj", blocks),
+    ] {
+        expect_typed_error(&write_program(name, &src), "nesting deeper than");
+    }
+    // Just under the budget everything still works, in the debug build too.
+    let ok = format!(
+        "main {{ y = 3; x = {}y; a = new_array(2); a[0] = {}x{}; }}",
+        "-".repeat(90),
+        "(".repeat(90),
+        ")".repeat(90)
+    );
+    let ok = write_program("deep_ok.bfj", &ok);
+    for args in [
+        vec!["run", ok.as_str()],
+        vec!["check", ok.as_str(), "--compiled"],
+    ] {
+        let out = bfc(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
 #[test]
 fn every_detector_flag_works() {
     let racy = write_program("racy2.bfj", RACY);

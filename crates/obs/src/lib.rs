@@ -72,24 +72,39 @@ pub fn enabled() -> bool {
 }
 
 /// Enables collection for the duration of a scope (used by binaries and
-/// tests; restores the previous state on drop).
+/// tests).
+///
+/// Guards may overlap, on one thread or on several (parallel tests), and
+/// drop in any order. Collection stays on while any guard is live; the
+/// last guard out restores the state from before the first guard in.
 pub struct EnabledGuard {
-    prev: bool,
+    _private: (),
 }
 
+/// Live [`EnabledGuard`]s and the state the first of them found.
+static GUARDS: std::sync::Mutex<(usize, bool)> = std::sync::Mutex::new((0, false));
+
 impl EnabledGuard {
-    /// Enables collection, remembering the previous state.
+    /// Enables collection until this guard and every other live one drop.
     #[allow(clippy::new_without_default)]
     pub fn new() -> EnabledGuard {
-        let prev = enabled();
+        let mut g = GUARDS.lock().unwrap_or_else(|e| e.into_inner());
+        if g.0 == 0 {
+            g.1 = enabled();
+        }
+        g.0 += 1;
         set_enabled(true);
-        EnabledGuard { prev }
+        EnabledGuard { _private: () }
     }
 }
 
 impl Drop for EnabledGuard {
     fn drop(&mut self) {
-        set_enabled(self.prev);
+        let mut g = GUARDS.lock().unwrap_or_else(|e| e.into_inner());
+        g.0 -= 1;
+        if g.0 == 0 {
+            set_enabled(g.1);
+        }
     }
 }
 
