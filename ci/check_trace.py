@@ -11,13 +11,13 @@ Checks (all must pass):
     distinct tids — one per recorded thread;
   * per tid, B/E events are balanced and stack-disciplined (depth never
     goes negative, ends at zero) — this covers every worker track in a
-    multi-ring sharded run, not just the producer/consumer pair;
+    multi-worker replay, not just the producer/consumer pair;
   * timestamps are non-negative and B/E pairs are non-inverted;
   * each `--require-counter NAME` appears as a C event with a numeric
     `args.value`;
   * each `--require-thread NAME` appears as a `thread_name` metadata
-    track (e.g. `--require-thread "detect worker 0"` pins the sharded
-    pipeline's per-worker tracks).
+    track (e.g. `--require-thread "replay worker 0"` pins the replay
+    engine's per-worker tracks).
 
 Exit code 0 on success; 1 with a diagnostic on the first failure.
 """

@@ -8,8 +8,8 @@ the same program under different execution modes (serial vs the batched
 ring, the tree-walking interpreter vs the bytecode tier, raw vs
 grammar-compressed trace replay) and require the reports to be
 identical except for the keys that merely describe *how* the run
-executed (`pipeline`, `replay_workers`, `detect_workers`, `compiled`,
-`compressed`, `trace_bytes`, `memo`, and the input `file` path) —
+executed (`pipeline`, `replay_workers`, `compiled`, `compressed`,
+`trace_bytes`, `memo`, and the input `file` path) —
 races, counters, and space accounting must match byte for byte.
 """
 
@@ -19,7 +19,6 @@ import sys
 MODE_KEYS = {
     "pipeline",
     "replay_workers",
-    "detect_workers",
     "compiled",
     "compressed",
     "trace_bytes",

@@ -8,8 +8,7 @@
 use bigfoot::instrument;
 use bigfoot_bfj::{Interp, SchedPolicy};
 use bigfoot_detectors::{
-    detect_pipelined, djit_sharded, run_pipelined, Detector, DjitDetector, PipelineConfig,
-    DEFAULT_RING_SLOTS,
+    detect_pipelined, run_pipelined, Detector, DjitDetector, PipelineConfig, DEFAULT_RING_SLOTS,
 };
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -97,23 +96,6 @@ fn bench_pipeline_djit(c: &mut Criterion) {
                 det.finish().shadow_ops
             })
         });
-        // Sharded fan-out of the same heavy consumer: router + N workers.
-        for workers in [2usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(&format!("sharded-{workers}w"), name),
-                &inst,
-                |bench, inst| {
-                    bench.iter(|| {
-                        let (_, stats) = djit_sharded(&config, workers, |sink| {
-                            Interp::new(&inst.program, SchedPolicy::default())
-                                .run(sink)
-                                .expect("run")
-                        });
-                        stats.shadow_ops
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }

@@ -6,7 +6,7 @@
 //! repro [table1|table2|fig2|fig8|static|ablation|replay|fuzz|perf|all]
 //!       [--scale small|full] [--reps N] [--bench NAME]
 //!       [--replay-workers N] [--budget SECS]
-//!       [--pipeline [--detect-workers N]] [--compiled] [--compressed]
+//!       [--pipeline] [--compiled] [--compressed]
 //!       [--json] [--out FILE]
 //! ```
 //!
@@ -36,9 +36,7 @@
 //!   (see `docs/PERFORMANCE.md`). `--pipeline` additionally measures
 //!   end-to-end serial vs pipelined (batched-ring) throughput per
 //!   detector configuration and adds an additive `pipeline` section to
-//!   the JSON report; `--pipeline --detect-workers N` also measures the
-//!   sharded multi-worker fan-out (FastTrack and DJIT+, serial vs `N`
-//!   detection workers) and adds an additive `pipeline_sharded` section.
+//!   the JSON report.
 //!   `--compiled` measures the bytecode compilation tier against the
 //!   tree-walking interpreter (uninstrumented steps/sec and
 //!   BigFoot-instrumented end-to-end events/sec) and adds an additive
@@ -77,7 +75,7 @@ fn main() -> ExitCode {
                 "usage: repro [table1|table2|fig2|fig8|static|ablation|replay|fuzz|perf|all] \
                  [--scale small|full] [--reps N] [--bench NAME] [--replay-workers N] \
                  [--budget SECS] [--check BENCH.json] [--tolerance FRAC] \
-                 [--pipeline [--detect-workers N]] [--compiled] [--compressed] \
+                 [--pipeline] [--compiled] [--compressed] \
                  [--trace-out FILE] [--metrics-out FILE] [--json] [--out FILE]"
             );
             ExitCode::from(2)
@@ -94,7 +92,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--bench",
             "--out",
             "--replay-workers",
-            "--detect-workers",
             "--budget",
             "--check",
             "--tolerance",
@@ -137,11 +134,7 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
     };
     let reps: usize = args.parsed("--reps")?.unwrap_or(3);
     let json = args.has("--json");
-    validate_workers(
-        args.parsed("--detect-workers")?,
-        args.has("--pipeline"),
-        args.parsed("--replay-workers")?,
-    )?;
+    validate_workers(args.parsed("--replay-workers")?)?;
 
     // Collection feeds both the JSON reports (entailment share, §6.1) and
     // the human `static` table, so it is always on in this binary.
@@ -231,7 +224,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
             })
             .collect();
         let pipelined = args.has("--pipeline");
-        let detect_workers: Option<usize> = args.parsed("--detect-workers")?;
         let pipeline: Option<Vec<bigfoot_bench::perf::PipelineBench>> = pipelined.then(|| {
             eprintln!("pipelined end-to-end throughput (serial vs batched ring hand-off) …");
             selected
@@ -242,19 +234,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
                 })
                 .collect()
         });
-        let sharded: Option<Vec<bigfoot_bench::perf::ShardedBench>> =
-            detect_workers.map(|workers| {
-                eprintln!(
-                    "sharded end-to-end throughput (serial vs {workers} detection worker(s)) …"
-                );
-                selected
-                    .iter()
-                    .map(|b| {
-                        eprintln!("  {}", b.name);
-                        bigfoot_bench::perf::measure_sharded(b.name, &b.program, reps, workers)
-                    })
-                    .collect()
-            });
         let compiled: Option<Vec<bigfoot_bench::perf::CompiledBench>> =
             args.has("--compiled").then(|| {
                 eprintln!("compiled tier throughput (bytecode vs tree-walking interpreter) …");
@@ -298,7 +277,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
             &results,
             &incremental,
             pipeline.as_deref(),
-            sharded.as_deref(),
             compiled.as_deref(),
             compressed.as_deref(),
             scale_name,
@@ -323,9 +301,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
         incremental_table(&incremental);
         if let Some(pipeline) = &pipeline {
             pipeline_table(pipeline);
-        }
-        if let Some(sharded) = &sharded {
-            sharded_table(sharded);
         }
         if let Some(compiled) = &compiled {
             compiled_table(compiled);
@@ -712,31 +687,6 @@ fn pipeline_table(results: &[bigfoot_bench::perf::PipelineBench]) {
     println!();
 }
 
-fn sharded_table(results: &[bigfoot_bench::perf::ShardedBench]) {
-    let workers = results.first().map_or(0, |r| r.workers);
-    println!();
-    println!(
-        "== sharded detection: end-to-end speedup at {workers} worker(s) \
-         (sharded / serial events/sec) =="
-    );
-    println!("{:<11} {:>7} {:>7}", "program", "FT", "DJIT");
-    for r in results {
-        print!("{:<11}", r.name);
-        for d in bigfoot_bench::perf::SHARDED_DETECTORS {
-            print!(" {:>6.2}x", r.run(d).speedup());
-        }
-        println!();
-    }
-    print!("{:<11}", "GeoMean");
-    for d in bigfoot_bench::perf::SHARDED_DETECTORS {
-        print!(
-            " {:>6.2}x",
-            geomean(results.iter().map(|r| r.run(d).speedup()))
-        );
-    }
-    println!();
-}
-
 fn compiled_table(results: &[bigfoot_bench::perf::CompiledBench]) {
     println!();
     println!("== compiled tier: bytecode vs tree-walking interpreter ==");
@@ -807,27 +757,13 @@ fn compressed_table(results: &[bigfoot_bench::perf::CompressedBench]) {
 }
 
 /// Worker-count flags must make sense before any measurement starts:
-/// zero workers is meaningless on both the replay and the sharded
-/// detection path, and `--detect-workers` only has a pipeline to shard
-/// when `--pipeline` is on. Mirrors `bfc`'s validation so both CLIs
-/// reject the same nonsense the same way.
-fn validate_workers(
-    detect_workers: Option<usize>,
-    pipelined: bool,
-    replay_workers: Option<usize>,
-) -> Result<(), String> {
+/// zero workers is meaningless on the replay path. Mirrors `bfc`'s
+/// validation so both CLIs reject the same nonsense the same way.
+fn validate_workers(replay_workers: Option<usize>) -> Result<(), String> {
     if replay_workers == Some(0) {
         return Err("--replay-workers wants at least 1 worker".into());
     }
-    match detect_workers {
-        None => Ok(()),
-        Some(0) => Err("--detect-workers wants at least 1 worker".into()),
-        Some(_) if !pipelined => Err("--detect-workers requires --pipeline".into()),
-        Some(_) if replay_workers.is_some() => {
-            Err("--detect-workers and --replay-workers are mutually exclusive".into())
-        }
-        Some(_) => Ok(()),
-    }
+    Ok(())
 }
 
 fn ratio(a: f64, b: f64) -> f64 {
@@ -1035,34 +971,14 @@ mod tests {
 
     #[test]
     fn zero_workers_is_rejected_on_every_path() {
-        assert!(validate_workers(Some(0), true, None)
+        assert!(validate_workers(Some(0))
             .unwrap_err()
-            .contains("--detect-workers"));
-        assert!(validate_workers(None, false, Some(0))
-            .unwrap_err()
-            .contains("--replay-workers"));
-        // Zero detect workers is nonsense even when the pipeline flag is
-        // missing too — the count check fires before the pipeline check.
-        assert!(validate_workers(Some(0), false, None)
-            .unwrap_err()
-            .contains("at least 1"));
-    }
-
-    #[test]
-    fn detect_workers_needs_the_pipeline() {
-        assert!(validate_workers(Some(4), false, None)
-            .unwrap_err()
-            .contains("requires --pipeline"));
-        assert!(validate_workers(Some(4), true, Some(2))
-            .unwrap_err()
-            .contains("mutually exclusive"));
+            .contains("--replay-workers wants at least 1"));
     }
 
     #[test]
     fn valid_combinations_pass() {
-        assert!(validate_workers(None, false, None).is_ok());
-        assert!(validate_workers(None, false, Some(4)).is_ok());
-        assert!(validate_workers(Some(4), true, None).is_ok());
-        assert!(validate_workers(None, true, None).is_ok());
+        assert!(validate_workers(None).is_ok());
+        assert!(validate_workers(Some(4)).is_ok());
     }
 }

@@ -19,9 +19,8 @@ use bigfoot_bfj::{
     MutationKind, NullSink, Program, SchedPolicy,
 };
 use bigfoot_detectors::{
-    detect_pipelined, djit_sharded, replay_compressed_report, replay_sharded, replay_trace,
-    ArrayEngine, CheckSource, Detector, DjitDetector, PipelineConfig, ProxyTable, ReplayConfig,
-    Stats, TraceReader,
+    detect_pipelined, replay_compressed_report, replay_trace, ArrayEngine, CheckSource, Detector,
+    PipelineConfig, ProxyTable, ReplayConfig, Stats, TraceReader,
 };
 use bigfoot_obs::json::Json;
 use std::time::Instant;
@@ -580,148 +579,6 @@ pub fn measure_compressed(name: &'static str, program: &Program, reps: usize) ->
     CompressedBench { name, detectors }
 }
 
-/// Detector configurations the sharded measurement covers: the light
-/// consumer (FastTrack, where the interpreter is the wall and fan-out
-/// can only add overhead) and the heavy consumer (DJIT+, whose
-/// per-access clock scans are the workload fan-out exists for).
-pub const SHARDED_DETECTORS: [&str; 2] = ["FT", "DJIT"];
-
-/// Serial vs sharded multi-worker end-to-end throughput for one
-/// detector configuration on one benchmark.
-#[derive(Debug, Clone)]
-pub struct ShardedDetectorPerf {
-    /// Short name (see [`SHARDED_DETECTORS`]).
-    pub name: &'static str,
-    /// Events produced by one run of this configuration's program.
-    pub events: u64,
-    /// Median events/second with interpreter and detector on one thread.
-    pub serial_events_per_sec: f64,
-    /// Median events/second with the event ring, router thread, and the
-    /// configured number of sharded detection workers.
-    pub sharded_events_per_sec: f64,
-}
-
-impl ShardedDetectorPerf {
-    /// Sharded / serial throughput ratio (> 1 means fan-out pays).
-    pub fn speedup(&self) -> f64 {
-        if self.serial_events_per_sec > 0.0 {
-            self.sharded_events_per_sec / self.serial_events_per_sec
-        } else {
-            1.0
-        }
-    }
-}
-
-/// All sharded-mode measurements for one benchmark.
-#[derive(Debug)]
-pub struct ShardedBench {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Detection workers the sharded runs used.
-    pub workers: usize,
-    /// Per-detector serial-vs-sharded throughput, in
-    /// [`SHARDED_DETECTORS`] order.
-    pub detectors: Vec<ShardedDetectorPerf>,
-}
-
-impl ShardedBench {
-    /// The run for a detector name.
-    pub fn run(&self, name: &str) -> &ShardedDetectorPerf {
-        self.detectors
-            .iter()
-            .find(|r| r.name == name)
-            .expect("detector")
-    }
-}
-
-/// Measures serial vs sharded multi-worker end-to-end throughput
-/// (`repro perf --pipeline --detect-workers N`). Like
-/// [`measure_pipeline`], every run re-executes the interpreter; the
-/// numbers land in an *additive* `pipeline_sharded` section that the
-/// [`check_against_baseline`] drift gate never reads.
-pub fn measure_sharded(
-    name: &'static str,
-    program: &Program,
-    reps: usize,
-    workers: usize,
-) -> ShardedBench {
-    struct CountSink(u64);
-    impl EventSink for CountSink {
-        fn event(&mut self, _: &Event) {
-            self.0 += 1;
-        }
-    }
-    let count = |p: &Program| {
-        let mut c = CountSink(0);
-        Interp::new(p, SchedPolicy::default())
-            .run(&mut c)
-            .expect("run");
-        c.0
-    };
-    let naive = naive_instrument(program);
-    let naive_events = count(&naive);
-    let raw_events = count(program);
-
-    let obs_was_on = bigfoot_obs::enabled();
-    bigfoot_obs::set_enabled(false);
-    let pipeline = PipelineConfig::default();
-    let mut detectors = Vec::new();
-    for d in SHARDED_DETECTORS {
-        let (events, perf) = match d {
-            "FT" => {
-                let serial = end_to_end_rate(naive_events, reps, || {
-                    let mut det = Detector::fasttrack();
-                    Interp::new(&naive, SchedPolicy::default())
-                        .run(&mut det)
-                        .expect("run");
-                    std::hint::black_box(det.finish());
-                });
-                let sharded = end_to_end_rate(naive_events, reps, || {
-                    let (_, stats) =
-                        replay_sharded(&pipeline, &ReplayConfig::fasttrack(workers), |sink| {
-                            Interp::new(&naive, SchedPolicy::default())
-                                .run(sink)
-                                .expect("run")
-                        });
-                    std::hint::black_box(stats);
-                });
-                (naive_events, (serial, sharded))
-            }
-            _ => {
-                let serial = end_to_end_rate(raw_events, reps, || {
-                    let mut det = DjitDetector::new();
-                    Interp::new(program, SchedPolicy::default())
-                        .run(&mut det)
-                        .expect("run");
-                    std::hint::black_box(det.finish());
-                });
-                let sharded = end_to_end_rate(raw_events, reps, || {
-                    let (_, stats) = djit_sharded(&pipeline, workers, |sink| {
-                        Interp::new(program, SchedPolicy::default())
-                            .run(sink)
-                            .expect("run")
-                    });
-                    std::hint::black_box(stats);
-                });
-                (raw_events, (serial, sharded))
-            }
-        };
-        detectors.push(ShardedDetectorPerf {
-            name: d,
-            events,
-            serial_events_per_sec: perf.0,
-            sharded_events_per_sec: perf.1,
-        });
-    }
-    bigfoot_obs::set_enabled(obs_was_on);
-
-    ShardedBench {
-        name,
-        workers,
-        detectors,
-    }
-}
-
 /// Cold vs warm incremental static-analysis cost for one benchmark —
 /// the data behind the always-on `static_incremental` section of the
 /// `repro perf` report.
@@ -839,19 +696,16 @@ pub fn measure_static_incremental(
 }
 
 /// The `repro perf --json` report (the `BENCH.json` schema). The
-/// `pipeline`, `pipeline_sharded`, `compiled`, and `compressed` sections
-/// are additive: present only when `--pipeline` (with
-/// `--detect-workers`), `--compiled`, and `--compressed` ran.
+/// `pipeline`, `compiled`, and `compressed` sections are additive:
+/// present only when `--pipeline`, `--compiled`, and `--compressed` ran.
 /// The `static_incremental` section is always present. Of all these,
 /// [`check_against_baseline`] never reads the numbers, but it does
 /// require the baseline and the fresh report to carry the same set of
 /// sections.
-#[allow(clippy::too_many_arguments)]
 pub fn perf_json(
     results: &[PerfBench],
     incremental: &[StaticIncrementalBench],
     pipeline: Option<&[PipelineBench]>,
-    sharded: Option<&[ShardedBench]>,
     compiled: Option<&[CompiledBench]>,
     compressed: Option<&[CompressedBench]>,
     scale: &str,
@@ -999,55 +853,6 @@ pub fn perf_json(
         psummary.set("speedup_geomean", speedups);
         p.set("summary", psummary);
         env.set("pipeline", p);
-    }
-
-    if let Some(sharded) = sharded {
-        let mut p = Json::object();
-        p.set(
-            "batch_events",
-            bigfoot_detectors::DEFAULT_BATCH_EVENTS as u64,
-        );
-        p.set("ring_slots", bigfoot_detectors::DEFAULT_RING_SLOTS as u64);
-        if let Some(r) = sharded.first() {
-            p.set("detect_workers", r.workers as u64);
-        }
-        let mut arr = Json::array();
-        for r in sharded {
-            let mut b = Json::object();
-            b.set("name", r.name);
-            let mut dets = Json::object();
-            for d in &r.detectors {
-                let mut o = Json::object();
-                o.set("events", d.events);
-                o.set("serial_events_per_sec", d.serial_events_per_sec);
-                o.set("sharded_events_per_sec", d.sharded_events_per_sec);
-                o.set("speedup", d.speedup());
-                dets.set(d.name, o);
-            }
-            b.set("detectors", dets);
-            arr.push(b);
-        }
-        p.set("benchmarks", arr);
-        let mut psummary = Json::object();
-        let mut serial_rates = Json::object();
-        let mut sharded_rates = Json::object();
-        let mut speedups = Json::object();
-        for d in SHARDED_DETECTORS {
-            serial_rates.set(
-                d,
-                geomean(sharded.iter().map(|r| r.run(d).serial_events_per_sec)),
-            );
-            sharded_rates.set(
-                d,
-                geomean(sharded.iter().map(|r| r.run(d).sharded_events_per_sec)),
-            );
-            speedups.set(d, geomean(sharded.iter().map(|r| r.run(d).speedup())));
-        }
-        psummary.set("serial_events_per_sec_geomean", serial_rates);
-        psummary.set("sharded_events_per_sec_geomean", sharded_rates);
-        psummary.set("speedup_geomean", speedups);
-        p.set("summary", psummary);
-        env.set("pipeline_sharded", p);
     }
 
     if let Some(compiled) = compiled {

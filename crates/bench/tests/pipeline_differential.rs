@@ -2,21 +2,18 @@
 //! batched SPSC ring, detector consuming on its own thread) must reproduce
 //! the serial detector's report **bit-for-bit** — same races in the same
 //! order, same counters, same space accounting — for every detector
-//! configuration, and the pipelined replay front-end must do the same at
-//! every worker count.
+//! `bfc check --pipeline` can run.
 //!
 //! Coverage: every suite benchmark (small scale) under all five detector
-//! configurations (FT/RC/SS/SC/BF), pipelined replay at 1 and 4 workers,
-//! sharded multi-worker pipelined detection (including DJIT+) across
-//! worker counts, and 60 seeded random programs — racy and race-free —
-//! under randomized schedules. Batch and ring sizes are swept so batch
-//! boundaries, partial final batches, and producer backpressure all fire.
+//! configurations (FT/RC/SS/SC/BF) and DJIT+, and 60 seeded random
+//! programs — racy and race-free — under randomized schedules. Batch and
+//! ring sizes are swept so batch boundaries, partial final batches, and
+//! producer backpressure all fire.
 
 use bigfoot::instrument;
 use bigfoot_bfj::{parse_program, EventSink, Interp, Program, RecordingSink, SchedPolicy};
 use bigfoot_detectors::{
-    detect_pipelined, djit_sharded, replay_pipelined, replay_sharded, Detector, DjitDetector,
-    PipelineConfig, ProxyTable, ReplayConfig, Stats,
+    detect_pipelined, run_pipelined, Detector, DjitDetector, PipelineConfig, ProxyTable, Stats,
 };
 use bigfoot_workloads::{benchmarks, random_program, RandomConfig, Scale};
 
@@ -46,6 +43,27 @@ fn pipelined(rec: &RecordingSink, config: &PipelineConfig, det: Detector) -> Sta
         det,
     );
     stats
+}
+
+fn serial_djit(rec: &RecordingSink) -> Stats {
+    let mut det = DjitDetector::new();
+    for ev in &rec.events {
+        det.event(ev);
+    }
+    det.finish()
+}
+
+fn pipelined_djit(rec: &RecordingSink, config: &PipelineConfig) -> Stats {
+    let (_, det) = run_pipelined(
+        config,
+        |sink| {
+            for ev in &rec.events {
+                sink.event(ev);
+            }
+        },
+        DjitDetector::new(),
+    );
+    det.finish()
 }
 
 #[track_caller]
@@ -116,31 +134,18 @@ fn suite_benchmarks_pipeline_identically_under_all_configs() {
 }
 
 #[test]
-fn suite_benchmarks_pipeline_replay_identically_at_1_and_4_workers() {
-    for b in benchmarks(Scale::Small).into_iter().take(6) {
-        let inst = instrument(&b.program);
-        let checked = record(&inst.program, SchedPolicy::default());
-        let reference = serial(&checked, Detector::bigfoot(inst.proxies.clone()));
-        for workers in [1usize, 4] {
-            for cfg in &SWEEP {
-                let (_, stats) = replay_pipelined(
-                    cfg,
-                    &ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-                    |sink| {
-                        for ev in &checked.events {
-                            sink.event(ev);
-                        }
-                    },
-                );
-                assert_identical(
-                    &format!(
-                        "{} [bf replay] {workers} worker(s) batch {}",
-                        b.name, cfg.batch_events
-                    ),
-                    &stats,
-                    &reference,
-                );
-            }
+fn suite_benchmarks_pipeline_djit_identically() {
+    // DJIT+ runs on the raw event stream, outside the `Detector`
+    // configurations above, so it gets its own sweep.
+    for b in benchmarks(Scale::Small) {
+        let raw = record(&b.program, SchedPolicy::default());
+        let reference = serial_djit(&raw);
+        for cfg in &SWEEP {
+            assert_identical(
+                &format!("{} [djit] batch {}", b.name, cfg.batch_events),
+                &pipelined_djit(&raw, cfg),
+                &reference,
+            );
         }
     }
 }
@@ -178,87 +183,22 @@ fn random_programs_pipeline_identically() {
         let stats = pipelined(&rec, &tiny, Detector::fasttrack());
         assert_identical(&format!("random seed {seed}"), &stats, &reference);
         // The slim (footprint) engine exercises the commit path on the
-        // same events, through the pipelined replay front-end.
-        let slim_reference = serial(&rec, Detector::slimstate());
-        for workers in [1usize, 4] {
-            let (_, stats) = replay_pipelined(&tiny, &ReplayConfig::slimstate(workers), |sink| {
-                for ev in &rec.events {
-                    sink.event(ev);
-                }
-            });
-            assert_identical(
-                &format!("random seed {seed} (slimstate replay, {workers} worker(s))"),
-                &stats,
-                &slim_reference,
-            );
-        }
+        // same events, and DJIT+ its full vector-clock pairs.
+        assert_identical(
+            &format!("random seed {seed} (slimstate)"),
+            &pipelined(&rec, &tiny, Detector::slimstate()),
+            &serial(&rec, Detector::slimstate()),
+        );
+        assert_identical(
+            &format!("random seed {seed} (djit)"),
+            &pipelined_djit(&rec, &tiny),
+            &serial_djit(&rec),
+        );
     }
     assert!(
         races_seen > 0,
         "the racy generator configurations should race at least once"
     );
-}
-
-#[test]
-fn suite_benchmarks_sharded_detection_identical_across_worker_counts() {
-    // Sharded multi-worker pipelined detection must be byte-identical to
-    // serial at every worker count — the tentpole determinism contract of
-    // PR 7 — on real suite benchmarks, with the hostile small-batch
-    // geometry so the router→worker rings see backpressure.
-    let tiny = PipelineConfig {
-        batch_events: 7,
-        ring_slots: 2,
-    };
-    for b in benchmarks(Scale::Small).into_iter().take(6) {
-        let inst = instrument(&b.program);
-        let raw = record(&b.program, SchedPolicy::default());
-        let checked = record(&inst.program, SchedPolicy::default());
-
-        let ft_reference = serial(&raw, Detector::fasttrack());
-        let bf_reference = serial(&checked, Detector::bigfoot(inst.proxies.clone()));
-        let mut djit = DjitDetector::new();
-        for ev in &raw.events {
-            djit.event(ev);
-        }
-        let djit_reference = djit.finish();
-
-        for workers in [1usize, 2, 4] {
-            let (_, stats) = replay_sharded(&tiny, &ReplayConfig::fasttrack(workers), |sink| {
-                for ev in &raw.events {
-                    sink.event(ev);
-                }
-            });
-            assert_identical(
-                &format!("{} [ft sharded] {workers} worker(s)", b.name),
-                &stats,
-                &ft_reference,
-            );
-            let (_, stats) = replay_sharded(
-                &tiny,
-                &ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-                |sink| {
-                    for ev in &checked.events {
-                        sink.event(ev);
-                    }
-                },
-            );
-            assert_identical(
-                &format!("{} [bf sharded] {workers} worker(s)", b.name),
-                &stats,
-                &bf_reference,
-            );
-            let (_, stats) = djit_sharded(&tiny, workers, |sink| {
-                for ev in &raw.events {
-                    sink.event(ev);
-                }
-            });
-            assert_identical(
-                &format!("{} [djit sharded] {workers} worker(s)", b.name),
-                &stats,
-                &djit_reference,
-            );
-        }
-    }
 }
 
 #[test]

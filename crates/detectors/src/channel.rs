@@ -1,22 +1,14 @@
 //! Bounded single-producer / single-consumer channel: the batch ring
-//! that PR 5's pipeline hard-coded for `Vec<Event>`, generalized so one
-//! ring implementation serves every pipelined consumer — the serial
-//! detector pipeline, the streaming replay annotator, and the sharded
-//! multi-worker fan-out (`crates/detectors/src/sharded.rs`), which wires
-//! N of these rings side by side.
+//! the online pipeline ([`crate::pipeline`]) hands event batches over,
+//! and returns drained batches through.
 //!
-//! Ring discipline (a Lamport queue):
-//!
-//! * `tail` is written only by the producer, `head` only by the
-//!   consumer; both are cache-line-padded so the two sides never
-//!   false-share.
-//! * The producer may write slot `i` iff `i - head < capacity` (ring
-//!   not full); it publishes with a `Release` store of `tail + 1`.
-//! * The consumer may read slot `i` iff `i < tail` (ring not empty); it
-//!   publishes with a `Release` store of `head + 1`.
-//! * A side that cannot progress spins briefly, then yields; stall
-//!   episodes are tallied by the caller and bracketed by
-//!   `pipeline.push_wait` / `pipeline.pop_wait` flight-recorder spans.
+//! The ring is a `Mutex<VecDeque<T>>` with one condition variable per
+//! direction. Each side takes the lock a few times per batch, not per
+//! event, and never holds it for long; a side that cannot progress
+//! sleeps on its condition
+//! variable until the other side moves. Stall episodes are tallied by
+//! the caller and bracketed by `pipeline.push_wait` / `pipeline.pop_wait`
+//! flight-recorder spans.
 //!
 //! End-of-stream protocol:
 //!
@@ -28,56 +20,38 @@
 //!   ([`DeadOnUnwind`] arms this from the consumer's stack frame).
 
 use bigfoot_obs::trace::{self, LazyTraceName};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// An `AtomicUsize` alone on its cache line, so the producer's `tail`
-/// writes never invalidate the line the consumer polls `head` on (and
-/// vice versa).
-#[repr(align(64))]
-struct PaddedAtomicUsize(AtomicUsize);
-
-struct Slot<T>(UnsafeCell<Option<T>>);
-
-/// Bounded SPSC ring of `T` (event batches, routed item batches, …).
-pub struct Ring<T> {
-    slots: Box<[Slot<T>]>,
-    mask: usize,
-    /// Next slot the consumer will read. Written only by the consumer.
-    head: PaddedAtomicUsize,
-    /// Next slot the producer will write. Written only by the producer.
-    tail: PaddedAtomicUsize,
+/// What the lock guards: the queued items plus both end-of-stream flags
+/// and the sleeper counts, so every state change and the wakeup it
+/// owes happen under one lock and no wakeup is lost.
+struct State<T> {
+    items: VecDeque<T>,
     /// Set by the producer after its final push; a consumer seeing
     /// `closed` *and* an empty ring is done.
-    closed: AtomicBool,
+    closed: bool,
     /// Set when the consumer unwinds; a producer seeing `dead` stops
     /// pushing (nobody will ever drain the ring again).
-    dead: AtomicBool,
+    dead: bool,
+    /// Threads asleep in [`Ring::pop`] / [`Ring::push`]; a side notifies
+    /// only when the other is actually waiting.
+    pop_waiters: u32,
+    push_waiters: u32,
 }
 
-// SAFETY: slot `i` is accessed exclusively by the producer while
-// `head <= i < head + capacity` and `i >= tail` (it has not been
-// published), and exclusively by the consumer while `head <= i < tail`
-// (published, not yet consumed). The Release store publishing an index
-// happens-before the Acquire load that lets the other side cross it, so
-// the two sides never hold a reference to the same slot concurrently.
-// `T: Send` because items move across the producer→consumer thread
-// boundary (and back, for recycle rings).
-unsafe impl<T: Send> Sync for Ring<T> {}
+/// Bounded SPSC ring of `T` (event batches, recycled empty batches).
+pub struct Ring<T> {
+    state: Mutex<State<T>>,
+    capacity: usize,
+    /// Signalled when an item arrives or the ring closes.
+    not_empty: Condvar,
+    /// Signalled when an item leaves or the ring dies.
+    not_full: Condvar,
+}
 
 static PUSH_WAIT: LazyTraceName = LazyTraceName::new("pipeline.push_wait");
 static POP_WAIT: LazyTraceName = LazyTraceName::new("pipeline.pop_wait");
-
-/// How many times a stalled side spins before yielding. On a
-/// single-core host the other side cannot make progress while we spin,
-/// so spinning only delays the yield that lets it run — yield at once.
-fn spin_limit() -> u32 {
-    static LIMIT: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *LIMIT.get_or_init(|| match std::thread::available_parallelism() {
-        Ok(n) if n.get() > 1 => 64,
-        _ => 0,
-    })
-}
 
 /// RAII bracket for one backpressure episode: `begin` fires iff tracing
 /// was enabled when the wait started, and the paired `end` is emitted
@@ -112,135 +86,143 @@ impl<T> Ring<T> {
     /// A ring with `slots` capacity, rounded up to a power of two,
     /// minimum 2.
     pub fn new(slots: usize) -> Ring<T> {
-        let cap = slots.max(2).next_power_of_two();
+        let capacity = slots.max(2).next_power_of_two();
         Ring {
-            slots: (0..cap).map(|_| Slot(UnsafeCell::new(None))).collect(),
-            mask: cap - 1,
-            head: PaddedAtomicUsize(AtomicUsize::new(0)),
-            tail: PaddedAtomicUsize(AtomicUsize::new(0)),
-            closed: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+                dead: false,
+                pop_waiters: 0,
+                push_waiters: 0,
+            }),
+            capacity,
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
+    }
+
+    /// The state lock. A thread that panicked while holding it cannot
+    /// have left the queue half-updated (every critical section is a
+    /// single `VecDeque` call or flag store), so poisoning is ignored.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends `item` under the lock and wakes a sleeping consumer.
+    fn enqueue(&self, state: &mut State<T>, item: T) {
+        state.items.push_back(item);
+        if state.pop_waiters > 0 {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Takes the oldest item under the lock and wakes a sleeping
+    /// producer.
+    fn dequeue(&self, state: &mut State<T>) -> Option<T> {
+        let item = state.items.pop_front()?;
+        if state.push_waiters > 0 {
+            self.not_full.notify_one();
+        }
+        Some(item)
     }
 
     /// Producer side: non-blocking. Returns the item back on a full ring.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail - head == self.capacity() {
+        let mut state = self.lock();
+        if state.items.len() == self.capacity {
             return Err(item);
         }
-        // SAFETY: `tail - head < capacity`, so this slot is unpublished
-        // and owned by the producer (see the `Sync` impl).
-        unsafe {
-            *self.slots[tail & self.mask].0.get() = Some(item);
-        }
-        self.tail.0.store(tail + 1, Ordering::Release);
+        self.enqueue(&mut state, item);
         Ok(())
     }
 
     /// Producer side: blocking with backpressure. `stalls` counts the
-    /// episodes (not the spins) where a full ring made the producer
+    /// episodes (not the wakeups) where a full ring made the producer
     /// wait. Returns `true` iff the ring accepted the item: if the
     /// consumer has died the item is dropped instead of waiting on a
     /// ring nobody will drain, and the caller must tally the drop
     /// rather than the handoff (the consumer's panic surfaces at
     /// `join()`).
     #[must_use = "a false return means the item was dropped on a dead ring"]
-    pub fn push(&self, mut item: T, stalls: &mut u64) -> bool {
+    pub fn push(&self, item: T, stalls: &mut u64) -> bool {
+        let mut state = self.lock();
         let mut wait: Option<WaitSpan> = None;
-        let mut spins = 0u32;
         loop {
-            if self.dead.load(Ordering::Acquire) {
+            if state.dead {
                 return false;
             }
-            match self.try_push(item) {
-                Ok(()) => return true,
-                Err(i) => item = i,
+            if state.items.len() < self.capacity {
+                self.enqueue(&mut state, item);
+                return true;
             }
             if wait.is_none() {
                 *stalls += 1;
                 wait = Some(WaitSpan::begin(&PUSH_WAIT));
             }
-            spins += 1;
-            if spins < spin_limit() {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            state.push_waiters += 1;
+            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
+            state.push_waiters -= 1;
         }
     }
 
     /// Consumer side: non-blocking.
     pub fn try_pop(&self) -> Option<T> {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        // SAFETY: `head < tail`, so this slot is published and owned by
-        // the consumer (see the `Sync` impl).
-        let item = unsafe { (*self.slots[head & self.mask].0.get()).take() };
-        self.head.0.store(head + 1, Ordering::Release);
-        Some(item.expect("published slot holds an item"))
+        self.dequeue(&mut self.lock())
     }
 
     /// Consumer side: blocking. `None` means the producer closed the
     /// ring and everything has been drained. `stalls` counts empty-ring
     /// waits.
     pub fn pop(&self, stalls: &mut u64) -> Option<T> {
+        let mut state = self.lock();
         let mut wait: Option<WaitSpan> = None;
-        let mut spins = 0u32;
         loop {
-            if let Some(item) = self.try_pop() {
+            if let Some(item) = self.dequeue(&mut state) {
                 return Some(item);
             }
-            // Check `closed` only after a failed pop: the producer
-            // closes *after* its final push, so once `closed` is
-            // observed one more pop decides — an item pushed between
-            // the failed pop above and the `closed` load must still be
-            // returned, and an empty ring is truly done.
-            if self.closed.load(Ordering::Acquire) {
-                return self.try_pop();
+            // `closed` and the queue are read under one lock, and the
+            // producer closes only after its final push, so an empty
+            // closed ring is truly done.
+            if state.closed {
+                return None;
             }
             if wait.is_none() {
                 *stalls += 1;
                 wait = Some(WaitSpan::begin(&POP_WAIT));
             }
-            spins += 1;
-            if spins < spin_limit() {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            state.pop_waiters += 1;
+            state = self
+                .not_empty
+                .wait(state)
+                .unwrap_or_else(|e| e.into_inner());
+            state.pop_waiters -= 1;
         }
     }
 
     /// Producer is done; pending items remain poppable.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.lock().closed = true;
+        self.not_empty.notify_all();
     }
 
     /// Consumer will never drain again; future pushes drop.
     pub fn mark_dead(&self) {
-        self.dead.store(true, Ordering::Release);
+        self.lock().dead = true;
+        self.not_full.notify_all();
     }
 
-    /// Items currently in flight (approximate; for depth telemetry).
+    /// Items currently in flight (for depth telemetry).
     pub fn depth(&self) -> usize {
-        self.tail
-            .0
-            .load(Ordering::Relaxed)
-            .wrapping_sub(self.head.0.load(Ordering::Relaxed))
+        self.lock().items.len()
     }
 }
 
 /// Marks the ring dead if the holding (consumer) thread unwinds, so the
-/// producer bails out of its push loop instead of spinning forever and
+/// producer bails out of its push loop instead of waiting forever and
 /// the panic surfaces at `join()`. Harmless on the normal-return path:
 /// the producer has already closed the ring by the time the consumer's
 /// drain loop exits, so nothing is pushed after the drop.
@@ -248,7 +230,7 @@ pub struct DeadOnUnwind<'r, T>(pub &'r Ring<T>);
 
 impl<T> Drop for DeadOnUnwind<'_, T> {
     fn drop(&mut self) {
-        self.0.dead.store(true, Ordering::Release);
+        self.0.mark_dead();
     }
 }
 
@@ -318,6 +300,67 @@ mod tests {
                 consumer.join().expect("consumer")
             });
             assert_eq!(consumed, items * 5, "round {round} lost items");
+        }
+    }
+
+    /// Waits until `waiting` reports a thread asleep on the ring, so the
+    /// wakeup under test really reaches a blocked thread.
+    fn until_asleep<T>(ring: &Ring<T>, waiting: fn(&State<T>) -> u32) {
+        while waiting(&ring.lock()) == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn close_wakes_a_consumer_blocked_on_an_empty_ring() {
+        // Even rounds close a consumer already asleep in `pop`; odd
+        // rounds race the close against the consumer going to sleep.
+        // Either way `pop` must return `None` — a lost wakeup hangs.
+        for round in 0..200 {
+            let ring: Ring<u32> = Ring::new(2);
+            let stalls = std::thread::scope(|scope| {
+                let consumer = scope.spawn(|| {
+                    let mut stalls = 0u64;
+                    assert_eq!(ring.pop(&mut stalls), None, "round {round}");
+                    stalls
+                });
+                if round % 2 == 0 {
+                    until_asleep(&ring, |s| s.pop_waiters);
+                }
+                ring.close();
+                consumer.join().expect("consumer")
+            });
+            if round % 2 == 0 {
+                assert_eq!(stalls, 1, "round {round}: one wait episode");
+            }
+        }
+    }
+
+    #[test]
+    fn mark_dead_releases_a_producer_blocked_on_a_full_ring() {
+        // Same two interleavings on the producer side: a push waiting on
+        // a full ring must give up, and report the drop, once the
+        // consumer dies.
+        for round in 0..200 {
+            let ring: Ring<u32> = Ring::new(2);
+            ring.try_push(1).expect("room");
+            ring.try_push(2).expect("room");
+            let (accepted, stalls) = std::thread::scope(|scope| {
+                let producer = scope.spawn(|| {
+                    let mut stalls = 0u64;
+                    (ring.push(3, &mut stalls), stalls)
+                });
+                if round % 2 == 0 {
+                    until_asleep(&ring, |s| s.push_waiters);
+                }
+                ring.mark_dead();
+                producer.join().expect("producer")
+            });
+            assert!(!accepted, "round {round}: a dead ring drops the item");
+            if round % 2 == 0 {
+                assert_eq!(stalls, 1, "round {round}: one wait episode");
+            }
+            assert_eq!(ring.depth(), 2, "round {round}: the drop is never queued");
         }
     }
 }

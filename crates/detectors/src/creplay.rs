@@ -56,7 +56,7 @@ use crate::replay::{detect_and_merge_parts, Annotator, Item, ItemSink, ReplayCon
 use crate::stats::Stats;
 use bigfoot_bfj::trace::compress::{read_compressed, CompressedTrace, DeltaState};
 use bigfoot_bfj::trace::TraceError;
-use bigfoot_bfj::{CheckTarget, ConcreteRange, Event, EventSink, Loc};
+use bigfoot_bfj::{CheckTarget, ConcreteRange, Event, Loc};
 use bigfoot_obs::fx::FxHashMap;
 use bigfoot_vc::AccessKind;
 use std::sync::Arc;
@@ -411,7 +411,7 @@ impl Walker<'_> {
             }
         } else {
             let ev = self.delta.decode(&ct.dict[sym as usize]);
-            self.ann.event(&ev);
+            self.ann.ingest(&ev);
         }
     }
 
@@ -626,7 +626,7 @@ mod tests {
     use crate::Detector;
     use bigfoot_bfj::trace::compress::compress;
     use bigfoot_bfj::trace::TraceWriter;
-    use bigfoot_bfj::{parse_program, Interp, SchedPolicy};
+    use bigfoot_bfj::{parse_program, EventSink, Interp, SchedPolicy};
 
     fn record(src: &str) -> Vec<u8> {
         let p = parse_program(src).expect("parse");

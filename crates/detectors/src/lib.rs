@@ -14,7 +14,6 @@ mod djit;
 mod pipeline;
 mod precision;
 mod replay;
-mod sharded;
 mod stats;
 mod sync;
 
@@ -26,7 +25,6 @@ pub use pipeline::{
     DEFAULT_RING_SLOTS,
 };
 pub use precision::{verify_precise_checks, PrecisionError};
-pub use replay::{replay_pipelined, replay_trace, ReplayConfig, TraceReader, SHARDS};
-pub use sharded::{djit_sharded, replay_sharded};
+pub use replay::{replay_trace, ReplayConfig, TraceReader, SHARDS};
 pub use stats::{CoarseTarget, Race, RaceTarget, Stats};
 pub use sync::SyncClocks;

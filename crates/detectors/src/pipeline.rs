@@ -9,7 +9,7 @@
 //! The producer appends events to a private batch (a plain `Vec<Event>`)
 //! and only touches shared state once per batch commit, so the
 //! per-event synchronization cost is amortized to (batch size)⁻¹ — a few
-//! thousandths of an atomic operation per event at the default batch
+//! thousandths of a lock acquisition per event at the default batch
 //! size. Drained batches are recycled to the producer through a second
 //! ring, so the steady state allocates nothing on either side.
 //!
@@ -18,15 +18,13 @@
 //! serial detector over the same stream — the differential suite and the
 //! fuzz pipeline oracle pin this.
 //!
-//! The ring itself lives in [`crate::channel`] (a Lamport SPSC queue of
-//! batches, generalized in PR 7 so the sharded fan-out in
-//! [`crate::sharded`] reuses it); this module owns the event-batching
-//! producer side ([`BatchSink`]), the single-consumer driver
-//! ([`run_pipelined`]), and the `pipeline.*` accounting. A side that
-//! cannot progress spins briefly, then yields; stalls are tallied and
-//! flushed to `pipeline.*` obs counters at the end of the run
-//! (backpressure on a full ring is the producer's stall; an empty ring
-//! is the consumer's). Batches dropped on a dead ring — the consumer
+//! The ring itself lives in [`crate::channel`]; this module owns the
+//! event-batching producer side ([`BatchSink`]), the single-consumer
+//! driver ([`run_pipelined`]), and the `pipeline.*` accounting. A side
+//! that cannot progress sleeps until the other moves; stalls are
+//! tallied and flushed to `pipeline.*` obs counters at the end of the
+//! run (backpressure on a full ring is the producer's stall; an empty
+//! ring is the consumer's). Batches dropped on a dead ring — the consumer
 //! unwound mid-stream — are tallied separately as
 //! `pipeline.batches_dropped` / `pipeline.events_dropped`, so
 //! `pipeline.events` counts exactly the events handed to the consumer.
@@ -69,14 +67,14 @@ impl Default for PipelineConfig {
 /// `batches`/`events` count accepted handoffs only; commits that a dead
 /// ring refused land in `batches_dropped`/`events_dropped` instead.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ProducerTallies {
-    pub(crate) batches: u64,
-    pub(crate) events: u64,
-    pub(crate) batches_dropped: u64,
-    pub(crate) events_dropped: u64,
-    pub(crate) full_stalls: u64,
-    pub(crate) depth_max: u64,
-    pub(crate) recycled: u64,
+struct ProducerTallies {
+    batches: u64,
+    events: u64,
+    batches_dropped: u64,
+    events_dropped: u64,
+    full_stalls: u64,
+    depth_max: u64,
+    recycled: u64,
 }
 
 /// The producer's [`EventSink`]: buffers events into a private batch and
@@ -93,7 +91,7 @@ pub struct BatchSink<'r> {
 }
 
 impl<'r> BatchSink<'r> {
-    pub(crate) fn new(
+    fn new(
         ring: &'r Ring<Vec<Event>>,
         free: &'r Ring<Vec<Event>>,
         batch_events: usize,
@@ -158,7 +156,7 @@ impl<'r> BatchSink<'r> {
 }
 
 impl Drop for BatchSink<'_> {
-    /// Closing on drop keeps the consumer from spinning forever if the
+    /// Closing on drop keeps the consumer from waiting forever if the
     /// producer closure unwinds; the partial batch is still flushed, so a
     /// panicking producer's events-so-far are all observed.
     fn drop(&mut self) {
@@ -223,7 +221,7 @@ where
     let (result, joined, tallies) = std::thread::scope(|scope| {
         let consumer = scope.spawn(|| {
             // Marks the ring dead if this thread unwinds, so the producer
-            // bails out of its push loop instead of spinning forever and
+            // bails out of its push loop instead of waiting forever and
             // the panic surfaces at `join()` below.
             let _guard = DeadOnUnwind(&ring);
             if bigfoot_obs::trace::enabled() {
@@ -275,10 +273,8 @@ where
     }
 }
 
-/// Flushes [`ProducerTallies`] to the `pipeline.*` registry names. Also
-/// called by the sharded fan-out driver, whose event ring reuses
-/// [`BatchSink`] on the producer side.
-pub(crate) fn flush_producer_tallies(tallies: &ProducerTallies) {
+/// Flushes [`ProducerTallies`] to the `pipeline.*` registry names.
+fn flush_producer_tallies(tallies: &ProducerTallies) {
     if !bigfoot_obs::enabled() {
         return;
     }
@@ -470,7 +466,7 @@ mod tests {
     #[test]
     fn consumer_panic_propagates_instead_of_hanging() {
         // A panicking consumer must surface its panic through
-        // `run_pipelined` rather than leaving the producer spinning on a
+        // `run_pipelined` rather than leaving the producer waiting on a
         // ring nobody drains.
         let p = parse_program(ARRAY_RACY).expect("parse");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -52,12 +52,12 @@ use std::sync::Arc;
 pub const SHARDS: usize = 64;
 
 #[inline]
-pub(crate) fn obj_shard(obj: ObjId) -> usize {
+fn obj_shard(obj: ObjId) -> usize {
     obj.0 as usize % SHARDS
 }
 
 #[inline]
-pub(crate) fn arr_shard(arr: ArrId) -> usize {
+fn arr_shard(arr: ArrId) -> usize {
     arr.0 as usize % SHARDS
 }
 
@@ -237,20 +237,20 @@ pub(crate) enum Item {
 
 /// What one shard's detection produced.
 #[derive(Default)]
-pub(crate) struct ShardOutcome {
-    pub(crate) items: u64,
-    pub(crate) shadow_ops: u64,
+struct ShardOutcome {
+    items: u64,
+    shadow_ops: u64,
     /// Race candidates tagged with `(global_seq, intra_item_index)`.
-    pub(crate) races: Vec<(u64, u32, Race)>,
+    races: Vec<(u64, u32, Race)>,
     /// Shadow space at each probe point, in clock-entry units.
-    pub(crate) probe_spaces: Vec<u64>,
+    probe_spaces: Vec<u64>,
 }
 
 /// Per-shard detection state: exactly the serial detector's shadow stores,
 /// restricted to the objects/arrays that route to this shard. Ids within
 /// shard `s` are `s, s + SHARDS, …`, so strided slabs index by
 /// `id / SHARDS` and stay dense per shard.
-pub(crate) struct ShardState {
+struct ShardState {
     engine: ArrayEngine,
     objects: Slab<ObjId, ObjEntry>,
     arrays_fine: Slab<ArrId, Vec<VarState>>,
@@ -259,11 +259,11 @@ pub(crate) struct ShardState {
     group_scratch: Vec<u32>,
     /// `shadow_ops` tally at the last [`Item::MemoBegin`].
     memo_mark: u64,
-    pub(crate) out: ShardOutcome,
+    out: ShardOutcome,
 }
 
 impl ShardState {
-    pub(crate) fn new(engine: ArrayEngine) -> ShardState {
+    fn new(engine: ArrayEngine) -> ShardState {
         ShardState {
             engine,
             objects: Slab::with_stride(SHARDS as u32),
@@ -285,7 +285,7 @@ impl ShardState {
         self.out
     }
 
-    pub(crate) fn apply(&mut self, item: &Item) {
+    fn apply(&mut self, item: &Item) {
         match item {
             Item::AllocObj { obj, grouping } => {
                 let shadow = ObjectShadow::new(grouping.groups);
@@ -436,12 +436,11 @@ impl ShardState {
     }
 }
 
-/// Where the annotator's sequenced items go. The offline path collects
-/// them into the 64 in-memory shard queues ([`ShardQueues`]); the
-/// streaming sharded path ([`crate::sharded`]) batches them straight
-/// into per-worker SPSC rings. Because the annotator routes by *shard*
-/// either way, per-shard item streams are identical across sinks — the
-/// root of the worker-count-invariance argument.
+/// Where the annotator's sequenced items go: the 64 in-memory shard
+/// queues ([`ShardQueues`]), or compressed replay's recording sink,
+/// which forwards to them. Because the annotator routes by *shard*,
+/// per-shard item streams do not depend on the worker count — the root
+/// of the worker-count-invariance argument.
 pub(crate) trait ItemSink {
     fn item(&mut self, shard: usize, item: Item);
 }
@@ -465,8 +464,7 @@ impl ItemSink for ShardQueues {
 
 /// The serial clock-annotation pass: mirrors the serial detector's control
 /// flow exactly, but instead of touching shadow state it emits sequenced
-/// work items into an [`ItemSink`] (in-memory shard queues offline,
-/// per-worker rings when streaming).
+/// work items into an [`ItemSink`].
 pub(crate) struct Annotator<S> {
     source: CheckSource,
     engine: ArrayEngine,
@@ -719,7 +717,7 @@ impl<S: ItemSink> Annotator<S> {
         }
     }
 
-    fn ingest(&mut self, ev: &Event) {
+    pub(crate) fn ingest(&mut self, ev: &Event) {
         self.events += 1;
         match ev {
             Event::AllocObj {
@@ -805,28 +803,12 @@ impl<S: ItemSink> Annotator<S> {
     }
 }
 
-/// The annotation pass is itself an [`EventSink`], so it can terminate a
-/// pipeline (`run_pipelined`) as well as a decode loop: the interpreter
-/// produces batches on one thread while this serial stage-1 pass consumes
-/// them on another, and the sharded stage 2/3 runs once the stream ends.
-impl<S: ItemSink> bigfoot_bfj::EventSink for Annotator<S> {
-    #[inline]
-    fn event(&mut self, ev: &Event) {
-        self.ingest(ev);
-    }
-}
-
-/// Stage 3, shared by the offline path ([`detect_and_merge`]) and the
-/// streaming sharded path ([`crate::sharded`]): sort per-shard race
-/// candidates back into global `(seq, intra_item_index)` order, feed
-/// them through [`Stats::report_race`]'s inline deduplication, and sum
-/// the per-shard space probes — producing stats bit-identical to the
-/// serial detector's, however the shards were executed.
-pub(crate) fn merge_outcomes(
-    mut stats: Stats,
-    probe_fp_space: &[u64],
-    outcomes: &[ShardOutcome],
-) -> Stats {
+/// Stage 3: sort per-shard race candidates back into global
+/// `(seq, intra_item_index)` order, feed them through
+/// [`Stats::report_race`]'s inline deduplication, and sum the per-shard
+/// space probes — producing stats bit-identical to the serial
+/// detector's, however the shards were executed.
+fn merge_outcomes(mut stats: Stats, probe_fp_space: &[u64], outcomes: &[ShardOutcome]) -> Stats {
     let mut candidates: Vec<(u64, u32, Race)> = Vec::new();
     for o in outcomes {
         stats.shadow_ops += o.shadow_ops;
@@ -844,9 +826,9 @@ pub(crate) fn merge_outcomes(
     stats
 }
 
-/// Stages 2 and 3, shared by [`replay_trace`] and [`replay_pipelined`]:
-/// parallel sharded detection over the annotator's queues, then the
-/// deterministic seq-ordered merge. The annotator must be finalized.
+/// Stages 2 and 3 of [`replay_trace`]: parallel sharded detection over
+/// the annotator's queues, then the deterministic seq-ordered merge. The
+/// annotator must be finalized.
 fn detect_and_merge(annotator: Annotator<ShardQueues>, num_workers: usize) -> Stats {
     let (engine, ShardQueues(queues), probe_fp_space, stats) = annotator.into_parts();
     detect_and_merge_parts(engine, queues, probe_fp_space, stats, num_workers)
@@ -975,53 +957,6 @@ pub fn replay_trace(bytes: &[u8], config: &ReplayConfig) -> Result<Stats, TraceE
         annotator.finalize();
     }
     Ok(detect_and_merge(annotator, config.workers))
-}
-
-/// Pipelined sharded detection straight from a live event producer — no
-/// intermediate trace buffer. The producer (typically the interpreter)
-/// runs on the calling thread and feeds the batch ring; the stage-1
-/// annotator consumes batches on a second thread; stages 2/3 (the same
-/// sharded detection and deterministic merge as [`replay_trace`]) run
-/// when the stream ends.
-///
-/// Because the annotator sees the producer's exact event order, the
-/// resulting [`Stats`] are bit-identical to [`replay_trace`] over a
-/// recording of the same run — and hence to the serial
-/// [`Detector`](crate::Detector) — at any worker count.
-///
-/// # Examples
-///
-/// ```
-/// use bigfoot_bfj::{parse_program, Interp, SchedPolicy};
-/// use bigfoot_detectors::{replay_pipelined, PipelineConfig, ReplayConfig};
-///
-/// let p = parse_program(
-///     "class C { field x; meth poke(v) { this.x = v; return 0; } }
-///      main {
-///          c = new C;
-///          fork t1 = c.poke(1);
-///          fork t2 = c.poke(2);
-///          join(t1); join(t2);
-///      }",
-/// )?;
-/// let (outcome, stats) = replay_pipelined(
-///     &PipelineConfig::default(),
-///     &ReplayConfig::fasttrack(4),
-///     |sink| Interp::new(&p, SchedPolicy::default()).run(sink),
-/// );
-/// outcome?;
-/// assert!(stats.has_races());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn replay_pipelined<T>(
-    pipeline: &crate::pipeline::PipelineConfig,
-    config: &ReplayConfig,
-    producer: impl FnOnce(&mut crate::pipeline::BatchSink<'_>) -> T,
-) -> (T, Stats) {
-    let annotator = Annotator::new(config);
-    let (result, mut annotator) = crate::pipeline::run_pipelined(pipeline, producer, annotator);
-    annotator.finalize();
-    (result, detect_and_merge(annotator, config.workers))
 }
 
 #[cfg(test)]
@@ -1171,30 +1106,6 @@ mod tests {
             let stats = replay_trace(&bytes, &config).expect("replay");
             assert_identical(&stats, &reference);
             assert!(stats.has_races(), "b is raced over; a contributes nothing");
-        }
-    }
-
-    #[test]
-    fn pipelined_replay_matches_trace_replay() {
-        use crate::pipeline::PipelineConfig;
-        use bigfoot_bfj::{Interp, SchedPolicy};
-        for src in [RACY, ARRAY_SPLIT, ARRAY_RACY] {
-            let bytes = record(src);
-            let p = parse_program(src).expect("parse");
-            for workers in [1, 4] {
-                let config = ReplayConfig::bigfoot(ProxyTable::identity(), workers);
-                let from_trace = replay_trace(&bytes, &config).expect("replay");
-                let (outcome, from_ring) = replay_pipelined(
-                    &PipelineConfig {
-                        batch_events: 5,
-                        ring_slots: 2,
-                    },
-                    &config,
-                    |sink| Interp::new(&p, SchedPolicy::default()).run(sink),
-                );
-                outcome.expect("run");
-                assert_identical(&from_ring, &from_trace);
-            }
         }
     }
 

@@ -6,13 +6,13 @@
 //! bfc mutate <file.bfj> [--site N] [--kind arith|field-write|lock]
 //!                       [--salt K] [--out FILE] [--json]
 //! bfc check <file.bfj> [--detector bigfoot|fasttrack|redcard|slimstate|slimcard|djit]
-//!                      [--seed N] [--schedules N] [--replay-workers N]
-//!                      [--pipeline [--detect-workers N]] [--compiled]
+//!                      [--seed N] [--schedules N]
+//!                      [--replay-workers N | --pipeline] [--compiled]
 //!                      [--record-out FILE [--compress-trace]] [--json]
 //! bfc run <file.bfj>
 //! bfc stats <file.bfj> [--json]
 //! bfc trace <file.bfj> [--seed N] [--limit N]
-//! bfc profile <file.bfj> [--detector NAME] [--pipeline [--detect-workers N]] [--compiled]
+//! bfc profile <file.bfj> [--detector NAME] [--pipeline] [--compiled]
 //!                        [--record-out FILE [--compress-trace]] [--json]
 //! bfc replay <trace> [--detector NAME] [--replay-workers N] [--json]
 //! bfc compress <trace.bftr> <out.bftc>
@@ -39,15 +39,13 @@
 //!   detection replays it through the sharded parallel engine — the
 //!   verdicts are identical to the serial detector's at any `N`. With
 //!   `--pipeline` the interpreter produces into a batched SPSC ring and
-//!   the detector (or, combined with `--replay-workers`, the replay
-//!   annotator) consumes on its own thread — verdicts again identical,
-//!   byte for byte. `--pipeline --detect-workers N` fans the detection
-//!   stage out to `N` sharded workers (every detector, including djit);
-//!   the report stays byte-identical at any `N`. `--compiled` swaps the
-//!   tree-walking interpreter for the bytecode compilation tier
-//!   (`bigfoot-bfj`'s `CompiledVm`) as the event producer — verdicts
-//!   stay byte-identical to the interpreted run, and the flag composes
-//!   with `--pipeline`, `--detect-workers`, and `--replay-workers`.
+//!   the detector consumes on its own thread — verdicts again identical,
+//!   byte for byte. The two flags pick different drivers and are
+//!   mutually exclusive. `--compiled` swaps the tree-walking interpreter
+//!   for the bytecode compilation tier (`bigfoot-bfj`'s `CompiledVm`) as
+//!   the event producer — verdicts stay byte-identical to the
+//!   interpreted run, and the flag composes with `--pipeline` and
+//!   `--replay-workers`.
 //!   `--record-out FILE` additionally records the schedule's event
 //!   stream to a binary trace file: raw `BFTR`, or — with
 //!   `--compress-trace` — the grammar-compressed `BFTC` container.
@@ -96,9 +94,8 @@ use bigfoot_bfj::{
     RuntimeError, SchedPolicy, Tid, Value,
 };
 use bigfoot_detectors::{
-    detect_pipelined, djit_sharded, replay_compressed_report, replay_pipelined, replay_sharded,
-    replay_trace, run_pipelined, Detector, DjitDetector, PipelineConfig, ProxyTable, ReplayConfig,
-    Stats,
+    detect_pipelined, replay_compressed_report, replay_trace, run_pipelined, Detector,
+    DjitDetector, PipelineConfig, ProxyTable, ReplayConfig, Stats,
 };
 use bigfoot_fuzz::{run_campaign, FuzzOptions};
 use bigfoot_obs::cli::CliArgs;
@@ -155,14 +152,14 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "  bfc check <file.bfj> [--detector NAME] [--seed N] [--schedules N] \
-                 [--replay-workers N] [--pipeline [--detect-workers N]] [--compiled] \
+                 [--replay-workers N | --pipeline] [--compiled] \
                  [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
             );
             eprintln!("  bfc run <file.bfj>");
             eprintln!("  bfc stats <file.bfj> [--json]");
             eprintln!("  bfc trace <file.bfj> [--seed N] [--limit N]");
             eprintln!(
-                "  bfc profile <file.bfj> [--detector NAME] [--pipeline [--detect-workers N]] \
+                "  bfc profile <file.bfj> [--detector NAME] [--pipeline] \
                  [--compiled] [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
             );
             eprintln!("  bfc replay <trace.bftr|trace.bftc> [--detector NAME] [--replay-workers N] [--json]");
@@ -269,7 +266,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             "--schedules",
             "--limit",
             "--replay-workers",
-            "--detect-workers",
             "--seed-range",
             "--budget",
             "--corpus",
@@ -460,8 +456,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
             let pipelined = args.has("--pipeline");
             let compiled = args.has("--compiled");
-            let detect_workers: Option<usize> = args.parsed("--detect-workers")?;
-            validate_workers(detect_workers, pipelined, replay_workers)?;
+            validate_workers(pipelined, replay_workers)?;
             let record_out = args.value("--record-out");
             let compress_trace = args.has("--compress-trace");
             validate_recording(record_out, compress_trace, schedules)?;
@@ -497,15 +492,8 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                         switch_inv: 2,
                     }
                 };
-                let stats = check_once(
-                    &program,
-                    which,
-                    policy,
-                    replay_workers,
-                    pipelined,
-                    detect_workers,
-                    compiled,
-                )?;
+                let stats =
+                    check_once(&program, which, policy, replay_workers, pipelined, compiled)?;
                 if stats.has_races() {
                     any_race = true;
                 }
@@ -540,9 +528,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 }
                 if pipelined {
                     report.set("pipeline", true);
-                }
-                if let Some(workers) = detect_workers {
-                    report.set("detect_workers", workers as u64);
                 }
                 if compiled {
                     report.set("compiled", true);
@@ -675,8 +660,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
             let pipelined = args.has("--pipeline");
             let compiled = args.has("--compiled");
-            let detect_workers: Option<usize> = args.parsed("--detect-workers")?;
-            validate_workers(detect_workers, pipelined, replay_workers)?;
+            validate_workers(pipelined, replay_workers)?;
             let record_out = args.value("--record-out");
             let compress_trace = args.has("--compress-trace");
             validate_recording(record_out, compress_trace, 1)?;
@@ -709,7 +693,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 SchedPolicy::default(),
                 replay_workers,
                 pipelined,
-                detect_workers,
                 compiled,
             ) {
                 Ok(stats) => (Some(stats), None),
@@ -735,9 +718,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 report.set("detector", which);
                 if pipelined {
                     report.set("pipeline", true);
-                }
-                if let Some(workers) = detect_workers {
-                    report.set("detect_workers", workers as u64);
                 }
                 if compiled {
                     report.set("compiled", true);
@@ -908,29 +888,19 @@ fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
     })
 }
 
-/// Worker-count sanity checks, applied at parse time so a bad flag fails
-/// before any work starts. Zero workers is always a contradiction — both
-/// engines need at least one worker thread to consume anything.
-/// `--detect-workers` additionally only makes sense for the online
-/// pipeline: without `--pipeline` there is no detection stage to shard,
-/// and `--replay-workers` already parallelizes the offline replay engine.
-fn validate_workers(
-    detect_workers: Option<usize>,
-    pipelined: bool,
-    replay_workers: Option<usize>,
-) -> Result<(), CliError> {
+/// Driver-flag sanity checks, applied at parse time so a bad flag fails
+/// before any work starts. Zero replay workers is a contradiction — the
+/// replay engine needs at least one worker to consume anything — and
+/// `--pipeline` (online, one consumer thread) and `--replay-workers`
+/// (record, then replay offline) pick different drivers.
+fn validate_workers(pipelined: bool, replay_workers: Option<usize>) -> Result<(), CliError> {
     if replay_workers == Some(0) {
         return Err("--replay-workers wants at least 1 worker".into());
     }
-    match detect_workers {
-        None => Ok(()),
-        Some(0) => Err("--detect-workers wants at least 1 worker".into()),
-        Some(_) if !pipelined => Err("--detect-workers requires --pipeline".into()),
-        Some(_) if replay_workers.is_some() => {
-            Err("--detect-workers and --replay-workers are mutually exclusive".into())
-        }
-        Some(_) => Ok(()),
+    if pipelined && replay_workers.is_some() {
+        return Err("--pipeline and --replay-workers are mutually exclusive".into());
     }
+    Ok(())
 }
 
 /// Recording-flag sanity checks, applied at parse time like
@@ -1134,24 +1104,17 @@ fn execute<S: EventSink>(
 /// detection runs through the parallel sharded replay engine instead of
 /// inline — same verdicts, record-once/detect-many. With `pipelined` set,
 /// the interpreter produces into the batched SPSC ring and the detector
-/// (or the replay annotator) consumes on its own thread — same verdicts,
-/// byte for byte. With `pipelined` plus `detect_workers`, the detection
-/// stage itself fans out to that many sharded workers — same verdicts at
-/// every worker count.
+/// consumes on its own thread — same verdicts, byte for byte.
 fn check_once(
     program: &Program,
     which: &str,
     policy: SchedPolicy,
     replay_workers: Option<usize>,
     pipelined: bool,
-    detect_workers: Option<usize>,
     compiled: bool,
 ) -> Result<Stats, CliError> {
-    if let Some(workers) = detect_workers {
-        return check_sharded(program, which, policy, workers, compiled);
-    }
     if let Some(workers) = replay_workers {
-        return check_replay(program, which, policy, workers, pipelined, compiled);
+        return check_replay(program, which, policy, workers, compiled);
     }
     let run_detector = |prog: &Program, mut det: Detector| -> Result<Stats, CliError> {
         if pipelined {
@@ -1199,80 +1162,18 @@ fn check_once(
     }
 }
 
-/// Sharded multi-worker pipelined variant of [`check_once`]: the
-/// interpreter produces into the event ring, a router thread runs the
-/// sync-order stage, and `workers` detection workers apply shard-routed
-/// checks concurrently. Every detector is supported — djit goes through
-/// its dedicated router since it has no replay configuration.
-fn check_sharded(
-    program: &Program,
-    which: &str,
-    policy: SchedPolicy,
-    workers: usize,
-    compiled: bool,
-) -> Result<Stats, CliError> {
-    let pipeline = PipelineConfig::default();
-    if which == "djit" {
-        let (run, stats) = djit_sharded(&pipeline, workers, |sink| {
-            execute(program, policy, compiled, sink)
-        });
-        run.map_err(runtime_error)?;
-        return Ok(stats);
-    }
-    let sharded = |prog: &Program, config: ReplayConfig| -> Result<Stats, CliError> {
-        let (run, stats) = replay_sharded(&pipeline, &config, |sink| {
-            execute(prog, policy, compiled, sink)
-        });
-        run.map_err(runtime_error)?;
-        Ok(stats)
-    };
-    match which {
-        "bigfoot" => {
-            let inst = instrument(program);
-            sharded(
-                &inst.program,
-                ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-            )
-        }
-        "fasttrack" => sharded(program, ReplayConfig::fasttrack(workers)),
-        "slimstate" => sharded(program, ReplayConfig::slimstate(workers)),
-        "redcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            sharded(&rc, ReplayConfig::redcard(proxies, workers))
-        }
-        "slimcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            sharded(&rc, ReplayConfig::slimcard(proxies, workers))
-        }
-        other => Err(format!("unknown detector `{other}`").into()),
-    }
-}
-
-/// Record-then-replay variant of [`check_once`]. With `pipelined` set,
-/// the trace file is skipped entirely: the interpreter streams into the
-/// replay annotator over the batched ring.
+/// Record-then-replay variant of [`check_once`].
 fn check_replay(
     program: &Program,
     which: &str,
     policy: SchedPolicy,
     workers: usize,
-    pipelined: bool,
     compiled: bool,
 ) -> Result<Stats, CliError> {
-    let record = |prog: &Program| -> Result<Vec<u8>, CliError> {
+    let replay = |prog: &Program, config: ReplayConfig| -> Result<Stats, CliError> {
         let mut w = TraceWriter::new();
         execute(prog, policy, compiled, &mut w).map_err(runtime_error)?;
-        Ok(w.into_bytes())
-    };
-    let replay = |prog: &Program, config: ReplayConfig| -> Result<Stats, CliError> {
-        if pipelined {
-            let (run, stats) = replay_pipelined(&PipelineConfig::default(), &config, |sink| {
-                execute(prog, policy, compiled, sink)
-            });
-            run.map_err(runtime_error)?;
-            return Ok(stats);
-        }
-        replay_trace(&record(prog)?, &config).map_err(|e| failed(format!("replay error: {e}")))
+        replay_trace(&w.into_bytes(), &config).map_err(|e| failed(format!("replay error: {e}")))
     };
     match which {
         "bigfoot" => {
@@ -1303,28 +1204,20 @@ mod tests {
 
     #[test]
     fn zero_workers_is_rejected_for_both_engines() {
-        assert!(validate_workers(Some(0), true, None)
-            .unwrap_err()
-            .to_string()
-            .contains("--detect-workers wants at least 1"));
-        assert!(validate_workers(None, false, Some(0))
+        assert!(validate_workers(false, Some(0))
             .unwrap_err()
             .to_string()
             .contains("--replay-workers wants at least 1"));
-        // The zero check fires even when another validation would too.
-        assert!(validate_workers(Some(2), true, Some(0))
+        // The zero check fires even when the driver clash would too.
+        assert!(validate_workers(true, Some(0))
             .unwrap_err()
             .to_string()
             .contains("--replay-workers wants at least 1"));
     }
 
     #[test]
-    fn detect_workers_needs_the_pipeline_and_excludes_replay() {
-        assert!(validate_workers(Some(2), false, None)
-            .unwrap_err()
-            .to_string()
-            .contains("requires --pipeline"));
-        assert!(validate_workers(Some(2), true, Some(2))
+    fn pipeline_excludes_replay_workers() {
+        assert!(validate_workers(true, Some(2))
             .unwrap_err()
             .to_string()
             .contains("mutually exclusive"));
@@ -1332,11 +1225,9 @@ mod tests {
 
     #[test]
     fn valid_combinations_pass() {
-        assert!(validate_workers(None, false, None).is_ok());
-        assert!(validate_workers(None, true, None).is_ok());
-        assert!(validate_workers(Some(4), true, None).is_ok());
-        assert!(validate_workers(None, false, Some(3)).is_ok());
-        assert!(validate_workers(None, true, Some(3)).is_ok());
+        assert!(validate_workers(false, None).is_ok());
+        assert!(validate_workers(true, None).is_ok());
+        assert!(validate_workers(false, Some(3)).is_ok());
     }
 
     #[test]

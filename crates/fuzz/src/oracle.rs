@@ -35,13 +35,10 @@
 //!   to a cold run of the mutated program.
 //! * **pipeline** — handing the same events across the batched SPSC ring
 //!   (producer thread → detector thread) must leave every verdict
-//!   byte-identical, both for direct pipelined detection and for the
-//!   pipelined replay front-end, at every worker count. The oracle uses a
-//!   deliberately tiny batch and ring so batch boundaries and
-//!   backpressure fire on every case. The same check sweeps the sharded
-//!   multi-worker fan-out (`replay_sharded` / `djit_sharded`) across
-//!   worker counts, so every ring in the two-stage topology sees batch
-//!   boundaries and backpressure too.
+//!   byte-identical to serial detection, for FastTrack and DJIT+ on the
+//!   unoptimized placement and BigFoot on the optimized one. The oracle
+//!   uses a deliberately tiny batch and ring so batch boundaries and
+//!   backpressure fire on every case.
 //!
 //! All oracles are deterministic functions of `(program, policy)`, which
 //! is what lets the shrinker re-validate determinism at every step.
@@ -54,9 +51,8 @@ use bigfoot_bfj::{
     SchedPolicy, TraceWriter,
 };
 use bigfoot_detectors::{
-    detect_pipelined, djit_sharded, replay_compressed, replay_pipelined, replay_sharded,
-    replay_trace, verify_precise_checks, Detector, DjitDetector, PipelineConfig, ReplayConfig,
-    Stats,
+    detect_pipelined, replay_compressed, replay_trace, run_pipelined, verify_precise_checks,
+    Detector, DjitDetector, PipelineConfig, ReplayConfig, Stats,
 };
 
 /// Step bound for generated programs (they terminate well before this;
@@ -66,11 +62,6 @@ const MAX_STEPS: u64 = 50_000_000;
 /// Worker counts the replay oracle exercises (one even divisor of the
 /// shard count, one that is not).
 const REPLAY_WORKERS: [usize; 2] = [2, 5];
-
-/// Worker counts the sharded-pipeline oracle sweeps: the degenerate
-/// single worker, a count that does not divide the shard count, and an
-/// even divisor.
-const SHARDED_WORKERS: [usize; 3] = [1, 3, 4];
 
 /// Which oracle observed a divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -590,87 +581,24 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
     if let Some(d) = pipelined_matches("instrumented", "pipelined detection", &got, &bf) {
         return Some(d);
     }
-    for workers in REPLAY_WORKERS {
-        let (_, got) = replay_pipelined(&pcfg, &ReplayConfig::fasttrack(workers), |sink| {
+    // DJIT+ is its own detector, not a `Detector` configuration, so it
+    // goes through the generic `run_pipelined`.
+    let (_, got) = run_pipelined(
+        &pcfg,
+        |sink| {
             for ev in &ft_events {
                 sink.event(ev);
             }
-        });
-        if let Some(d) = pipelined_matches(
-            "unoptimized",
-            &format!("pipelined replay at {workers} worker(s)"),
-            &got,
-            &ft_truth,
-        ) {
-            return Some(d);
-        }
-        let (_, got) = replay_pipelined(
-            &pcfg,
-            &ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-            |sink| {
-                for ev in &bf_events {
-                    sink.event(ev);
-                }
-            },
-        );
-        if let Some(d) = pipelined_matches(
-            "instrumented",
-            &format!("pipelined replay at {workers} worker(s)"),
-            &got,
-            &bf,
-        ) {
-            return Some(d);
-        }
-    }
-
-    // Sharded multi-worker pipelined detection must also be invisible,
-    // at every worker count — including DJIT+, which has no offline
-    // replay path and goes through its dedicated router.
-    let djit_truth = serial_djit(&ft_events);
-    for workers in SHARDED_WORKERS {
-        let (_, got) = replay_sharded(&pcfg, &ReplayConfig::fasttrack(workers), |sink| {
-            for ev in &ft_events {
-                sink.event(ev);
-            }
-        });
-        if let Some(d) = pipelined_matches(
-            "unoptimized",
-            &format!("sharded detection at {workers} worker(s)"),
-            &got,
-            &ft_truth,
-        ) {
-            return Some(d);
-        }
-        let (_, got) = replay_sharded(
-            &pcfg,
-            &ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-            |sink| {
-                for ev in &bf_events {
-                    sink.event(ev);
-                }
-            },
-        );
-        if let Some(d) = pipelined_matches(
-            "instrumented",
-            &format!("sharded detection at {workers} worker(s)"),
-            &got,
-            &bf,
-        ) {
-            return Some(d);
-        }
-        let (_, got) = djit_sharded(&pcfg, workers, |sink| {
-            for ev in &ft_events {
-                sink.event(ev);
-            }
-        });
-        if let Some(d) = pipelined_matches(
-            "unoptimized",
-            &format!("sharded djit at {workers} worker(s)"),
-            &got,
-            &djit_truth,
-        ) {
-            return Some(d);
-        }
+        },
+        DjitDetector::new(),
+    );
+    if let Some(d) = pipelined_matches(
+        "unoptimized",
+        "pipelined djit",
+        &got.finish(),
+        &serial_djit(&ft_events),
+    ) {
+        return Some(d);
     }
     None
 }

@@ -115,6 +115,37 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn unknown_and_clashing_driver_flags_are_usage_errors() {
+    let racy = write_program("racy3.bfj", RACY);
+    for (args, want) in [
+        (
+            vec!["check", racy.as_str(), "--detect-workers", "2"],
+            "--detect-workers",
+        ),
+        (
+            vec!["profile", racy.as_str(), "--detect-workers", "2"],
+            "--detect-workers",
+        ),
+        (
+            vec![
+                "check",
+                racy.as_str(),
+                "--pipeline",
+                "--replay-workers",
+                "2",
+            ],
+            "mutually exclusive",
+        ),
+    ] {
+        let out = bfc(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?} printed no usage: {err}");
+    }
+}
+
+#[test]
 fn runtime_errors_exit_2_without_usage_text() {
     let neg = write_program("negative_len.bfj", "main { n = 0 - 3; a = new_array(n); }");
     for args in [vec!["run", neg.as_str()], vec!["check", neg.as_str()]] {

@@ -27,15 +27,14 @@ fn corpus_entries_never_diverge_again() {
 }
 
 #[test]
-fn adversarial_sharded_configs_agree_on_fuzz_cases() {
-    // Satellite of PR 7: the most hostile pipeline geometry — one-event
-    // batches through two-slot rings, so every ring in the sharded
-    // topology hits batch boundaries and backpressure on every event —
-    // swept across worker counts including the 64-worker maximum, over
-    // generated fuzz cases rather than hand-written programs.
+fn adversarial_pipeline_configs_agree_on_fuzz_cases() {
+    // The most hostile pipeline geometry — one-event batches through
+    // two-slot rings, so the ring hits batch boundaries and backpressure
+    // on every event — over generated fuzz cases rather than
+    // hand-written programs, for FastTrack and DJIT+.
     use bigfoot_bfj::{EventSink, Interp, RecordingSink};
     use bigfoot_detectors::{
-        djit_sharded, replay_sharded, Detector, DjitDetector, PipelineConfig, ReplayConfig,
+        detect_pipelined, run_pipelined, Detector, DjitDetector, PipelineConfig,
     };
 
     let pcfg = PipelineConfig {
@@ -49,6 +48,11 @@ fn adversarial_sharded_configs_agree_on_fuzz_cases() {
             .run(&mut rec)
             .expect("run");
         let events = rec.events;
+        let feed = |sink: &mut bigfoot_detectors::BatchSink<'_>| {
+            for ev in &events {
+                sink.event(ev);
+            }
+        };
 
         let mut ft = Detector::fasttrack();
         let mut djit = DjitDetector::new();
@@ -56,31 +60,18 @@ fn adversarial_sharded_configs_agree_on_fuzz_cases() {
             ft.event(ev);
             djit.event(ev);
         }
-        let ft_truth = ft.finish().to_json().to_string_compact();
-        let djit_truth = djit.finish().to_json().to_string_compact();
-
-        for workers in [1, 3, 4, 64] {
-            let (_, got) = replay_sharded(&pcfg, &ReplayConfig::fasttrack(workers), |sink| {
-                for ev in &events {
-                    sink.event(ev);
-                }
-            });
-            assert_eq!(
-                got.to_json().to_string_compact(),
-                ft_truth,
-                "seed {seed}: sharded fasttrack diverges at {workers} worker(s)"
-            );
-            let (_, got) = djit_sharded(&pcfg, workers, |sink| {
-                for ev in &events {
-                    sink.event(ev);
-                }
-            });
-            assert_eq!(
-                got.to_json().to_string_compact(),
-                djit_truth,
-                "seed {seed}: sharded djit diverges at {workers} worker(s)"
-            );
-        }
+        let (_, got) = detect_pipelined(&pcfg, feed, Detector::fasttrack());
+        assert_eq!(
+            got.to_json().to_string_compact(),
+            ft.finish().to_json().to_string_compact(),
+            "seed {seed}: pipelined fasttrack diverges"
+        );
+        let (_, got) = run_pipelined(&pcfg, feed, DjitDetector::new());
+        assert_eq!(
+            got.finish().to_json().to_string_compact(),
+            djit.finish().to_json().to_string_compact(),
+            "seed {seed}: pipelined djit diverges"
+        );
     }
 }
 
