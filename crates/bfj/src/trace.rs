@@ -23,6 +23,7 @@
 //! into an iterator.
 
 use crate::event::{ArrId, CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId};
+use crate::interp::MAX_ARRAY_LEN;
 use bigfoot_vc::{AccessKind, Tid};
 
 pub mod compress;
@@ -75,6 +76,16 @@ pub enum TraceError {
         offset: usize,
         /// The decoded stride.
         step: i64,
+    },
+    /// An array allocation claimed more than [`MAX_ARRAY_LEN`] elements.
+    /// Neither executor can allocate such an array, so only a corrupt or
+    /// hand-crafted trace carries one — rejecting it here keeps detectors
+    /// from sizing per-element shadow state by an attacker-chosen length.
+    OversizedArray {
+        /// Byte offset just past the offending length.
+        offset: usize,
+        /// The decoded length.
+        len: u64,
     },
     /// A compressed-container rule referenced a symbol that does not
     /// exist yet. Rules may only reference dictionary entries and
@@ -141,6 +152,12 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::InvalidStride { offset, step } => {
                 write!(f, "non-positive range stride {step} at byte {offset}")
+            }
+            TraceError::OversizedArray { offset, len } => {
+                write!(
+                    f,
+                    "array length {len} at byte {offset} exceeds the limit of {MAX_ARRAY_LEN}"
+                )
             }
             TraceError::BadRuleRef { rule, sym } => {
                 if *rule == u64::MAX {
@@ -406,11 +423,15 @@ pub fn read_event(bytes: &[u8], pos: &mut usize) -> Result<Option<Event>, TraceE
             class: get_u32(bytes, pos)?,
             fields: get_u32(bytes, pos)?,
         },
-        TAG_ALLOC_ARR => Event::AllocArr {
-            t: Tid(get_u32(bytes, pos)?),
-            arr: ArrId(get_u32(bytes, pos)?),
-            len: get_u64(bytes, pos)?,
-        },
+        TAG_ALLOC_ARR => {
+            let t = Tid(get_u32(bytes, pos)?);
+            let arr = ArrId(get_u32(bytes, pos)?);
+            let len = get_u64(bytes, pos)?;
+            if len > MAX_ARRAY_LEN as u64 {
+                return Err(TraceError::OversizedArray { offset: *pos, len });
+            }
+            Event::AllocArr { t, arr, len }
+        }
         TAG_ACCESS => {
             let t = Tid(get_u32(bytes, pos)?);
             let kind = get_kind(bytes, pos)?;

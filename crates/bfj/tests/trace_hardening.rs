@@ -11,7 +11,9 @@
 //! tags, absurd claimed lengths).
 
 use bigfoot_bfj::trace::{read_event, read_header};
-use bigfoot_bfj::{parse_program, Interp, SchedPolicy, TraceError, TraceWriter, TRACE_MAGIC};
+use bigfoot_bfj::{
+    parse_program, Interp, SchedPolicy, TraceError, TraceWriter, MAX_ARRAY_LEN, TRACE_MAGIC,
+};
 
 /// Records one run that exercises every event tag in the codec.
 fn recorded_trace() -> Vec<u8> {
@@ -429,6 +431,27 @@ mod compressed {
     }
 
     #[test]
+    fn oversized_dictionary_arrays_are_typed_errors() {
+        // Dictionary events decode through the BFTR codec, so the array
+        // length bound holds inside containers too: swap the baseline
+        // dictionary entry's length byte for a huge varint.
+        for len in [1u64 << 40, u64::MAX] {
+            let mut bytes = container(&[], &[(0, 1)], 1);
+            let len_at = COMPRESSED_MAGIC.len() + 2 + DICT_EVENT.len() - 1;
+            let mut huge = Vec::new();
+            vu64(&mut huge, len);
+            bytes.splice(len_at..=len_at, huge);
+            assert!(matches!(
+                read_compressed(&bytes),
+                Err(TraceError::OversizedArray { len: l, .. }) if l == len
+            ));
+            assert!(decompress(&bytes).is_err());
+        }
+        // The untouched baseline still parses.
+        read_compressed(&container(&[], &[(0, 1)], 1)).expect("baseline container");
+    }
+
+    #[test]
     fn bad_magic_and_version_are_typed_errors() {
         assert_eq!(read_compressed(b"BFTX"), Err(TraceError::BadMagic));
         assert_eq!(read_compressed(b""), Err(TraceError::BadMagic));
@@ -459,4 +482,35 @@ fn invalid_stride_is_a_typed_error() {
         decode_all(&bytes),
         Err(TraceError::InvalidStride { step: 0, .. })
     ));
+}
+
+#[test]
+fn oversized_array_lengths_are_typed_errors() {
+    // TAG_ALLOC_ARR with a length no executor can allocate: the decoder
+    // rejects it before any detector sizes shadow state by it.
+    let alloc = |len: u64| {
+        let mut bytes = TRACE_MAGIC.to_vec();
+        bytes.push(1); // version
+        bytes.push(1); // TAG_ALLOC_ARR
+        bytes.push(0); // tid
+        bytes.push(0); // arr id
+        let mut v = len;
+        loop {
+            let b = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                bytes.push(b);
+                break;
+            }
+            bytes.push(b | 0x80);
+        }
+        bytes
+    };
+    for len in [MAX_ARRAY_LEN as u64 + 1, 1 << 40, u64::MAX] {
+        assert!(matches!(
+            decode_all(&alloc(len)),
+            Err(TraceError::OversizedArray { len: l, .. }) if l == len
+        ));
+    }
+    assert_eq!(decode_all(&alloc(MAX_ARRAY_LEN as u64)), Ok(1));
 }

@@ -51,15 +51,14 @@
 //! touched, and each shard scales the bracket's measured cost by the
 //! number of skipped repetitions.
 
-use crate::detector::{ArrayEngine, CheckSource};
-use crate::replay::{detect_and_merge_parts, Annotator, Item, ItemSink, ReplayConfig, ShardQueues};
+use crate::engine::{Annotator, ArrayEngine, CheckSource};
+use crate::replay::{detect_and_merge, queued_annotator, Item, ReplayConfig, ShardQueues};
 use crate::stats::Stats;
 use bigfoot_bfj::trace::compress::{read_compressed, CompressedTrace, DeltaState};
 use bigfoot_bfj::trace::TraceError;
 use bigfoot_bfj::{CheckTarget, ConcreteRange, Event, Loc};
 use bigfoot_obs::fx::FxHashMap;
 use bigfoot_vc::AccessKind;
-use std::sync::Arc;
 
 /// Minimum run length worth memoizing: three repetitions are expanded
 /// as the probe, so anything shorter gains nothing.
@@ -194,29 +193,10 @@ fn analyze(ct: &CompressedTrace, config: &ReplayConfig) -> Vec<SymInfo> {
     out
 }
 
-// ---------------- recording item sink ----------------
-
-/// Wraps the shard queues so the walker can record (and shard-mask) the
-/// items a probe repetition emits while still routing them normally.
-struct MemoSink {
-    queues: ShardQueues,
-    rec: Option<Vec<(usize, Item)>>,
-    mask: u64,
-}
-
-impl ItemSink for MemoSink {
-    #[inline]
-    fn item(&mut self, shard: usize, item: Item) {
-        if let Some(rec) = &mut self.rec {
-            self.mask |= 1u64 << shard;
-            rec.push((shard, item.clone()));
-        }
-        self.queues.item(shard, item);
-    }
-}
+// ---------------- probe equivalence ----------------
 
 /// Item equality modulo sequence number, with clock snapshots compared
-/// by pointer (clocks are frozen inside a pure run, so the annotator's
+/// by pointer (clocks are frozen inside a pure run, so the queues'
 /// snapshot cache hands out the same `Arc`; a differing pointer means a
 /// sync slipped in and memoization must not apply). Any variant other
 /// than the two check kinds is conservatively unequal.
@@ -224,40 +204,28 @@ fn item_equiv(a: &Item, b: &Item) -> bool {
     match (a, b) {
         (
             Item::FieldCheck {
+                act: a1,
                 obj: o1,
                 fields: f1,
-                kind: k1,
-                t: t1,
-                clock: c1,
-                ..
             },
             Item::FieldCheck {
+                act: a2,
                 obj: o2,
                 fields: f2,
-                kind: k2,
-                t: t2,
-                clock: c2,
-                ..
             },
-        ) => o1 == o2 && f1 == f2 && k1 == k2 && t1 == t2 && Arc::ptr_eq(c1, c2),
+        ) => o1 == o2 && f1 == f2 && a1.same_act(a2),
         (
-            Item::FineRange {
-                arr: a1,
-                range: r1,
-                kind: k1,
-                t: t1,
-                clock: c1,
-                ..
+            Item::RangeCheck {
+                act: a1,
+                arr: r1,
+                range: g1,
             },
-            Item::FineRange {
-                arr: a2,
-                range: r2,
-                kind: k2,
-                t: t2,
-                clock: c2,
-                ..
+            Item::RangeCheck {
+                act: a2,
+                arr: r2,
+                range: g2,
             },
-        ) => a1 == a2 && r1 == r2 && k1 == k2 && t1 == t2 && Arc::ptr_eq(c1, c2),
+        ) => r1 == r2 && g1 == g2 && a1.same_act(a2),
         _ => false,
     }
 }
@@ -331,7 +299,7 @@ struct Scalars {
 struct Walker<'a> {
     ct: &'a CompressedTrace,
     info: Vec<SymInfo>,
-    ann: Annotator<MemoSink>,
+    ann: Annotator<ShardQueues>,
     /// Per-`(thread, array)` index reconstruction, advanced directly
     /// (wrapping, exactly like per-event decode) over skipped runs.
     delta: DeltaState,
@@ -440,7 +408,7 @@ impl Walker<'_> {
         let mut m = mask2;
         while m != 0 {
             let s = m.trailing_zeros() as usize;
-            self.ann.sink.queues.item(s, Item::MemoBegin);
+            self.ann.sink.queues[s].push(Item::MemoBegin);
             m &= m - 1;
         }
         self.ann.sink.rec = Some(Vec::new());
@@ -485,7 +453,7 @@ impl Walker<'_> {
             let mut m = mask2;
             while m != 0 {
                 let s = m.trailing_zeros() as usize;
-                self.ann.sink.queues.item(s, Item::MemoScale { times });
+                self.ann.sink.queues[s].push(Item::MemoScale { times });
                 m &= m - 1;
             }
             self.report.memo_runs += 1;
@@ -543,15 +511,10 @@ pub fn replay_compressed_report(
 ) -> Result<(Stats, CompressedReplayReport), TraceError> {
     let ct = read_compressed(bytes)?;
     let info = analyze(&ct, config);
-    let sink = MemoSink {
-        queues: ShardQueues::new(),
-        rec: None,
-        mask: 0,
-    };
     let mut walker = Walker {
         ct: &ct,
         info,
-        ann: Annotator::with_sink(config, sink),
+        ann: queued_annotator(config),
         delta: DeltaState::default(),
         source: config.source,
         probing: false,
@@ -570,17 +533,16 @@ pub fn replay_compressed_report(
     bigfoot_obs::count_named("replay.memo.fallbacks", report.memo_fallbacks);
     bigfoot_obs::count_named("replay.memo.skipped_events", report.skipped_events);
     bigfoot_obs::trace_counter!("replay.memo.skipped_events", report.skipped_events);
-    let (engine, sink, probe_fp_space, stats) = walker.ann.into_parts();
     Ok((
-        detect_and_merge_parts(engine, sink.queues.0, probe_fp_space, stats, config.workers),
+        detect_and_merge(walker.ann, config.engine, config.workers),
         report,
     ))
 }
 
 /// Replays a grammar-compressed (`BFTC`) trace and returns [`Stats`]
-/// byte-identical to [`replay_trace`] over the equivalent uncompressed
-/// trace — at any worker count — while annotating repeated loop bodies
-/// in O(1) per repetition where provably redundant.
+/// byte-identical to [`replay_trace`](crate::replay_trace) over the
+/// equivalent uncompressed trace — at any worker count — while annotating
+/// repeated loop bodies in O(1) per repetition where provably redundant.
 ///
 /// # Errors
 ///
@@ -621,7 +583,7 @@ pub fn replay_compressed(bytes: &[u8], config: &ReplayConfig) -> Result<Stats, T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::ProxyTable;
+    use crate::engine::ProxyTable;
     use crate::replay::replay_trace;
     use crate::Detector;
     use bigfoot_bfj::trace::compress::compress;

@@ -1,86 +1,14 @@
-//! The unified dynamic race detector engine.
+//! The serial detector: the engine's annotator driving one inline shard.
 //!
-//! Every detector the paper evaluates is a configuration of the same
-//! machinery (Fig. 2):
-//!
-//! | detector   | check source        | array engine        | field proxies |
-//! |------------|---------------------|---------------------|---------------|
-//! | FastTrack  | every access        | fine per-element    | no            |
-//! | RedCard    | instrumented checks | fine per-element    | static        |
-//! | SlimState  | every access        | footprint + adaptive| no            |
-//! | SlimCard   | instrumented checks | footprint + adaptive| static        |
-//! | BigFoot    | instrumented checks | footprint + adaptive| static        |
-//!
-//! RedCard/SlimCard consume programs instrumented by the RedCard
-//! redundant-check eliminator; BigFoot consumes programs instrumented by
-//! the full check-placement analysis (which also moves and coalesces
-//! checks). The engine itself is identical — that is the paper's point:
-//! the win comes from *which checks arrive*, not from a different runtime.
+//! [`Detector`] is the online face of the engine in `crate::engine`: the
+//! annotator applies every check to a single [`ShardState`] over all ids
+//! the moment the event arrives, so races are reported in trace order
+//! with no queue, no sequence merge and no per-check copy.
 
-use crate::stats::{Race, RaceTarget, Stats};
-use crate::sync::SyncClocks;
-use bigfoot_bfj::{ArrId, CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId};
-use bigfoot_obs::fx::FxHashMap;
-use bigfoot_shadow::{ArrayShadow, FieldGrouping, Footprint, ObjectShadow, Slab};
-use bigfoot_vc::{AccessKind, Tid, VarState};
-use std::sync::Arc;
-
-/// Where the detector's race checks come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckSource {
-    /// Check every raw heap access (FastTrack / SlimState style); `Check`
-    /// events are ignored.
-    RawAccesses,
-    /// Consume `check(C)` events from instrumentation; raw accesses are
-    /// only counted (RedCard / SlimCard / BigFoot style).
-    CheckEvents,
-}
-
-/// How array checks are processed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrayEngine {
-    /// One shadow location per element, checked immediately.
-    Fine,
-    /// Per-thread footprints committed at synchronization operations, over
-    /// the adaptive compressed array shadow.
-    Footprint,
-}
-
-/// Field-proxy groupings per class (from the static proxy analysis).
-///
-/// Groupings are shared (`Arc`), so handing one to each allocated object
-/// is a reference-count bump, not a clone of the assignment vector.
-#[derive(Debug, Clone, Default)]
-pub struct ProxyTable {
-    /// `by_class[c]` is the grouping for class index `c`; missing entries
-    /// mean identity (no compression).
-    pub by_class: Vec<Option<Arc<FieldGrouping>>>,
-}
-
-impl ProxyTable {
-    /// A table with no compression at all.
-    pub fn identity() -> ProxyTable {
-        ProxyTable::default()
-    }
-
-    pub(crate) fn grouping(&self, class: u32) -> Option<&Arc<FieldGrouping>> {
-        self.by_class.get(class as usize).and_then(|g| g.as_ref())
-    }
-}
-
-/// Per-object shadow entry: the field states and the grouping that maps
-/// field indices onto them, fetched with a single slab lookup per check.
-#[derive(Debug, Clone)]
-pub(crate) struct ObjEntry {
-    pub(crate) grouping: Arc<FieldGrouping>,
-    pub(crate) shadow: ObjectShadow,
-}
-
-/// Retained recycled footprints; beyond this the allocator takes over.
-pub(crate) const FP_POOL_MAX: usize = 256;
-
-/// How often (in sync ops) shadow space is sampled for the peak statistic.
-pub(crate) const SPACE_SAMPLE_PERIOD: u64 = 256;
+use crate::engine::{Annotator, ArrayEngine, CheckSource, ProxyTable, ShardState};
+use crate::replay::ReplayConfig;
+use crate::stats::Stats;
+use bigfoot_bfj::{Event, EventSink};
 
 /// A configurable precise dynamic race detector over the event stream.
 ///
@@ -108,31 +36,7 @@ pub(crate) const SPACE_SAMPLE_PERIOD: u64 = 256;
 #[derive(Debug)]
 pub struct Detector {
     name: String,
-    source: CheckSource,
-    engine: ArrayEngine,
-    proxies: ProxyTable,
-    clocks: SyncClocks,
-    objects: Slab<ObjId, ObjEntry>,
-    arrays_fine: Slab<ArrId, Vec<VarState>>,
-    arrays_adaptive: Slab<ArrId, ArrayShadow>,
-    /// Pending footprints, indexed by dense thread id. A thread touches
-    /// few arrays per release-free span, so a small vector beats nested
-    /// hashing on the per-access hot path.
-    footprints: Vec<Vec<(ArrId, Footprint)>>,
-    /// Drained footprints recycled across commit spans, so steady-state
-    /// commits allocate nothing.
-    fp_pool: Vec<Footprint>,
-    /// Identity groupings for classes absent from the proxy table, shared
-    /// per field count instead of rebuilt per allocation.
-    identity_groupings: FxHashMap<u32, Arc<FieldGrouping>>,
-    /// Scratch for proxy-group deduplication in multi-field checks.
-    group_scratch: Vec<u32>,
-    /// Events processed, aggregated locally and flushed to the `det.events`
-    /// obs counter at finalization — a per-event `count!` would put an
-    /// atomic check on the hottest loop in the pipeline.
-    events: u64,
-    stats: Stats,
-    finished: bool,
+    ann: Annotator<ShardState>,
 }
 
 impl Detector {
@@ -145,73 +49,41 @@ impl Detector {
     ) -> Detector {
         Detector {
             name: name.into(),
-            source,
-            engine,
-            proxies,
-            clocks: SyncClocks::new(),
-            objects: Slab::new(),
-            arrays_fine: Slab::new(),
-            arrays_adaptive: Slab::new(),
-            footprints: Vec::new(),
-            fp_pool: Vec::new(),
-            identity_groupings: FxHashMap::default(),
-            group_scratch: Vec::new(),
-            events: 0,
-            stats: Stats::default(),
-            finished: false,
+            ann: Annotator::new(source, engine, proxies, ShardState::new(engine, 1)),
         }
+    }
+
+    /// A preset row of Fig. 2, defined once by [`ReplayConfig`]'s
+    /// constructors (`workers` plays no part in serial detection).
+    fn preset(name: &str, config: ReplayConfig) -> Detector {
+        Detector::new(name, config.source, config.engine, config.proxies)
     }
 
     /// The FastTrack baseline: a check on every access, fine shadow.
     pub fn fasttrack() -> Detector {
-        Detector::new(
-            "FastTrack",
-            CheckSource::RawAccesses,
-            ArrayEngine::Fine,
-            ProxyTable::identity(),
-        )
+        Detector::preset("FastTrack", ReplayConfig::fasttrack(1))
     }
 
     /// RedCard: instrumented checks (redundancy-eliminated), fine arrays,
     /// static field proxies.
     pub fn redcard(proxies: ProxyTable) -> Detector {
-        Detector::new(
-            "RedCard",
-            CheckSource::CheckEvents,
-            ArrayEngine::Fine,
-            proxies,
-        )
+        Detector::preset("RedCard", ReplayConfig::redcard(proxies, 1))
     }
 
     /// SlimState: a check on every access, dynamic array compression.
     pub fn slimstate() -> Detector {
-        Detector::new(
-            "SlimState",
-            CheckSource::RawAccesses,
-            ArrayEngine::Footprint,
-            ProxyTable::identity(),
-        )
+        Detector::preset("SlimState", ReplayConfig::slimstate(1))
     }
 
     /// SlimCard: RedCard instrumentation + SlimState array compression.
     pub fn slimcard(proxies: ProxyTable) -> Detector {
-        Detector::new(
-            "SlimCard",
-            CheckSource::CheckEvents,
-            ArrayEngine::Footprint,
-            proxies,
-        )
+        Detector::preset("SlimCard", ReplayConfig::slimcard(proxies, 1))
     }
 
     /// DynamicBF: BigFoot instrumentation (moved/coalesced checks),
     /// dynamic array compression, static field proxies.
     pub fn bigfoot(proxies: ProxyTable) -> Detector {
-        Detector::new(
-            "BigFoot",
-            CheckSource::CheckEvents,
-            ArrayEngine::Footprint,
-            proxies,
-        )
+        Detector::preset("BigFoot", ReplayConfig::bigfoot(proxies, 1))
     }
 
     /// The detector's display name.
@@ -219,219 +91,15 @@ impl Detector {
         &self.name
     }
 
-    /// Read access to the running statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
     /// Finalizes the run (commits any remaining footprints, records final
     /// space) and returns the statistics.
     pub fn finish(mut self) -> Stats {
-        self.finalize();
-        std::mem::take(&mut self.stats)
-    }
-
-    fn finalize(&mut self) {
-        if self.finished {
-            return;
-        }
-        // Ascending thread-id order keeps the final commits (and any races
-        // they surface) deterministic — the replay engine must be able to
-        // reproduce serial verdicts bit-for-bit.
-        for ti in 0..self.footprints.len() {
-            self.commit_footprints(Tid(ti as u32));
-        }
-        self.sample_space();
-        self.stats.sync_ops = self.clocks.sync_ops();
-        bigfoot_obs::count_named("det.events", self.events);
+        self.ann.finalize();
+        let mut stats = std::mem::take(&mut self.ann.stats);
+        stats.shadow_ops += self.ann.sink.shadow_ops;
         bigfoot_vc::path_stats::flush();
-        self.stats.publish();
-        self.finished = true;
-    }
-
-    // ---------------- shadow operations ----------------
-
-    fn field_check(&mut self, t: Tid, obj: ObjId, fields: &[u32], kind: AccessKind) {
-        self.stats.checks += 1;
-        self.stats.field_checks += 1;
-        let Some(entry) = self.objects.get_mut(obj) else {
-            return; // unseen allocation (library object): skip
-        };
-        let clock = self.clocks.clock(t);
-        if let [f] = fields {
-            // Single-field fast path (every raw access): no dedup needed.
-            let g = entry.grouping.group(*f);
-            self.stats.shadow_ops += 1;
-            if let Err(info) = entry.shadow.apply(g, kind, t, clock) {
-                self.stats.report_race(Race {
-                    target: RaceTarget::Field(obj, g),
-                    info,
-                });
-            }
-            return;
-        }
-        // Deduplicate proxy groups within one coalesced path: p.x/y/z over
-        // a single group performs a single shadow operation.
-        let groups = &mut self.group_scratch;
-        groups.clear();
-        groups.extend(fields.iter().map(|f| entry.grouping.group(*f)));
-        groups.sort_unstable();
-        groups.dedup();
-        for &g in groups.iter() {
-            self.stats.shadow_ops += 1;
-            if let Err(info) = entry.shadow.apply(g, kind, t, clock) {
-                self.stats.report_race(Race {
-                    target: RaceTarget::Field(obj, g),
-                    info,
-                });
-            }
-        }
-    }
-
-    fn array_check(&mut self, t: Tid, arr: ArrId, range: ConcreteRange, kind: AccessKind) {
-        self.stats.checks += 1;
-        self.stats.array_checks += 1;
-        match self.engine {
-            ArrayEngine::Fine => {
-                let clock = self.clocks.clock(t);
-                let Some(states) = self.arrays_fine.get_mut(arr) else {
-                    return;
-                };
-                for i in range.indices() {
-                    if i < 0 || i as usize >= states.len() {
-                        continue;
-                    }
-                    self.stats.shadow_ops += 1;
-                    if let Err(info) = states[i as usize].apply(kind, t, clock) {
-                        self.stats.report_race(Race {
-                            target: RaceTarget::Elems(arr, ConcreteRange::singleton(i)),
-                            info,
-                        });
-                    }
-                }
-            }
-            ArrayEngine::Footprint => {
-                self.stats.footprint_ops += 1;
-                let ti = t.index();
-                if self.footprints.len() <= ti {
-                    self.footprints.resize_with(ti + 1, Vec::new);
-                }
-                let per_thread = &mut self.footprints[ti];
-                match per_thread.iter_mut().find(|(a, _)| *a == arr) {
-                    Some((_, fp)) => fp.add(kind, range),
-                    None => {
-                        // Recycle a drained footprint when one is pooled;
-                        // its range sets keep their capacity.
-                        let mut fp = self.fp_pool.pop().unwrap_or_default();
-                        fp.add(kind, range);
-                        per_thread.push((arr, fp));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Commits all pending footprints of thread `t` against the adaptive
-    /// array shadow (called at each of `t`'s synchronization operations).
-    fn commit_footprints(&mut self, t: Tid) {
-        let Some(per_arr) = self.footprints.get_mut(t.index()) else {
-            return;
-        };
-        if per_arr.is_empty() {
-            return;
-        }
-        let clock = self.clocks.clock(t);
-        for (arr, fp) in per_arr.iter_mut() {
-            if fp.is_empty() {
-                continue;
-            }
-            let Some(shadow) = self.arrays_adaptive.get_mut(*arr) else {
-                continue;
-            };
-            for (kind, ranges) in [
-                (AccessKind::Write, fp.writes.ranges()),
-                (AccessKind::Read, fp.reads.ranges()),
-            ] {
-                for &r in ranges {
-                    let out = shadow.apply(r, kind, t, clock);
-                    self.stats.shadow_ops += out.shadow_ops;
-                    for (extent, info) in out.races {
-                        self.stats.report_race(Race {
-                            target: RaceTarget::Elems(*arr, extent),
-                            info,
-                        });
-                    }
-                }
-            }
-        }
-        // Every footprint was applied; drain the entries (so the
-        // per-thread list does not grow with the number of distinct arrays
-        // ever touched) and recycle the emptied footprints.
-        for (_, mut fp) in per_arr.drain(..) {
-            fp.clear();
-            if self.fp_pool.len() < FP_POOL_MAX {
-                self.fp_pool.push(fp);
-            }
-        }
-    }
-
-    fn sample_space(&mut self) {
-        let mut units: u64 = 0;
-        for o in self.objects.values() {
-            units += o.shadow.space_units() as u64;
-        }
-        for a in self.arrays_fine.values() {
-            units += a.iter().map(VarState::space_units).sum::<usize>() as u64;
-        }
-        for a in self.arrays_adaptive.values() {
-            units += a.space_units() as u64;
-        }
-        for per_arr in &self.footprints {
-            units += per_arr
-                .iter()
-                .map(|(_, fp)| fp.space_units())
-                .sum::<usize>() as u64;
-        }
-        self.stats.observe_space(units);
-    }
-
-    fn on_sync(&mut self, ev: &Event) {
-        // Deferred checks commit *before* the synchronization updates the
-        // clocks, so they run with the clock the accesses happened under.
-        match ev {
-            Event::Acquire { t, lock } => {
-                self.commit_footprints(*t);
-                self.clocks.acquire(*t, *lock);
-            }
-            Event::Release { t, lock } => {
-                self.commit_footprints(*t);
-                self.clocks.release(*t, *lock);
-            }
-            Event::Fork { parent, child } => {
-                self.commit_footprints(*parent);
-                self.clocks.fork(*parent, *child);
-            }
-            Event::Join { parent, child } => {
-                self.commit_footprints(*parent);
-                self.clocks.join(*parent, *child);
-            }
-            Event::ThreadExit { t } => {
-                self.commit_footprints(*t);
-                self.clocks.exit(*t);
-            }
-            Event::VolatileWrite { t, obj, field } => {
-                self.commit_footprints(*t);
-                self.clocks.volatile_write(*t, *obj, *field);
-            }
-            Event::VolatileRead { t, obj, field } => {
-                self.commit_footprints(*t);
-                self.clocks.volatile_read(*t, *obj, *field);
-            }
-            _ => unreachable!("on_sync requires a sync event"),
-        }
-        if self.clocks.sync_ops().is_multiple_of(SPACE_SAMPLE_PERIOD) {
-            self.sample_space();
-        }
+        stats.publish();
+        stats
     }
 }
 
@@ -446,8 +114,8 @@ impl Drop for Detector {
     /// performed here: it can surface new races, and a drop during unwind
     /// must stay infallible.
     fn drop(&mut self) {
-        if !self.finished {
-            bigfoot_obs::count_named("det.events", self.events);
+        if !self.ann.finished {
+            bigfoot_obs::count_named("det.events", self.ann.events);
             bigfoot_vc::path_stats::flush();
         }
     }
@@ -455,67 +123,7 @@ impl Drop for Detector {
 
 impl EventSink for Detector {
     fn event(&mut self, ev: &Event) {
-        self.events += 1;
-        match ev {
-            Event::AllocObj {
-                obj, class, fields, ..
-            } => {
-                let grouping = match self.proxies.grouping(*class) {
-                    Some(g) => Arc::clone(g),
-                    None => {
-                        let n = *fields;
-                        Arc::clone(
-                            self.identity_groupings
-                                .entry(n)
-                                .or_insert_with(|| Arc::new(FieldGrouping::identity(n as usize))),
-                        )
-                    }
-                };
-                let shadow = ObjectShadow::new(grouping.groups);
-                self.objects.insert(*obj, ObjEntry { grouping, shadow });
-            }
-            Event::AllocArr { arr, len, .. } => match self.engine {
-                ArrayEngine::Fine => {
-                    self.arrays_fine
-                        .insert(*arr, vec![VarState::new(); *len as usize]);
-                }
-                ArrayEngine::Footprint => {
-                    self.arrays_adaptive
-                        .insert(*arr, ArrayShadow::new(*len as usize));
-                }
-            },
-            Event::Access { t, kind, loc } => {
-                match kind {
-                    AccessKind::Read => self.stats.reads += 1,
-                    AccessKind::Write => self.stats.writes += 1,
-                }
-                if self.source == CheckSource::RawAccesses {
-                    match loc {
-                        Loc::Field(obj, f) => self.field_check(*t, *obj, &[*f], *kind),
-                        Loc::Elem(arr, i) => {
-                            self.array_check(*t, *arr, ConcreteRange::singleton(*i), *kind)
-                        }
-                    }
-                }
-            }
-            Event::Check { t, paths } => {
-                if self.source == CheckSource::CheckEvents {
-                    for (kind, target) in paths {
-                        match target {
-                            CheckTarget::Fields(obj, idxs) => {
-                                self.field_check(*t, *obj, idxs, *kind)
-                            }
-                            CheckTarget::Range(arr, r) => {
-                                if !r.is_empty() {
-                                    self.array_check(*t, *arr, *r, *kind)
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            sync => self.on_sync(sync),
-        }
+        self.ann.ingest(ev);
     }
 }
 
@@ -523,6 +131,7 @@ impl EventSink for Detector {
 mod tests {
     use super::*;
     use bigfoot_bfj::{parse_program, Interp, SchedPolicy};
+    use std::sync::Arc;
 
     fn run(src: &str, mut det: Detector) -> Stats {
         let p = parse_program(src).expect("parse");

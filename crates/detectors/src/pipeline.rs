@@ -305,7 +305,7 @@ pub fn detect_pipelined<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::ProxyTable;
+    use crate::engine::ProxyTable;
     use bigfoot_bfj::{parse_program, Interp, RecordingSink, SchedPolicy};
 
     const RACY: &str = "

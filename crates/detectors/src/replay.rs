@@ -1,18 +1,17 @@
-//! Parallel sharded trace-replay detection.
+//! Sharded trace replay: the engine's queued transport.
 //!
-//! The serial [`Detector`](crate::Detector) consumes events as the
-//! interpreter produces them. This module replays a *recorded* trace (see
-//! `bigfoot_bfj::trace`) instead, splitting detection into three stages:
+//! The serial [`Detector`](crate::Detector) applies each check the moment
+//! its event arrives. This module replays a *recorded* trace (see
+//! `bigfoot_bfj::trace`) through the same engine (`crate::engine`), with
+//! the shadow work queued per shard so it can run in parallel:
 //!
-//! 1. **Annotate** (serial). Sync events (acquire/release/fork/join/
-//!    volatiles/exit) are run in trace order against [`SyncClocks`], and
-//!    every check — immediate field/fine-array checks as well as the
-//!    deferred footprint commits that fire at each sync — is turned into a
-//!    self-contained work item carrying a snapshot of the acting thread's
-//!    [`VectorClock`] (shared via `Arc`; clocks only change at sync ops,
-//!    so snapshots are cached between them). Items get a global sequence
-//!    number in exactly the order the serial detector would perform the
-//!    corresponding shadow operations.
+//! 1. **Annotate** (serial). The engine's annotator runs the trace in
+//!    order. Its sink, [`ShardQueues`], turns every shadow operation into
+//!    a self-contained work item carrying a snapshot of the acting
+//!    thread's [`VectorClock`] (shared via `Arc`; clocks only change at
+//!    sync ops, so snapshots are cached between them). Check items are
+//!    numbered (`seq`) in the order the annotator emits them, which is
+//!    the order inline application performs them.
 //! 2. **Detect** (parallel). Items route to one of [`SHARDS`] fixed
 //!    logical shards by owning object/array id, so a field group or a
 //!    whole array — including all of an [`ArrayShadow`]'s adaptive
@@ -20,27 +19,26 @@
 //!    workers each own the shards `s % N == w`; because routing is by
 //!    *shard* and not by worker, each shard sees the same item stream in
 //!    the same order for every worker count.
-//! 3. **Merge** (serial). Per-shard race candidates, tagged
-//!    `(seq, intra_item_index)`, are sorted back into global trace order
-//!    and fed through [`Stats::report_race`] — the same deduplication the
-//!    serial detector applies inline — so the final report is
+//! 3. **Merge** (serial). Per-shard race candidates, tagged with their
+//!    item's `seq`, are stably sorted back into global trace order (one
+//!    item's races all come from one shard, in the order it found them)
+//!    and fed through [`Stats::report_race`] — the deduplication the
+//!    inline transport applies as it goes — so the final report is
 //!    **bit-identical** to the serial detector's, at any worker count.
 //!
-//! Shadow space is also reproduced exactly: the annotator emits a probe
-//! item to every shard at each point the serial detector would sample
-//! (every [`SPACE_SAMPLE_PERIOD`] sync ops and at finalization), records
-//! its own footprint-buffer size at that point, and the merge sums the
-//! per-shard measurements per probe.
+//! Shadow space is also reproduced exactly: at each space sample the
+//! queues record the annotator's footprint space and send a probe item
+//! to every shard, and the merge sums the per-shard measurements per
+//! probe.
+//!
+//! [`ArrayShadow`]: bigfoot_shadow::ArrayShadow
 
-use crate::detector::SPACE_SAMPLE_PERIOD;
-use crate::detector::{ArrayEngine, CheckSource, ObjEntry, ProxyTable, FP_POOL_MAX};
-use crate::stats::{Race, RaceTarget, Stats};
-use crate::sync::SyncClocks;
+use crate::engine::{Act, Annotator, ArrayEngine, CheckSource, ItemSink, ProxyTable, ShardState};
+use crate::stats::{Race, Stats};
 use bigfoot_bfj::trace::{read_event, read_header, TraceError};
-use bigfoot_bfj::{ArrId, CheckTarget, ConcreteRange, Event, Loc, ObjId};
-use bigfoot_obs::fx::FxHashMap;
-use bigfoot_shadow::{ArrayShadow, FieldGrouping, Footprint, ObjectShadow, Slab};
-use bigfoot_vc::{AccessKind, Tid, VarState, VectorClock};
+use bigfoot_bfj::{ArrId, ConcreteRange, Event, ObjId};
+use bigfoot_shadow::FieldGrouping;
+use bigfoot_vc::{AccessKind, Tid, VectorClock};
 use std::sync::Arc;
 
 /// Number of fixed logical shards.
@@ -108,8 +106,9 @@ impl Iterator for TraceReader<'_> {
     }
 }
 
-/// Configuration of a replay run: the detector configuration plus the
-/// worker count. Constructors mirror [`Detector`](crate::Detector)'s.
+/// A detector configuration — one row of Fig. 2 — plus the replay worker
+/// count. The five constructors are the one place the rows are spelled
+/// out; [`Detector`](crate::Detector)'s constructors reuse them.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
     /// Where checks come from (raw accesses vs instrumentation).
@@ -174,9 +173,33 @@ impl ReplayConfig {
     }
 }
 
+/// An [`Act`] as queued: the acting thread's clock as an `Arc` snapshot
+/// taken when the annotator read it, plus the check's `seq`.
+#[derive(Clone)]
+pub(crate) struct QueuedAct {
+    seq: u64,
+    t: Tid,
+    kind: AccessKind,
+    clock: Arc<VectorClock>,
+}
+
+impl QueuedAct {
+    fn act(&self) -> Act<'_> {
+        Act {
+            t: self.t,
+            kind: self.kind,
+            clock: &self.clock,
+        }
+    }
+
+    /// The same act up to `seq`, with clocks compared by pointer.
+    pub(crate) fn same_act(&self, other: &QueuedAct) -> bool {
+        self.t == other.t && self.kind == other.kind && Arc::ptr_eq(&self.clock, &other.clock)
+    }
+}
+
 /// One unit of check work, routed to a shard. Items carry everything the
-/// shard needs — in particular an `Arc` snapshot of the acting thread's
-/// clock at the moment the serial detector would have read it.
+/// shard needs.
 #[derive(Clone)]
 pub(crate) enum Item {
     AllocObj {
@@ -190,32 +213,17 @@ pub(crate) enum Item {
     /// A field check over an uncompressed field list (groups are resolved
     /// by the shard, which owns the object's grouping).
     FieldCheck {
-        seq: u64,
+        act: QueuedAct,
         obj: ObjId,
         fields: Vec<u32>,
-        kind: AccessKind,
-        t: Tid,
-        clock: Arc<VectorClock>,
     },
-    /// A fine-grained (per-element) array check.
-    FineRange {
-        seq: u64,
+    /// An array range check: per element under the fine engine; under the
+    /// footprint engine one committed footprint range, whose clock is the
+    /// committing thread's clock *before* the triggering sync updated it.
+    RangeCheck {
+        act: QueuedAct,
         arr: ArrId,
         range: ConcreteRange,
-        kind: AccessKind,
-        t: Tid,
-        clock: Arc<VectorClock>,
-    },
-    /// One committed footprint range against the adaptive shadow. The
-    /// clock is the committing thread's clock *before* the triggering sync
-    /// operation updated it, exactly as in the serial detector.
-    CommitRange {
-        seq: u64,
-        arr: ArrId,
-        range: ConcreteRange,
-        kind: AccessKind,
-        t: Tid,
-        clock: Arc<VectorClock>,
     },
     /// Measure this shard's shadow space (one per global sample point).
     SpaceProbe,
@@ -240,310 +248,160 @@ pub(crate) enum Item {
 struct ShardOutcome {
     items: u64,
     shadow_ops: u64,
-    /// Race candidates tagged with `(global_seq, intra_item_index)`.
-    races: Vec<(u64, u32, Race)>,
+    /// Race candidates tagged with their item's `seq`, in the order found.
+    races: Vec<(u64, Race)>,
     /// Shadow space at each probe point, in clock-entry units.
     probe_spaces: Vec<u64>,
 }
 
-/// Per-shard detection state: exactly the serial detector's shadow stores,
-/// restricted to the objects/arrays that route to this shard. Ids within
-/// shard `s` are `s, s + SHARDS, …`, so strided slabs index by
-/// `id / SHARDS` and stay dense per shard.
-struct ShardState {
-    engine: ArrayEngine,
-    objects: Slab<ObjId, ObjEntry>,
-    arrays_fine: Slab<ArrId, Vec<VarState>>,
-    arrays_adaptive: Slab<ArrId, ArrayShadow>,
-    /// Scratch for proxy-group deduplication in multi-field checks.
-    group_scratch: Vec<u32>,
-    /// `shadow_ops` tally at the last [`Item::MemoBegin`].
-    memo_mark: u64,
-    out: ShardOutcome,
-}
-
-impl ShardState {
-    fn new(engine: ArrayEngine) -> ShardState {
-        ShardState {
-            engine,
-            objects: Slab::with_stride(SHARDS as u32),
-            arrays_fine: Slab::with_stride(SHARDS as u32),
-            arrays_adaptive: Slab::with_stride(SHARDS as u32),
-            group_scratch: Vec::new(),
-            memo_mark: 0,
-            out: ShardOutcome::default(),
-        }
-    }
-
-    fn run(mut self, items: &[Item]) -> ShardOutcome {
-        for item in items {
-            self.out.items += 1;
-            self.apply(item);
-        }
-        // Publish this worker thread's FastTrack path tallies.
-        bigfoot_vc::path_stats::flush();
-        self.out
-    }
-
-    fn apply(&mut self, item: &Item) {
+/// Runs one shard's queued items through a fresh [`ShardState`].
+fn run_shard(engine: ArrayEngine, items: &[Item]) -> ShardOutcome {
+    let mut shard = ShardState::new(engine, SHARDS as u32);
+    let mut out = ShardOutcome::default();
+    // `shadow_ops` tally at the last `MemoBegin`.
+    let mut memo_mark = 0;
+    for item in items {
         match item {
-            Item::AllocObj { obj, grouping } => {
-                let shadow = ObjectShadow::new(grouping.groups);
-                self.objects.insert(
-                    *obj,
-                    ObjEntry {
-                        grouping: Arc::clone(grouping),
-                        shadow,
-                    },
-                );
+            Item::AllocObj { obj, grouping } => shard.alloc_obj(*obj, grouping),
+            Item::AllocArr { arr, len } => shard.alloc_arr(*arr, *len),
+            Item::FieldCheck { act, obj, fields } => {
+                let report = |race| out.races.push((act.seq, race));
+                shard.check_fields(act.act(), *obj, fields, report);
             }
-            Item::AllocArr { arr, len } => match self.engine {
-                ArrayEngine::Fine => {
-                    self.arrays_fine
-                        .insert(*arr, vec![VarState::new(); *len as usize]);
-                }
-                ArrayEngine::Footprint => {
-                    self.arrays_adaptive
-                        .insert(*arr, ArrayShadow::new(*len as usize));
-                }
-            },
-            Item::FieldCheck {
-                seq,
-                obj,
-                fields,
-                kind,
-                t,
-                clock,
-            } => {
-                let Some(entry) = self.objects.get_mut(*obj) else {
-                    return; // unseen allocation: serial detector skips too
-                };
-                if let [f] = fields.as_slice() {
-                    // Single-field fast path: no dedup scratch needed.
-                    let g = entry.grouping.group(*f);
-                    self.out.shadow_ops += 1;
-                    if let Err(info) = entry.shadow.apply(g, *kind, *t, clock) {
-                        self.out.races.push((
-                            *seq,
-                            0,
-                            Race {
-                                target: RaceTarget::Field(*obj, g),
-                                info,
-                            },
-                        ));
-                    }
-                    return;
-                }
-                let groups = &mut self.group_scratch;
-                groups.clear();
-                groups.extend(fields.iter().map(|f| entry.grouping.group(*f)));
-                groups.sort_unstable();
-                groups.dedup();
-                let mut idx = 0u32;
-                for &g in groups.iter() {
-                    self.out.shadow_ops += 1;
-                    if let Err(info) = entry.shadow.apply(g, *kind, *t, clock) {
-                        self.out.races.push((
-                            *seq,
-                            idx,
-                            Race {
-                                target: RaceTarget::Field(*obj, g),
-                                info,
-                            },
-                        ));
-                        idx += 1;
-                    }
-                }
+            Item::RangeCheck { act, arr, range } => {
+                let report = |race| out.races.push((act.seq, race));
+                shard.check_range(act.act(), *arr, *range, report);
             }
-            Item::FineRange {
-                seq,
-                arr,
-                range,
-                kind,
-                t,
-                clock,
-            } => {
-                let Some(states) = self.arrays_fine.get_mut(*arr) else {
-                    return;
-                };
-                let mut idx = 0u32;
-                for i in range.indices() {
-                    if i < 0 || i as usize >= states.len() {
-                        continue;
-                    }
-                    self.out.shadow_ops += 1;
-                    if let Err(info) = states[i as usize].apply(*kind, *t, clock) {
-                        self.out.races.push((
-                            *seq,
-                            idx,
-                            Race {
-                                target: RaceTarget::Elems(*arr, ConcreteRange::singleton(i)),
-                                info,
-                            },
-                        ));
-                        idx += 1;
-                    }
-                }
-            }
-            Item::CommitRange {
-                seq,
-                arr,
-                range,
-                kind,
-                t,
-                clock,
-            } => {
-                let Some(shadow) = self.arrays_adaptive.get_mut(*arr) else {
-                    return;
-                };
-                let outcome = shadow.apply(*range, *kind, *t, clock);
-                self.out.shadow_ops += outcome.shadow_ops;
-                for (idx, (extent, info)) in outcome.races.into_iter().enumerate() {
-                    self.out.races.push((
-                        *seq,
-                        idx as u32,
-                        Race {
-                            target: RaceTarget::Elems(*arr, extent),
-                            info,
-                        },
-                    ));
-                }
-            }
-            Item::MemoBegin => {
-                self.memo_mark = self.out.shadow_ops;
-            }
+            Item::SpaceProbe => out.probe_spaces.push(shard.space()),
+            Item::MemoBegin => memo_mark = shard.shadow_ops,
             Item::MemoScale { times } => {
                 // The bracket since MemoBegin was one rule repetition; its
                 // skipped repetitions perform exactly the same shadow ops
                 // (and only duplicate, already-deduplicated races).
-                let bracket = self.out.shadow_ops - self.memo_mark;
-                self.out.shadow_ops += bracket * times;
-            }
-            Item::SpaceProbe => {
-                let mut units: u64 = 0;
-                for o in self.objects.values() {
-                    units += o.shadow.space_units() as u64;
-                }
-                for a in self.arrays_fine.values() {
-                    units += a.iter().map(VarState::space_units).sum::<usize>() as u64;
-                }
-                for a in self.arrays_adaptive.values() {
-                    units += a.space_units() as u64;
-                }
-                self.out.probe_spaces.push(units);
+                shard.shadow_ops += (shard.shadow_ops - memo_mark) * times;
             }
         }
     }
+    out.items = items.len() as u64;
+    out.shadow_ops = shard.shadow_ops;
+    // Publish this worker thread's FastTrack path tallies.
+    bigfoot_vc::path_stats::flush();
+    out
 }
 
-/// Where the annotator's sequenced items go: the 64 in-memory shard
-/// queues ([`ShardQueues`]), or compressed replay's recording sink,
-/// which forwards to them. Because the annotator routes by *shard*,
-/// per-shard item streams do not depend on the worker count — the root
-/// of the worker-count-invariance argument.
-pub(crate) trait ItemSink {
-    fn item(&mut self, shard: usize, item: Item);
+/// The queued transport: one in-memory item queue per shard, drained by
+/// [`detect_and_merge`]'s scoped workers after the stream ends. Because
+/// items route by *shard*, per-shard streams do not depend on the worker
+/// count — the root of the worker-count-invariance argument.
+pub(crate) struct ShardQueues {
+    pub(crate) queues: Vec<Vec<Item>>,
+    /// `Arc` snapshots of thread clocks (indexed by dense tid), handed out
+    /// unchanged until the annotator reports that the thread's clock
+    /// changed. Compressed replay's probe relies on that pointer identity.
+    snapshots: Vec<Option<Arc<VectorClock>>>,
+    /// The annotator's footprint space at each probe point (the shards
+    /// measure the shadow stores).
+    probe_fp_space: Vec<u64>,
+    /// The next check item's `seq`.
+    next_seq: u64,
+    /// Compressed replay's probe recorder: while armed, every routed item
+    /// is also copied here and `mask` gathers the shards it went to.
+    pub(crate) rec: Option<Vec<(usize, Item)>>,
+    pub(crate) mask: u64,
 }
-
-/// The offline sink: one in-memory queue per shard, drained by
-/// [`detect_and_merge`]'s scoped workers after the stream ends.
-pub(crate) struct ShardQueues(pub(crate) Vec<Vec<Item>>);
 
 impl ShardQueues {
     pub(crate) fn new() -> ShardQueues {
-        ShardQueues((0..SHARDS).map(|_| Vec::new()).collect())
+        ShardQueues {
+            queues: (0..SHARDS).map(|_| Vec::new()).collect(),
+            snapshots: Vec::new(),
+            probe_fp_space: Vec::new(),
+            next_seq: 0,
+            rec: None,
+            mask: 0,
+        }
+    }
+
+    #[inline]
+    fn route(&mut self, shard: usize, item: Item) {
+        if self.rec.is_some() {
+            self.record(shard, &item);
+        }
+        self.queues[shard].push(item);
+    }
+
+    /// Kept out of line so the plain replay path pays one branch for it.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, shard: usize, item: &Item) {
+        if let Some(rec) = &mut self.rec {
+            self.mask |= 1u64 << shard;
+            rec.push((shard, item.clone()));
+        }
+    }
+
+    /// Numbers the next check and snapshots its clock.
+    #[inline]
+    fn queue_act(&mut self, act: Act<'_>) -> QueuedAct {
+        let clock = match self.snapshots.get(act.t.index()) {
+            Some(Some(clock)) => Arc::clone(clock),
+            _ => self.snapshot(act),
+        };
+        self.next_seq += 1;
+        QueuedAct {
+            seq: self.next_seq - 1,
+            t: act.t,
+            kind: act.kind,
+            clock,
+        }
+    }
+
+    /// Caches a fresh snapshot of the acting thread's clock.
+    #[cold]
+    fn snapshot(&mut self, act: Act<'_>) -> Arc<VectorClock> {
+        let ti = act.t.index();
+        if self.snapshots.len() <= ti {
+            self.snapshots.resize(ti + 1, None);
+        }
+        Arc::clone(self.snapshots[ti].insert(Arc::new(act.clock.clone())))
     }
 }
 
 impl ItemSink for ShardQueues {
+    fn alloc_obj(&mut self, obj: ObjId, grouping: &Arc<FieldGrouping>) {
+        let grouping = Arc::clone(grouping);
+        self.route(obj_shard(obj), Item::AllocObj { obj, grouping });
+    }
+
+    fn alloc_arr(&mut self, arr: ArrId, len: u64) {
+        self.route(arr_shard(arr), Item::AllocArr { arr, len });
+    }
+
     #[inline]
-    fn item(&mut self, shard: usize, item: Item) {
-        self.0[shard].push(item);
+    fn check_fields(&mut self, act: Act<'_>, obj: ObjId, fields: &[u32], _: &mut Stats) {
+        let item = Item::FieldCheck {
+            act: self.queue_act(act),
+            obj,
+            fields: fields.to_vec(),
+        };
+        self.route(obj_shard(obj), item);
     }
-}
 
-/// The serial clock-annotation pass: mirrors the serial detector's control
-/// flow exactly, but instead of touching shadow state it emits sequenced
-/// work items into an [`ItemSink`].
-pub(crate) struct Annotator<S> {
-    source: CheckSource,
-    engine: ArrayEngine,
-    proxies: ProxyTable,
-    clocks: SyncClocks,
-    /// Cached `Arc` snapshots of thread clocks (indexed by dense tid),
-    /// invalidated when a sync operation changes the thread's clock.
-    snapshots: Vec<Option<Arc<VectorClock>>>,
-    /// Mirror of the serial detector's pending footprints (dense tid index,
-    /// same insertion order), so commits drain identical coalesced ranges.
-    /// `pub(crate)` so compressed replay can probe and extrapolate them.
-    pub(crate) footprints: Vec<Vec<(ArrId, Footprint)>>,
-    /// Drained footprints recycled across commit spans.
-    fp_pool: Vec<Footprint>,
-    /// Identity groupings shared per field count, as in the serial detector.
-    identity_groupings: FxHashMap<u32, Arc<FieldGrouping>>,
-    pub(crate) sink: S,
-    next_seq: u64,
-    /// Footprint-buffer space at each probe point (the shards measure the
-    /// shadow maps; the annotator owns the footprints).
-    probe_fp_space: Vec<u64>,
-    /// Events processed, flushed to `det.events` at finalization (mirrors
-    /// the serial detector's aggregate-then-flush counting).
-    pub(crate) events: u64,
-    pub(crate) stats: Stats,
-    finished: bool,
-}
-
-impl Annotator<ShardQueues> {
-    fn new(config: &ReplayConfig) -> Annotator<ShardQueues> {
-        Annotator::with_sink(config, ShardQueues::new())
+    #[inline]
+    fn check_range(&mut self, act: Act<'_>, arr: ArrId, range: ConcreteRange, _: &mut Stats) {
+        let item = Item::RangeCheck {
+            act: self.queue_act(act),
+            arr,
+            range,
+        };
+        self.route(arr_shard(arr), item);
     }
-}
 
-impl<S: ItemSink> Annotator<S> {
-    pub(crate) fn with_sink(config: &ReplayConfig, sink: S) -> Annotator<S> {
-        Annotator {
-            source: config.source,
-            engine: config.engine,
-            proxies: config.proxies.clone(),
-            clocks: SyncClocks::new(),
-            snapshots: Vec::new(),
-            footprints: Vec::new(),
-            fp_pool: Vec::new(),
-            identity_groupings: FxHashMap::default(),
-            sink,
-            next_seq: 0,
-            probe_fp_space: Vec::new(),
-            events: 0,
-            stats: Stats::default(),
-            finished: false,
+    fn space_probe(&mut self, footprint_units: u64, _: &mut Stats) {
+        self.probe_fp_space.push(footprint_units);
+        for s in 0..SHARDS {
+            self.route(s, Item::SpaceProbe);
         }
-    }
-
-    /// Tears the finalized annotator apart for stage 2/3: the sink
-    /// (whatever it buffered or routed), the per-probe footprint space,
-    /// and the running stats the merge completes.
-    pub(crate) fn into_parts(self) -> (ArrayEngine, S, Vec<u64>, Stats) {
-        debug_assert!(self.finished, "finalize before consuming the annotator");
-        (self.engine, self.sink, self.probe_fp_space, self.stats)
-    }
-
-    fn seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
-    }
-
-    /// The acting thread's current clock as a shared snapshot.
-    fn snapshot(&mut self, t: Tid) -> Arc<VectorClock> {
-        if let Some(Some(c)) = self.snapshots.get(t.index()) {
-            return c.clone();
-        }
-        let c = Arc::new(self.clocks.clock(t).clone());
-        if self.snapshots.len() <= t.index() {
-            self.snapshots.resize(t.index() + 1, None);
-        }
-        self.snapshots[t.index()] = Some(c.clone());
-        c
     }
 
     fn invalidate(&mut self, t: Tid) {
@@ -551,271 +409,30 @@ impl<S: ItemSink> Annotator<S> {
             *slot = None;
         }
     }
-
-    fn field_check(&mut self, t: Tid, obj: ObjId, fields: &[u32], kind: AccessKind) {
-        self.stats.checks += 1;
-        self.stats.field_checks += 1;
-        let seq = self.seq();
-        let clock = self.snapshot(t);
-        self.sink.item(
-            obj_shard(obj),
-            Item::FieldCheck {
-                seq,
-                obj,
-                fields: fields.to_vec(),
-                kind,
-                t,
-                clock,
-            },
-        );
-    }
-
-    fn array_check(&mut self, t: Tid, arr: ArrId, range: ConcreteRange, kind: AccessKind) {
-        self.stats.checks += 1;
-        self.stats.array_checks += 1;
-        match self.engine {
-            ArrayEngine::Fine => {
-                let seq = self.seq();
-                let clock = self.snapshot(t);
-                self.sink.item(
-                    arr_shard(arr),
-                    Item::FineRange {
-                        seq,
-                        arr,
-                        range,
-                        kind,
-                        t,
-                        clock,
-                    },
-                );
-            }
-            ArrayEngine::Footprint => {
-                self.stats.footprint_ops += 1;
-                let ti = t.index();
-                if self.footprints.len() <= ti {
-                    self.footprints.resize_with(ti + 1, Vec::new);
-                }
-                let per_thread = &mut self.footprints[ti];
-                match per_thread.iter_mut().find(|(a, _)| *a == arr) {
-                    Some((_, fp)) => fp.add(kind, range),
-                    None => {
-                        let mut fp = self.fp_pool.pop().unwrap_or_default();
-                        fp.add(kind, range);
-                        per_thread.push((arr, fp));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains thread `t`'s pending footprints into sequenced commit items,
-    /// in the serial detector's exact order: per-array insertion order,
-    /// writes before reads, ranges in coalesced order. Uses `t`'s clock
-    /// *before* the triggering sync op updates it.
-    fn commit_footprints(&mut self, t: Tid) {
-        if self.footprints.get(t.index()).is_none_or(Vec::is_empty) {
-            return;
-        }
-        let clock = self.snapshot(t);
-        let per_arr = &mut self.footprints[t.index()];
-        for (arr, fp) in per_arr.iter_mut() {
-            if fp.is_empty() {
-                continue;
-            }
-            for (kind, ranges) in [
-                (AccessKind::Write, fp.writes.ranges()),
-                (AccessKind::Read, fp.reads.ranges()),
-            ] {
-                for &range in ranges {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.sink.item(
-                        arr_shard(*arr),
-                        Item::CommitRange {
-                            seq,
-                            arr: *arr,
-                            range,
-                            kind,
-                            t,
-                            clock: clock.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        // Drain and recycle exactly as the serial detector does.
-        for (_, mut fp) in per_arr.drain(..) {
-            fp.clear();
-            if self.fp_pool.len() < FP_POOL_MAX {
-                self.fp_pool.push(fp);
-            }
-        }
-    }
-
-    /// Records a global space-sample point: footprint space here, shadow
-    /// space in every shard.
-    fn probe_space(&mut self) {
-        let fp: u64 = self
-            .footprints
-            .iter()
-            .map(|per_arr| {
-                per_arr
-                    .iter()
-                    .map(|(_, fp)| fp.space_units())
-                    .sum::<usize>() as u64
-            })
-            .sum();
-        self.probe_fp_space.push(fp);
-        for s in 0..SHARDS {
-            self.sink.item(s, Item::SpaceProbe);
-        }
-    }
-
-    fn on_sync(&mut self, ev: &Event) {
-        // Commit before the sync updates the clocks, as in the serial
-        // detector; invalidate snapshots of every thread the op touches.
-        match ev {
-            Event::Acquire { t, lock } => {
-                self.commit_footprints(*t);
-                self.clocks.acquire(*t, *lock);
-                self.invalidate(*t);
-            }
-            Event::Release { t, lock } => {
-                self.commit_footprints(*t);
-                self.clocks.release(*t, *lock);
-                self.invalidate(*t);
-            }
-            Event::Fork { parent, child } => {
-                self.commit_footprints(*parent);
-                self.clocks.fork(*parent, *child);
-                self.invalidate(*parent);
-                self.invalidate(*child);
-            }
-            Event::Join { parent, child } => {
-                self.commit_footprints(*parent);
-                self.clocks.join(*parent, *child);
-                self.invalidate(*parent);
-            }
-            Event::ThreadExit { t } => {
-                self.commit_footprints(*t);
-                self.clocks.exit(*t);
-            }
-            Event::VolatileWrite { t, obj, field } => {
-                self.commit_footprints(*t);
-                self.clocks.volatile_write(*t, *obj, *field);
-                self.invalidate(*t);
-            }
-            Event::VolatileRead { t, obj, field } => {
-                self.commit_footprints(*t);
-                self.clocks.volatile_read(*t, *obj, *field);
-                self.invalidate(*t);
-            }
-            _ => unreachable!("on_sync requires a sync event"),
-        }
-        if self.clocks.sync_ops().is_multiple_of(SPACE_SAMPLE_PERIOD) {
-            self.probe_space();
-        }
-    }
-
-    pub(crate) fn ingest(&mut self, ev: &Event) {
-        self.events += 1;
-        match ev {
-            Event::AllocObj {
-                obj, class, fields, ..
-            } => {
-                let grouping = match self.proxies.grouping(*class) {
-                    Some(g) => Arc::clone(g),
-                    None => {
-                        let n = *fields;
-                        Arc::clone(
-                            self.identity_groupings
-                                .entry(n)
-                                .or_insert_with(|| Arc::new(FieldGrouping::identity(n as usize))),
-                        )
-                    }
-                };
-                self.sink.item(
-                    obj_shard(*obj),
-                    Item::AllocObj {
-                        obj: *obj,
-                        grouping,
-                    },
-                );
-            }
-            Event::AllocArr { arr, len, .. } => {
-                self.sink.item(
-                    arr_shard(*arr),
-                    Item::AllocArr {
-                        arr: *arr,
-                        len: *len,
-                    },
-                );
-            }
-            Event::Access { t, kind, loc } => {
-                match kind {
-                    AccessKind::Read => self.stats.reads += 1,
-                    AccessKind::Write => self.stats.writes += 1,
-                }
-                if self.source == CheckSource::RawAccesses {
-                    match loc {
-                        Loc::Field(obj, f) => self.field_check(*t, *obj, &[*f], *kind),
-                        Loc::Elem(arr, i) => {
-                            self.array_check(*t, *arr, ConcreteRange::singleton(*i), *kind)
-                        }
-                    }
-                }
-            }
-            Event::Check { t, paths } => {
-                if self.source == CheckSource::CheckEvents {
-                    for (kind, target) in paths {
-                        match target {
-                            CheckTarget::Fields(obj, idxs) => {
-                                self.field_check(*t, *obj, idxs, *kind)
-                            }
-                            CheckTarget::Range(arr, r) => {
-                                if !r.is_empty() {
-                                    self.array_check(*t, *arr, *r, *kind)
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            sync => self.on_sync(sync),
-        }
-    }
-
-    /// Final commits (sorted-tid order, matching the serial detector's
-    /// finalize) and the final space sample.
-    pub(crate) fn finalize(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        // Ascending dense-tid order is exactly the serial detector's
-        // sorted-tid final-commit order.
-        for ti in 0..self.footprints.len() {
-            self.commit_footprints(Tid(ti as u32));
-        }
-        self.probe_space();
-        self.stats.sync_ops = self.clocks.sync_ops();
-        bigfoot_obs::count_named("det.events", self.events);
-    }
 }
 
-/// Stage 3: sort per-shard race candidates back into global
-/// `(seq, intra_item_index)` order, feed them through
-/// [`Stats::report_race`]'s inline deduplication, and sum the per-shard
-/// space probes — producing stats bit-identical to the serial
-/// detector's, however the shards were executed.
+/// An annotator feeding fresh shard queues.
+pub(crate) fn queued_annotator(config: &ReplayConfig) -> Annotator<ShardQueues> {
+    Annotator::new(
+        config.source,
+        config.engine,
+        config.proxies.clone(),
+        ShardQueues::new(),
+    )
+}
+
+/// Stage 3: stably sort per-shard race candidates back into global `seq`
+/// order, feed them through [`Stats::report_race`]'s deduplication, and
+/// sum the per-shard space probes — producing stats bit-identical to the
+/// inline transport's, however the shards were executed.
 fn merge_outcomes(mut stats: Stats, probe_fp_space: &[u64], outcomes: &[ShardOutcome]) -> Stats {
-    let mut candidates: Vec<(u64, u32, Race)> = Vec::new();
+    let mut candidates: Vec<(u64, Race)> = Vec::new();
     for o in outcomes {
         stats.shadow_ops += o.shadow_ops;
-        candidates.extend(o.races.iter().map(|(s, i, r)| (*s, *i, r.clone())));
+        candidates.extend(o.races.iter().cloned());
     }
-    candidates.sort_by_key(|(seq, idx, _)| (*seq, *idx));
-    for (_, _, race) in candidates {
+    candidates.sort_by_key(|(seq, _)| *seq);
+    for (_, race) in candidates {
         stats.report_race(race);
     }
     for (k, fp_space) in probe_fp_space.iter().enumerate() {
@@ -826,24 +443,21 @@ fn merge_outcomes(mut stats: Stats, probe_fp_space: &[u64], outcomes: &[ShardOut
     stats
 }
 
-/// Stages 2 and 3 of [`replay_trace`]: parallel sharded detection over
-/// the annotator's queues, then the deterministic seq-ordered merge. The
-/// annotator must be finalized.
-fn detect_and_merge(annotator: Annotator<ShardQueues>, num_workers: usize) -> Stats {
-    let (engine, ShardQueues(queues), probe_fp_space, stats) = annotator.into_parts();
-    detect_and_merge_parts(engine, queues, probe_fp_space, stats, num_workers)
-}
-
-/// [`detect_and_merge`] with the annotator already torn apart — shared
-/// with compressed replay (`crate::creplay`), whose annotator wraps the
-/// shard queues in a recording sink.
-pub(crate) fn detect_and_merge_parts(
+/// Stages 2 and 3: parallel sharded detection over a finalized
+/// annotator's queues, then the deterministic seq-ordered merge. Shared
+/// with compressed replay (`crate::creplay`).
+pub(crate) fn detect_and_merge(
+    annotator: Annotator<ShardQueues>,
     engine: ArrayEngine,
-    queues: Vec<Vec<Item>>,
-    probe_fp_space: Vec<u64>,
-    stats: Stats,
     num_workers: usize,
 ) -> Stats {
+    debug_assert!(annotator.finished, "finalize before detection");
+    let ShardQueues {
+        queues,
+        probe_fp_space,
+        ..
+    } = annotator.sink;
+    let stats = annotator.stats;
     // Stage 2: parallel sharded detection. Worker `w` owns the shards
     // `s % workers == w`; shard streams are identical at any worker count.
     let workers = num_workers.clamp(1, SHARDS);
@@ -852,7 +466,7 @@ pub(crate) fn detect_and_merge_parts(
         if workers == 1 {
             queues
                 .iter()
-                .map(|items| ShardState::new(engine).run(items))
+                .map(|items| run_shard(engine, items))
                 .collect()
         } else {
             let mut outcomes: Vec<Option<ShardOutcome>> = (0..SHARDS).map(|_| None).collect();
@@ -873,7 +487,7 @@ pub(crate) fn detect_and_merge_parts(
                             let traced = bigfoot_obs::trace::enabled() && !queues[s].is_empty();
                             let _shard_span =
                                 traced.then(|| bigfoot_obs::trace_span!("replay.shard"));
-                            owned.push((s, ShardState::new(engine).run(&queues[s])));
+                            owned.push((s, run_shard(engine, &queues[s])));
                             s += workers;
                         }
                         owned
@@ -947,7 +561,7 @@ pub(crate) fn detect_and_merge_parts(
 /// ```
 pub fn replay_trace(bytes: &[u8], config: &ReplayConfig) -> Result<Stats, TraceError> {
     // Stage 1: serial clock annotation.
-    let mut annotator = Annotator::new(config);
+    let mut annotator = queued_annotator(config);
     {
         let _span = bigfoot_obs::span!("replay.annotate");
         let mut pos = read_header(bytes)?;
@@ -956,7 +570,7 @@ pub fn replay_trace(bytes: &[u8], config: &ReplayConfig) -> Result<Stats, TraceE
         }
         annotator.finalize();
     }
-    Ok(detect_and_merge(annotator, config.workers))
+    Ok(detect_and_merge(annotator, config.engine, config.workers))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The differential oracles.
 //!
-//! Every case runs through five independent cross-checks, each of which
+//! Every case runs through seven independent cross-checks, each of which
 //! has a ground truth the others don't:
 //!
 //! * **round-trip** — the binary trace codec must be lossless: decoding
@@ -19,15 +19,21 @@
 //!   BigFoot checks only at them). Comparing two separate executions
 //!   would be unsound — the original and instrumented programs interleave
 //!   differently under a randomized scheduler, and a racy program's
-//!   verdict may legitimately differ between schedules.
+//!   verdict may legitimately differ between schedules. FastTrack, the
+//!   ground truth here, is itself held to the independent DJIT+ detector:
+//!   same racy locations on the unoptimized trace.
 //! * **replay** — the sharded parallel replay engine must be bit-identical
 //!   to serial detection at every worker count, for both the unoptimized
-//!   and the optimized placement.
+//!   and the optimized placement. Both run the same engine (annotator and
+//!   shard state); what this checks is the queued transport — owned
+//!   items, per-shard queues and the `seq` merge — against applying each
+//!   check inline.
 //! * **compressed** — the grammar-compressed trace layer must be
 //!   invisible: the `BFTC` container must round-trip to the exact `BFTR`
 //!   bytes, and detection directly on the compressed form (with rule
 //!   memoization) must be byte-identical to serial detection, for both
-//!   placements at every worker count.
+//!   placements at every worker count. Like replay, it checks the
+//!   queued transport and the `seq` merge against inline application.
 //! * **incremental** — the persistent placement cache must be invisible:
 //!   a cold incremental run must equal direct instrumentation, and after
 //!   a deterministic single-method mutation (derived from the case), a
@@ -489,6 +495,21 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
             ),
         ));
     }
+    // FastTrack's own verdict is the ground truth above, so hold it to
+    // the independent DJIT+ reference (both are precise) on the
+    // unoptimized trace.
+    let ft_truth = serial(&ft_events, Detector::fasttrack());
+    let djit_truth = serial_djit(&ft_events);
+    if ft_truth.racy_locations() != djit_truth.racy_locations() {
+        return Some(Divergence::new(
+            OracleKind::Placement,
+            format!(
+                "fasttrack sees races at {:?}, djit+ at {:?}",
+                ft_truth.racy_locations(),
+                djit_truth.racy_locations()
+            ),
+        ));
+    }
 
     // The persistent placement cache must be invisible: cold incremental
     // == direct instrumentation, and a warm replay after a deterministic
@@ -499,7 +520,6 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
     }
 
     bigfoot_obs::count!("fuzz.oracle.replay");
-    let ft_truth = serial(&ft_events, Detector::fasttrack());
     for workers in REPLAY_WORKERS {
         if let Some(d) = replay_matches(
             "unoptimized",
@@ -592,12 +612,8 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
         },
         DjitDetector::new(),
     );
-    if let Some(d) = pipelined_matches(
-        "unoptimized",
-        "pipelined djit",
-        &got.finish(),
-        &serial_djit(&ft_events),
-    ) {
+    if let Some(d) = pipelined_matches("unoptimized", "pipelined djit", &got.finish(), &djit_truth)
+    {
         return Some(d);
     }
     None

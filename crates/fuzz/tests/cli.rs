@@ -250,3 +250,86 @@ fn every_detector_flag_works() {
         );
     }
 }
+
+/// Records `main { a = new_array(4); a[0] = 1; }` with `--record-out` and
+/// returns the raw (`BFTR`) or compressed (`BFTC`) trace bytes plus the
+/// offset of the array allocation's length byte.
+fn recorded_small_array(compressed: bool) -> (Vec<u8>, usize) {
+    let src = write_program("small_array.bfj", "main { a = new_array(4); a[0] = 1; }");
+    let (name, len_at) = if compressed {
+        // Header, one-byte dictionary count, then the allocation event.
+        ("small_array.bftc", 9)
+    } else {
+        ("small_array.bftr", 8)
+    };
+    let trace = std::env::temp_dir().join("bfc-cli-tests").join(name);
+    let trace = trace.to_string_lossy().into_owned();
+    let mut args = vec!["check", &src, "--record-out", &trace];
+    if compressed {
+        args.push("--compress-trace");
+    }
+    assert_eq!(bfc(&args).status.code(), Some(0));
+    let bytes = std::fs::read(&trace).unwrap();
+    // TAG_ALLOC_ARR, thread 0, array 0, length 4.
+    assert_eq!(
+        bytes[len_at - 3..=len_at],
+        [1, 0, 0, 4],
+        "{name}: {bytes:?}"
+    );
+    (bytes, len_at)
+}
+
+#[test]
+fn oversized_array_traces_are_a_typed_error_not_an_abort() {
+    let detectors = ["bigfoot", "fasttrack", "redcard", "slimstate", "slimcard"];
+    for compressed in [false, true] {
+        let (bytes, len_at) = recorded_small_array(compressed);
+        let path = |tag: &str| {
+            let ext = if compressed { "bftc" } else { "bftr" };
+            let p = std::env::temp_dir()
+                .join("bfc-cli-tests")
+                .join(format!("{tag}.{ext}"));
+            p.to_string_lossy().into_owned()
+        };
+        let replay = |file: &str, det: &str| bfc(&["replay", file, "--detector", det]);
+
+        // The untouched recording replays cleanly; a truncated one is a
+        // typed error (exit 2) — and so is an impossible array length.
+        let intact = path("intact");
+        std::fs::write(&intact, &bytes).unwrap();
+        let cut = path("cut");
+        std::fs::write(&cut, &bytes[..bytes.len() - 1]).unwrap();
+        for det in detectors {
+            assert_eq!(replay(&intact, det).status.code(), Some(0), "{det}");
+            assert_eq!(replay(&cut, det).status.code(), Some(2), "{det}");
+        }
+        for len in [1u64 << 40, u64::MAX] {
+            let mut huge = Vec::new();
+            let mut v = len;
+            loop {
+                let b = (v & 0x7f) as u8;
+                v >>= 7;
+                if v == 0 {
+                    huge.push(b);
+                    break;
+                }
+                huge.push(b | 0x80);
+            }
+            let mut bad = bytes.clone();
+            bad.splice(len_at..=len_at, huge);
+            let file = path(&format!("huge{len}"));
+            std::fs::write(&file, &bad).unwrap();
+            for det in detectors {
+                let out = replay(&file, det);
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{file} {det}: {err}");
+                assert!(
+                    err.contains(&format!("array length {len}"))
+                        && err.contains("exceeds the limit"),
+                    "{file} {det}: {err}"
+                );
+                assert!(!err.contains("usage:"), "{file} {det}: {err}");
+            }
+        }
+    }
+}
