@@ -1,33 +1,24 @@
 //! The register-bytecode virtual machine.
 //!
 //! [`CompiledVm`] mirrors [`Interp`](crate::Interp)'s public surface and
-//! — deliberately, line for line — its green-thread scheduler: the same
-//! quantum accounting, the same xorshift64* generator and Lemire
-//! `rand_below` rejection loop drawn in the same sequence, the same
-//! `wake_blocked` scan order and deadlock/step-limit behavior. One
-//! bytecode instruction is one scheduler step, so a compiled execution
-//! is the *same* execution as the interpreted one; only the cost per
-//! step changes (slot indexing instead of `HashMap` hashing, pre-bound
-//! field/method tables instead of name lookups, flat register ops
-//! instead of `Box<Expr>` recursion).
+//! runs on the same scheduler, [`crate::sched`]: the thread and lock
+//! tables, the RNG, quantum accounting, wake order, deadlock and
+//! step-limit handling, and every monitor and thread-table operation are
+//! shared code. One bytecode instruction is one scheduler step, so a
+//! compiled execution is the *same* execution as the interpreted one; only
+//! the cost per step changes (slot indexing instead of `HashMap` hashing,
+//! pre-bound field/method tables instead of name lookups, flat register
+//! ops instead of `Box<Expr>` recursion).
 
 use super::lower::{
     CExpr, CPath, CallTarget, CompiledMethod, CompiledProgram, EOp, ExprId, Instr, Operand, SlotId,
 };
 use crate::ast::{Binop, Unop};
 use crate::event::{CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId};
-use crate::interp::{as_bool, as_int, Env, Heap, RunOutcome, RuntimeError, SchedPolicy, Value};
+use crate::interp::{as_bool, as_int, Env, Heap, RunOutcome, RuntimeError, Value};
+use crate::sched::{self, Sched, SchedPolicy, Stepper};
 use crate::sym::Sym;
 use bigfoot_vc::{AccessKind, Tid};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Runnable,
-    BlockedLock(ObjId),
-    BlockedJoin(Tid),
-    WaitingNotify(ObjId),
-    Done,
-}
 
 /// One activation record: resolved slots instead of a `HashMap` env, a
 /// pc instead of a work stack.
@@ -153,28 +144,6 @@ fn slot_type_error(
     ))
 }
 
-struct VmThread {
-    frames: Vec<VmFrame>,
-    status: Status,
-}
-
-#[derive(Debug, Default, Clone)]
-struct VmLock {
-    owner: Option<Tid>,
-    count: u32,
-}
-
-/// Dense lock table keyed by `ObjId` (object ids are allocation-ordered
-/// and dense, so a `Vec` replaces the interpreter's `HashMap`).
-#[inline]
-fn lock_mut(locks: &mut Vec<VmLock>, obj: ObjId) -> &mut VmLock {
-    let i = obj.0 as usize;
-    if i >= locks.len() {
-        locks.resize(i + 1, VmLock::default());
-    }
-    &mut locks[i]
-}
-
 /// How a [`CompiledVm::run_slice`] inner dispatch loop ended: the arms
 /// that mutate the frame stack hand the mutation out here so it runs
 /// once the top-frame borrow is dead.
@@ -183,7 +152,7 @@ enum SliceExit {
     Call(VmFrame),
     /// `ret`: pop the top frame; it returned this value.
     Ret(Value),
-    /// An instruction the scheduler must run via [`CompiledVm::step`].
+    /// An instruction the scheduler must run via [`Stepper::step`].
     Cold,
 }
 
@@ -204,32 +173,13 @@ enum SliceExit {
 pub struct CompiledVm<'p> {
     prog: &'p CompiledProgram,
     heap: Heap,
-    threads: Vec<VmThread>,
+    /// Each thread's call stack.
+    threads: Vec<Vec<VmFrame>>,
     final_envs: Vec<Option<Env>>,
-    locks: Vec<VmLock>,
-    policy: SchedPolicy,
-    rng: u64,
-    steps: u64,
-    max_steps: u64,
+    sched: Sched,
     /// Shared scratch register file for `CExpr::Ops` (green threads:
     /// only one thread evaluates at a time).
     regs: Vec<Value>,
-    /// Threads not yet `Done`. The run loop terminates on `live == 0`,
-    /// which is exactly the interpreter's all-`Done` scan without paying
-    /// O(threads) per step.
-    live: usize,
-    /// Threads in `BlockedLock` — they wake on *lock-state* changes, so
-    /// while any exist, lock instructions must run one per scheduler
-    /// step (the per-step `wake_blocked` timing is observable) and the
-    /// slice executor refuses them.
-    blocked_lock: usize,
-    /// Threads in `BlockedJoin` — they wake only on `Done` transitions,
-    /// which always end a slice, so they don't restrict the slice.
-    /// `wake_blocked` can act exactly on these two statuses: when both
-    /// counters are zero the scan is a no-op and the run loop skips it;
-    /// the scan *order* is unchanged whenever it does run, keeping
-    /// scheduling byte-identical.
-    blocked_join: usize,
     /// Recycled frames: `call` pops one here instead of allocating its
     /// slot arrays, and `ret` pushes the popped frame back, keeping
     /// steady-state method calls allocation-free.
@@ -240,34 +190,20 @@ impl<'p> CompiledVm<'p> {
     /// Creates a VM positioned at the start of `main`.
     pub fn new(prog: &'p CompiledProgram, policy: SchedPolicy) -> Self {
         let root = VmFrame::fresh(0, &prog.methods[0], None);
-        let seed = match policy {
-            SchedPolicy::Random { seed, .. } => seed | 1,
-            _ => 0x9E3779B97F4A7C15,
-        };
         CompiledVm {
             prog,
             heap: Heap::default(),
-            threads: vec![VmThread {
-                frames: vec![root],
-                status: Status::Runnable,
-            }],
+            threads: vec![vec![root]],
             final_envs: vec![None],
-            locks: Vec::new(),
-            policy,
-            rng: seed,
-            steps: 0,
-            max_steps: u64::MAX,
+            sched: Sched::new(policy),
             regs: vec![Value::Int(0); prog.max_regs as usize],
-            live: 1,
-            blocked_lock: 0,
-            blocked_join: 0,
             pool: Vec::new(),
         }
     }
 
     /// Caps the number of VM steps; exceeding it is an error.
     pub fn with_max_steps(mut self, max: u64) -> Self {
-        self.max_steps = max;
+        self.sched.set_max_steps(max);
         self
     }
 
@@ -283,30 +219,6 @@ impl<'p> CompiledVm<'p> {
         self.final_envs.get(t.index())?.as_ref()
     }
 
-    fn rand(&mut self) -> u64 {
-        // xorshift64* — must match the interpreter bit for bit.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn rand_below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        let mut m = self.rand() as u128 * n as u128;
-        let mut lo = m as u64;
-        if lo < n {
-            let threshold = n.wrapping_neg() % n;
-            while lo < threshold {
-                m = self.rand() as u128 * n as u128;
-                lo = m as u64;
-            }
-        }
-        (m >> 64) as u64
-    }
-
     /// Runs the program to completion, streaming events into `sink`.
     ///
     /// # Errors
@@ -317,197 +229,40 @@ impl<'p> CompiledVm<'p> {
     /// same event prefix, as the interpreter would.
     pub fn run<S: EventSink>(&mut self, sink: &mut S) -> Result<RunOutcome, RuntimeError> {
         let _trace = bigfoot_obs::trace_span!("vm.run");
-        let mut current = 0usize;
-        let mut quantum_left = self.quantum();
-        let mut context_switches = 0u64;
-        let round_robin = matches!(self.policy, SchedPolicy::RoundRobin { .. });
-        let run_result = loop {
-            // `wake_blocked` only acts on `BlockedLock`/`BlockedJoin`
-            // threads and the all-`Done` scan is `live == 0`, so both
-            // per-step scans reduce to counter tests on the hot path.
-            if self.blocked_lock + self.blocked_join > 0 {
-                self.wake_blocked();
-            }
-            if self.live == 0 {
-                break Ok(());
-            }
-            if self.threads[current].status != Status::Runnable || quantum_left == 0 {
-                let next = match self.pick_next(current) {
-                    Ok(n) => n,
-                    Err(e) => break Err(e),
-                };
-                if next != current {
-                    context_switches += 1;
-                    bigfoot_obs::trace_instant!("vm.switch");
-                }
-                current = next;
-                quantum_left = self.quantum();
-            }
-            // Burn the quantum in one slice of single-thread
-            // instructions (round-robin draws no randomness per step,
-            // so skipping the per-step scheduler bookkeeping is
-            // invisible). A step that needs the full machine — or a
-            // slice error — falls through to the general
-            // one-instruction path below.
-            if round_robin {
-                let lock_ok = self.blocked_lock == 0;
-                let limit_budget = self.max_steps.saturating_sub(self.steps).saturating_add(1);
-                let (executed, slice) = self.run_slice(
-                    Tid(current as u32),
-                    quantum_left.min(limit_budget),
-                    lock_ok,
-                    sink,
-                );
-                self.steps += executed;
-                quantum_left -= executed;
-                if let Err(e) = slice {
-                    break Err(e);
-                }
-                if self.steps > self.max_steps {
-                    break Err(RuntimeError::StepLimitExceeded(self.max_steps));
-                }
-                // A root `ret` inside the slice retires the thread: go
-                // wake its joiners and pick the next one instead of
-                // handing a `Done` thread to `step`.
-                if quantum_left == 0 || self.threads[current].status != Status::Runnable {
-                    continue;
-                }
-            }
-            if let Err(e) = self.step(Tid(current as u32), sink) {
-                break Err(e);
-            }
-            self.steps += 1;
-            if self.steps > self.max_steps {
-                break Err(RuntimeError::StepLimitExceeded(self.max_steps));
-            }
-            quantum_left -= 1;
-            if let SchedPolicy::Random { switch_inv, .. } = self.policy {
-                if switch_inv <= 1 || self.rand_below(switch_inv as u64) == 0 {
-                    quantum_left = 0;
-                }
-            }
-        };
+        let result = sched::run(self, sink);
         bigfoot_obs::count!("vm.runs");
-        bigfoot_obs::count!("vm.steps", self.steps);
-        bigfoot_obs::count!("vm.context_switches", context_switches);
-        bigfoot_obs::count!("vm.threads", self.threads.len());
-        run_result?;
-        Ok(RunOutcome {
-            steps: self.steps,
-            threads: self.threads.len(),
-            heap_cells: self.heap.cells,
-        })
-    }
-
-    fn quantum(&self) -> u64 {
-        match self.policy {
-            SchedPolicy::RoundRobin { quantum } => quantum.max(1) as u64,
-            SchedPolicy::Random { .. } => u64::MAX,
-        }
-    }
-
-    fn wake_blocked(&mut self) {
-        for i in 0..self.threads.len() {
-            match self.threads[i].status {
-                Status::BlockedLock(l) => {
-                    let free = self
-                        .locks
-                        .get(l.0 as usize)
-                        .is_none_or(|s| s.owner.is_none() || s.owner == Some(Tid(i as u32)));
-                    if free {
-                        self.threads[i].status = Status::Runnable;
-                        self.blocked_lock -= 1;
-                    }
-                }
-                Status::BlockedJoin(t) if self.threads[t.index()].status == Status::Done => {
-                    self.threads[i].status = Status::Runnable;
-                    self.blocked_join -= 1;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn pick_next(&mut self, current: usize) -> Result<usize, RuntimeError> {
-        let n = self.threads.len();
-        match self.policy {
-            // First runnable after `current`, wrapping to the lowest
-            // index — the same choice as scanning a materialized
-            // runnable list, without allocating it.
-            SchedPolicy::RoundRobin { .. } => (current + 1..n)
-                .chain(0..n)
-                .find(|&i| self.threads[i].status == Status::Runnable)
-                .ok_or(RuntimeError::Deadlock),
-            // One `rand_below(count)` draw over the same count as
-            // before, so the generator sequence is unchanged.
-            SchedPolicy::Random { .. } => {
-                let count = (0..n)
-                    .filter(|&i| self.threads[i].status == Status::Runnable)
-                    .count();
-                if count == 0 {
-                    return Err(RuntimeError::Deadlock);
-                }
-                let k = self.rand_below(count as u64) as usize;
-                Ok((0..n)
-                    .filter(|&i| self.threads[i].status == Status::Runnable)
-                    .nth(k)
-                    .expect("k-th runnable thread"))
-            }
-        }
-    }
-
-    /// Re-acquires the monitor a notified `wait` released (or re-blocks
-    /// if it is contended) — the cold pre-instruction step.
-    fn reacquire_step<S: EventSink>(
-        &mut self,
-        t: Tid,
-        lock: ObjId,
-        count: u32,
-        sink: &mut S,
-    ) -> Result<(), RuntimeError> {
-        let ti = t.index();
-        let state = lock_mut(&mut self.locks, lock);
-        match state.owner {
-            None => {
-                state.owner = Some(t);
-                state.count = count;
-                self.threads[ti].frames.last_mut().expect("frame").reacquire = None;
-                sink.event(&Event::Acquire { t, lock });
-            }
-            Some(owner) if owner == t => unreachable!("waiter cannot hold the lock"),
-            Some(_) => {
-                self.threads[ti].status = Status::BlockedLock(lock);
-                self.blocked_lock += 1;
-            }
-        }
-        Ok(())
+        bigfoot_obs::count!("vm.steps", self.sched.steps());
+        bigfoot_obs::count!("vm.context_switches", self.sched.context_switches());
+        bigfoot_obs::count!("vm.threads", self.sched.threads());
+        result.map(|()| self.sched.outcome(self.heap.cells))
     }
 
     /// Executes up to `budget` consecutive instructions of `t` that
     /// need at most the current thread — the frame-local arms, `call`
     /// and `ret` (which only touch this thread's own frame stack),
     /// and, when `lock_ok` certifies that no thread is `BlockedLock`,
-    /// uncontended lock acquires and releases — in a tight loop that
-    /// keeps the frame borrow live across steps instead of re-entering
-    /// the scheduler per step.
+    /// lock acquires and releases — in a tight loop that keeps the
+    /// frame borrow live across steps instead of re-entering the
+    /// scheduler per step.
     ///
     /// None of the admitted instructions can wake another thread
-    /// (blocking arms and `fork`/`join`/`wait`/`notify` exit the
-    /// slice; a root `ret` marks this thread `Done` — the only
-    /// transition a `BlockedJoin` thread wakes on — and ends the slice
-    /// immediately), so with `lock_ok` established at entry,
-    /// `wake_blocked`, the termination scan, and `pick_next` are all
-    /// provably no-ops for the whole slice; the caller settles quantum
-    /// and step accounting from the returned count. While some thread
-    /// *is* blocked on a lock, lock instructions stay cold, because
-    /// their per-step wake timing is observable (a thread woken by one
-    /// release can re-block on the very next step if the slice
-    /// re-acquires). Stops early (without error)
-    /// at the first instruction that needs the full machine — or a
-    /// pending monitor re-acquire — which the caller runs through
-    /// [`CompiledVm::step`]. Dispatches through the same `exec_*`
-    /// bodies and lock/call logic as `step`, so a slice raises errors
-    /// and emits events byte-identically to stepping.
+    /// (`fork`/`join`/`wait`/`notify` exit the slice; a contended
+    /// acquire blocks this thread and ends the slice; a root `ret`
+    /// marks this thread `Done` — the only transition a `BlockedJoin`
+    /// thread wakes on — and ends the slice immediately), so with
+    /// `lock_ok` established at entry, `wake_blocked`, the termination
+    /// scan, and `pick_next` are all provably no-ops for the whole
+    /// slice; the caller settles quantum and step accounting from the
+    /// returned count. While some thread *is* blocked on a lock, lock
+    /// instructions stay cold, because their per-step wake timing is
+    /// observable (a thread woken by one release can re-block on the
+    /// very next step if the slice re-acquires). Stops early (without
+    /// error) at the first instruction that needs the full machine —
+    /// or a pending monitor re-acquire — which [`Stepper::step`] runs.
+    ///
+    /// Inlined so that `step`'s one-instruction slice compiles to a
+    /// straight dispatch.
+    #[inline(always)]
     fn run_slice<S: EventSink>(
         &mut self,
         t: Tid,
@@ -519,17 +274,16 @@ impl<'p> CompiledVm<'p> {
         let CompiledVm {
             heap,
             threads,
-            locks,
+            sched,
             regs,
             final_envs,
-            live,
             pool,
             ..
         } = self;
-        let thread = &mut threads[t.index()];
+        let frames = &mut threads[t.index()];
         let mut executed = 0u64;
         'frames: while executed < budget {
-            let Some(frame) = thread.frames.last_mut() else {
+            let Some(frame) = frames.last_mut() else {
                 break;
             };
             if frame.reacquire.is_some() {
@@ -607,38 +361,19 @@ impl<'p> CompiledVm<'p> {
                             Ok(o) => o,
                             Err(e) => return (executed, Err(e)),
                         };
-                        let state = lock_mut(locks, obj);
-                        match state.owner {
-                            None => {
-                                state.owner = Some(t);
-                                state.count = 1;
-                            }
-                            Some(owner) if owner == t => state.count += 1,
-                            // Contended: `step` blocks the thread, so
-                            // nothing is consumed here.
-                            Some(_) => break SliceExit::Cold,
+                        if !sched.acquire(t, obj, 1, sink) {
+                            // Blocked: the step is spent, and the thread
+                            // retries this instruction once woken.
+                            executed += 1;
+                            break 'frames;
                         }
-                        sink.event(&Event::Acquire { t, lock: obj });
                         frame.pc = *next;
                         Ok(())
                     }
-                    Instr::Release { lock, next } if lock_ok => {
-                        let obj = match frame.get_obj(prog, *lock) {
-                            Ok(o) => o,
-                            Err(e) => return (executed, Err(e)),
-                        };
-                        let state = lock_mut(locks, obj);
-                        if state.owner != Some(t) || state.count == 0 {
-                            return (executed, Err(RuntimeError::IllegalRelease));
-                        }
-                        state.count -= 1;
-                        if state.count == 0 {
-                            state.owner = None;
-                        }
-                        sink.event(&Event::Release { t, lock: obj });
-                        frame.pc = *next;
-                        Ok(())
-                    }
+                    Instr::Release { lock, next } if lock_ok => match frame.get_obj(prog, *lock) {
+                        Ok(obj) => sched.release(t, obj, sink).map(|()| frame.pc = *next),
+                        Err(e) => Err(e),
+                    },
                     Instr::Call { dst, site, next } => {
                         match build_frame(prog, heap, pool, frame, *site, Some(*dst)) {
                             Ok(callee) => {
@@ -675,27 +410,24 @@ impl<'p> CompiledVm<'p> {
             };
             match exit {
                 SliceExit::Call(callee) => {
-                    thread.frames.push(callee);
+                    frames.push(callee);
                     executed += 1;
                 }
                 SliceExit::Ret(v) => {
-                    let popped = thread.frames.pop().expect("frame");
+                    let popped = frames.pop().expect("frame");
                     executed += 1;
-                    if let Some(caller) = thread.frames.last_mut() {
+                    if let Some(caller) = frames.last_mut() {
                         if let Some(dst) = popped.ret_dst {
                             caller.set(dst, v);
                         }
                         pool.push(popped);
                     } else {
-                        // Thread root completed: record its env, mark
-                        // it `Done`, and end the slice — the caller's
-                        // next scan wakes any joiners, exactly as when
-                        // `step` runs the `ret`.
+                        // Thread root completed: record its env, retire
+                        // the thread, and end the slice — the
+                        // scheduler's next pass wakes any joiners.
                         final_envs[t.index()] = Some(build_env(prog, &popped));
                         pool.push(popped);
-                        thread.status = Status::Done;
-                        *live -= 1;
-                        sink.event(&Event::ThreadExit { t });
+                        sched.exit(t, sink);
                         break 'frames;
                     }
                 }
@@ -704,287 +436,88 @@ impl<'p> CompiledVm<'p> {
         }
         (executed, Ok(()))
     }
+}
 
-    /// Executes one instruction (= one interpreter work item) of `t`.
+impl Stepper for CompiledVm<'_> {
+    fn sched(&mut self) -> &mut Sched {
+        &mut self.sched
+    }
+
+    /// Executes one instruction (= one interpreter work item) of `t`:
+    /// a one-instruction [`CompiledVm::run_slice`] that admits lock
+    /// instructions, or, where the slice stops, a pending monitor
+    /// re-acquire or a thread-table instruction.
     fn step<S: EventSink>(&mut self, t: Tid, sink: &mut S) -> Result<(), RuntimeError> {
+        let (executed, r) = self.run_slice(t, 1, true, sink);
+        if executed == 1 || r.is_err() {
+            return r;
+        }
         let prog = self.prog;
-        let ti = t.index();
-        // One frame lookup per step: the hot arms below reuse this
-        // `&mut` borrow; arms that need the whole thread table (call,
-        // fork, join, ret) re-index, which NLL permits because `frame`
-        // is dead on those paths.
-        let Some(frame) = self.threads[ti].frames.last_mut() else {
-            self.threads[ti].status = Status::Done;
-            self.live -= 1;
-            return Ok(());
-        };
+        let frame = self.threads[t.index()]
+            .last_mut()
+            .expect("a runnable thread has a frame");
         if let Some((lock, count)) = frame.reacquire {
-            return self.reacquire_step(t, lock, count, sink);
+            if self.sched.acquire(t, lock, count, sink) {
+                frame.reacquire = None;
+            }
+            return Ok(());
         }
         match &prog.code[frame.pc as usize] {
-            Instr::Skip { next } => {
-                frame.pc = *next;
-                Ok(())
-            }
-            Instr::Assign { dst, e, next } => {
-                exec_assign(prog, &self.heap, &mut self.regs, frame, *dst, *e, *next)
-            }
-            Instr::Rename { fresh, old, next } => {
-                exec_rename(frame, *fresh, *old, *next);
-                Ok(())
-            }
-            Instr::Branch {
-                cond,
-                then_pc,
-                else_pc,
-            } => exec_branch(
-                prog,
-                &self.heap,
-                &mut self.regs,
-                frame,
-                *cond,
-                *then_pc,
-                *else_pc,
-            ),
-            Instr::LoopEnter { head } => {
-                frame.pc = *head;
-                Ok(())
-            }
-            Instr::LoopJunction { exit, body, done } => {
-                exec_loop_junction(prog, &self.heap, &mut self.regs, frame, *exit, *body, *done)
-            }
-            Instr::Acquire { lock, next } => {
-                let obj = frame.get_obj(prog, *lock)?;
-                let state = lock_mut(&mut self.locks, obj);
-                match state.owner {
-                    None => {
-                        state.owner = Some(t);
-                        state.count = 1;
-                        sink.event(&Event::Acquire { t, lock: obj });
-                        frame.pc = *next;
-                    }
-                    Some(owner) if owner == t => {
-                        state.count += 1;
-                        sink.event(&Event::Acquire { t, lock: obj });
-                        frame.pc = *next;
-                    }
-                    // Retry this same instruction once woken.
-                    Some(_) => {
-                        self.threads[ti].status = Status::BlockedLock(obj);
-                        self.blocked_lock += 1;
-                    }
-                }
-                Ok(())
-            }
-            Instr::Release { lock, next } => {
-                let obj = frame.get_obj(prog, *lock)?;
-                let state = lock_mut(&mut self.locks, obj);
-                if state.owner != Some(t) || state.count == 0 {
-                    return Err(RuntimeError::IllegalRelease);
-                }
-                state.count -= 1;
-                if state.count == 0 {
-                    state.owner = None;
-                }
-                sink.event(&Event::Release { t, lock: obj });
-                frame.pc = *next;
-                Ok(())
-            }
-            Instr::New {
-                dst,
-                class,
-                name,
-                next,
-            } => exec_new(
-                prog,
-                &mut self.heap,
-                frame,
-                sink,
-                t,
-                *dst,
-                *class,
-                *name,
-                *next,
-            ),
-            Instr::NewArray { dst, len, next } => exec_new_array(
-                prog,
-                &mut self.heap,
-                &mut self.regs,
-                frame,
-                sink,
-                t,
-                *dst,
-                *len,
-                *next,
-            ),
-            Instr::ReadField {
-                dst,
-                obj,
-                site,
-                next,
-            } => exec_read_field(prog, &self.heap, frame, sink, t, *dst, *obj, *site, *next),
-            Instr::WriteField {
-                obj,
-                site,
-                src,
-                next,
-            } => exec_write_field(
-                prog,
-                &mut self.heap,
-                frame,
-                sink,
-                t,
-                *obj,
-                *site,
-                *src,
-                *next,
-            ),
-            Instr::ReadArr {
-                dst,
-                arr,
-                idx,
-                next,
-            } => exec_read_arr(
-                prog,
-                &self.heap,
-                &mut self.regs,
-                frame,
-                sink,
-                t,
-                *dst,
-                *arr,
-                *idx,
-                *next,
-            ),
-            Instr::WriteArr {
-                arr,
-                idx,
-                src,
-                next,
-            } => exec_write_arr(
-                prog,
-                &mut self.heap,
-                &mut self.regs,
-                frame,
-                sink,
-                t,
-                *arr,
-                *idx,
-                *src,
-                *next,
-            ),
-            Instr::Call { dst, site, next } => {
-                let callee =
-                    build_frame(prog, &self.heap, &mut self.pool, frame, *site, Some(*dst))?;
-                frame.pc = *next;
-                self.threads[ti].frames.push(callee);
-                Ok(())
-            }
             Instr::Fork { dst, site, next } => {
                 let callee = build_frame(prog, &self.heap, &mut self.pool, frame, *site, None)?;
-                let child = Tid(self.threads.len() as u32);
-                self.threads.push(VmThread {
-                    frames: vec![callee],
-                    status: Status::Runnable,
-                });
-                self.final_envs.push(None);
-                self.live += 1;
-                let frame = self.threads[ti].frames.last_mut().expect("frame");
+                let child = self.sched.fork(t, sink);
                 frame.set(*dst, Value::Thread(child));
                 frame.pc = *next;
-                sink.event(&Event::Fork { parent: t, child });
-                Ok(())
+                self.threads.push(vec![callee]);
+                self.final_envs.push(None);
             }
             Instr::Join { t: tslot, next } => {
                 let target = match frame.get(prog, *tslot)? {
                     Value::Thread(x) => x,
                     other => {
-                        return Err(RuntimeError::TypeError(format!(
-                            "`{}` is {other}, expected a thread handle",
-                            frame.name(prog, *tslot)
-                        )))
+                        return Err(slot_type_error(
+                            prog,
+                            frame,
+                            *tslot,
+                            other,
+                            "a thread handle",
+                        ))
                     }
                 };
-                if self.threads[target.index()].status == Status::Done {
-                    sink.event(&Event::Join {
-                        parent: t,
-                        child: target,
-                    });
-                    self.threads[ti].frames.last_mut().expect("frame").pc = *next;
-                } else {
-                    // Retry this same instruction once woken.
-                    self.threads[ti].status = Status::BlockedJoin(target);
-                    self.blocked_join += 1;
+                // Otherwise blocked: retry this instruction once woken.
+                if self.sched.join(t, target, sink) {
+                    frame.pc = *next;
                 }
-                Ok(())
             }
             Instr::Wait { lock, next } => {
+                // Parks until a notify, then re-acquires with the saved
+                // reentrancy count.
                 let obj = frame.get_obj(prog, *lock)?;
-                let state = lock_mut(&mut self.locks, obj);
-                if state.owner != Some(t) || state.count == 0 {
-                    return Err(RuntimeError::IllegalRelease);
-                }
-                // Fully release the monitor, park, and re-acquire (with
-                // the saved reentrancy count) after the notify.
-                let count = state.count;
-                state.owner = None;
-                state.count = 0;
-                sink.event(&Event::Release { t, lock: obj });
-                frame.reacquire = Some((obj, count));
+                frame.reacquire = Some((obj, self.sched.wait(t, obj, sink)?));
                 frame.pc = *next;
-                // `WaitingNotify` is not wakeable by `wake_blocked`;
-                // `Notify` converts it to `BlockedLock` (which is).
-                self.threads[ti].status = Status::WaitingNotify(obj);
-                Ok(())
             }
             Instr::Notify { lock, next } => {
                 let obj = frame.get_obj(prog, *lock)?;
-                let state = lock_mut(&mut self.locks, obj);
-                if state.owner != Some(t) || state.count == 0 {
-                    return Err(RuntimeError::IllegalRelease);
-                }
+                self.sched.notify(t, obj)?;
                 frame.pc = *next;
-                // Wake every waiter (Java notifyAll); they contend for
-                // the monitor once it is released.
-                for th in &mut self.threads {
-                    if th.status == Status::WaitingNotify(obj) {
-                        th.status = Status::BlockedLock(obj);
-                        self.blocked_lock += 1;
-                    }
-                }
-                Ok(())
             }
-            Instr::Check { site, next } => exec_check(
-                prog,
-                &self.heap,
-                &mut self.regs,
-                frame,
-                sink,
-                t,
-                *site,
-                *next,
-            ),
-            Instr::Ret { expr } => {
-                let v = match expr {
-                    Some(e) => eval(prog, &self.heap, frame, &mut self.regs, *e)?,
-                    None => Value::Int(0),
-                };
-                let popped = self.threads[ti].frames.pop().expect("frame");
-                if let Some(caller) = self.threads[ti].frames.last_mut() {
-                    if let Some(dst) = popped.ret_dst {
-                        caller.set(dst, v);
-                    }
-                } else {
-                    // Thread root completed.
-                    self.final_envs[ti] = Some(build_env(prog, &popped));
-                    self.threads[ti].status = Status::Done;
-                    self.live -= 1;
-                    sink.event(&Event::ThreadExit { t });
-                }
-                self.pool.push(popped);
-                Ok(())
-            }
+            _ => unreachable!("a one-instruction slice runs every other instruction"),
         }
+        Ok(())
+    }
+
+    fn slice<S: EventSink>(
+        &mut self,
+        t: Tid,
+        budget: u64,
+        sink: &mut S,
+    ) -> (u64, Result<(), RuntimeError>) {
+        let lock_ok = self.sched.lock_ok();
+        self.run_slice(t, budget, lock_ok, sink)
+    }
+
+    fn switched() {
+        bigfoot_obs::trace_instant!("vm.switch");
     }
 }
 
@@ -1029,10 +562,9 @@ fn build_frame(
     Ok(callee)
 }
 
-/// The frame-local instruction bodies below are shared between
-/// [`CompiledVm::step`] (one instruction under the full scheduler) and
-/// [`CompiledVm::run_slice`] (a quantum's worth without re-entering the
-/// scheduler), so both dispatch sites execute identical semantics.
+/// The frame-local instruction bodies of [`CompiledVm::run_slice`]'s
+/// dispatch, which also runs every single step outside a slice, outlined
+/// so each body can use `?`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn exec_assign(

@@ -3,11 +3,11 @@
 //! The incremental StaticBF layer keys its persistent placement cache by
 //! *what the analysis consumes*: the structure of a method body, with
 //! identifier [`Sym`]s folded in as their interned **strings** (interner
-//! indices are process-local) and [`StmtId`]s excluded entirely (ids are
-//! renumbered wholesale and never influence placement decisions). Two
-//! bodies get the same fingerprint iff they are structurally identical up
-//! to statement ids — exactly the equivalence the placement analysis
-//! cannot distinguish.
+//! indices are process-local) and [`StmtId`](crate::StmtId)s excluded
+//! entirely (ids are renumbered wholesale and never influence placement
+//! decisions). Two bodies get the same fingerprint iff they are
+//! structurally identical up to statement ids — exactly the equivalence
+//! the placement analysis cannot distinguish.
 //!
 //! Digests use [`StableHasher`], never `FxHash` or `std`'s seeded
 //! `RandomState`: these fingerprints escape the process as cache keys.

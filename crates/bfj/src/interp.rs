@@ -1,16 +1,17 @@
 //! A deterministic, multi-threaded interpreter for BFJ.
 //!
 //! Threads are *green*: the interpreter holds every thread's control stack
-//! explicitly and a seeded scheduler decides which thread executes the next
-//! statement. Given the same program and [`SchedPolicy`], execution — and
-//! hence the emitted event trace — is bit-for-bit reproducible, which the
-//! race-detection experiments rely on.
+//! explicitly and the seeded scheduler of [`crate::sched`] decides which
+//! thread executes the next statement. Given the same program and
+//! [`SchedPolicy`], execution — and hence the emitted event trace — is
+//! bit-for-bit reproducible, which the race-detection experiments rely on.
 //!
 //! Every heap access, explicit `check(C)` statement, and synchronization
 //! operation is reported to an [`EventSink`] in global execution order.
 
 use crate::ast::*;
 use crate::event::*;
+use crate::sched::{self, Sched, SchedPolicy, Stepper};
 use crate::Sym;
 use bigfoot_vc::{AccessKind, Tid};
 use std::collections::HashMap;
@@ -152,32 +153,6 @@ impl Heap {
     }
 }
 
-/// Scheduling policy for the green-thread scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Run each thread for `quantum` steps, then move to the next runnable
-    /// thread in id order.
-    RoundRobin {
-        /// Steps per turn.
-        quantum: u32,
-    },
-    /// After every step, switch to a pseudo-random runnable thread with
-    /// probability `1/switch_inv` (seeded, deterministic). Good for
-    /// exploring interleavings in race tests.
-    Random {
-        /// RNG seed.
-        seed: u64,
-        /// Inverse switch probability (1 = switch every step).
-        switch_inv: u32,
-    },
-}
-
-impl Default for SchedPolicy {
-    fn default() -> Self {
-        SchedPolicy::RoundRobin { quantum: 64 }
-    }
-}
-
 /// The longest array `new_array` allocates. A longer one is a
 /// [`RuntimeError::ArrayTooLong`] rather than an allocation failure that
 /// aborts the process. Suite, corpus and generated programs allocate at
@@ -250,16 +225,6 @@ pub struct RunOutcome {
     pub heap_cells: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Runnable,
-    BlockedLock(ObjId),
-    BlockedJoin(Tid),
-    /// Parked in `wait(lock)` until a `notify` on the same monitor.
-    WaitingNotify(ObjId),
-    Done,
-}
-
 enum Work<'p> {
     Stmt(&'p Stmt),
     /// The mid-loop exit test of the referenced `Loop` statement.
@@ -279,17 +244,6 @@ struct Frame<'p> {
     ret_dst: Option<Sym>,
     /// The method's return expression (`None` for thread roots / main).
     ret_expr: Option<&'p Expr>,
-}
-
-struct ThreadState<'p> {
-    frames: Vec<Frame<'p>>,
-    status: Status,
-}
-
-#[derive(Debug, Default)]
-struct LockState {
-    owner: Option<Tid>,
-    count: u32,
 }
 
 struct ClassInfo {
@@ -385,13 +339,10 @@ pub struct Interp<'p> {
     program: &'p Program,
     index: ProgramIndex,
     heap: Heap,
-    threads: Vec<ThreadState<'p>>,
+    /// Each thread's call stack.
+    threads: Vec<Vec<Frame<'p>>>,
     final_envs: Vec<Option<Env>>,
-    locks: HashMap<ObjId, LockState>,
-    policy: SchedPolicy,
-    rng: u64,
-    steps: u64,
-    max_steps: u64,
+    sched: Sched,
 }
 
 impl<'p> Interp<'p> {
@@ -403,30 +354,19 @@ impl<'p> Interp<'p> {
             ret_dst: None,
             ret_expr: None,
         };
-        let seed = match policy {
-            SchedPolicy::Random { seed, .. } => seed | 1,
-            _ => 0x9E3779B97F4A7C15,
-        };
         Interp {
             program,
             index: ProgramIndex::build(program),
             heap: Heap::default(),
-            threads: vec![ThreadState {
-                frames: vec![root],
-                status: Status::Runnable,
-            }],
+            threads: vec![vec![root]],
             final_envs: vec![None],
-            locks: HashMap::new(),
-            policy,
-            rng: seed,
-            steps: 0,
-            max_steps: u64::MAX,
+            sched: Sched::new(policy),
         }
     }
 
     /// Caps the number of interpreter steps; exceeding it is an error.
     pub fn with_max_steps(mut self, max: u64) -> Self {
-        self.max_steps = max;
+        self.sched.set_max_steps(max);
         self
     }
 
@@ -445,33 +385,6 @@ impl<'p> Interp<'p> {
         self.final_envs.get(t.index())?.as_ref()
     }
 
-    fn rand(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Unbiased draw from `0..n` (Lemire multiply-shift with rejection).
-    /// A plain `rand() % n` over-selects the low residues whenever `n`
-    /// does not divide 2^64, skewing `Random`-policy schedules.
-    fn rand_below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        let mut m = self.rand() as u128 * n as u128;
-        let mut lo = m as u64;
-        if lo < n {
-            let threshold = n.wrapping_neg() % n;
-            while lo < threshold {
-                m = self.rand() as u128 * n as u128;
-                lo = m as u64;
-            }
-        }
-        (m >> 64) as u64
-    }
-
     /// Runs the program to completion, streaming events into `sink`.
     ///
     /// # Errors
@@ -483,160 +396,22 @@ impl<'p> Interp<'p> {
         // Top-level span on the interpreter's flight-recorder timeline;
         // scheduling decisions appear as instant ticks inside it.
         let _trace = bigfoot_obs::trace_span!("interp.run");
-        let mut current = 0usize;
-        let mut quantum_left = self.quantum();
-        // Scheduling counters stay plain locals on the hot loop and are
-        // published to the obs registry once, after the run.
-        let mut context_switches = 0u64;
-        let run_result = loop {
-            // Refresh blocked threads whose conditions now hold.
-            self.wake_blocked();
-            if self.threads.iter().all(|t| t.status == Status::Done) {
-                break Ok(());
-            }
-            if self.threads[current].status != Status::Runnable || quantum_left == 0 {
-                let next = match self.pick_next(current) {
-                    Ok(n) => n,
-                    Err(e) => break Err(e),
-                };
-                if next != current {
-                    context_switches += 1;
-                    bigfoot_obs::trace_instant!("interp.switch");
-                }
-                current = next;
-                quantum_left = self.quantum();
-            }
-            if let Err(e) = self.step(Tid(current as u32), sink) {
-                break Err(e);
-            }
-            self.steps += 1;
-            if self.steps > self.max_steps {
-                break Err(RuntimeError::StepLimitExceeded(self.max_steps));
-            }
-            quantum_left -= 1;
-            if let SchedPolicy::Random { switch_inv, .. } = self.policy {
-                if switch_inv <= 1 || self.rand_below(switch_inv as u64) == 0 {
-                    quantum_left = 0;
-                }
-            }
-        };
+        let result = sched::run(self, sink);
         bigfoot_obs::count!("interp.runs");
-        bigfoot_obs::count!("interp.steps", self.steps);
-        bigfoot_obs::count!("interp.context_switches", context_switches);
-        bigfoot_obs::count!("interp.threads", self.threads.len());
-        run_result?;
-        Ok(RunOutcome {
-            steps: self.steps,
-            threads: self.threads.len(),
-            heap_cells: self.heap.cells,
-        })
-    }
-
-    fn quantum(&self) -> u64 {
-        match self.policy {
-            SchedPolicy::RoundRobin { quantum } => quantum.max(1) as u64,
-            SchedPolicy::Random { .. } => u64::MAX,
-        }
-    }
-
-    fn wake_blocked(&mut self) {
-        for i in 0..self.threads.len() {
-            match self.threads[i].status {
-                Status::BlockedLock(l) => {
-                    let free = self
-                        .locks
-                        .get(&l)
-                        .is_none_or(|s| s.owner.is_none() || s.owner == Some(Tid(i as u32)));
-                    if free {
-                        self.threads[i].status = Status::Runnable;
-                    }
-                }
-                Status::BlockedJoin(t) if self.threads[t.index()].status == Status::Done => {
-                    self.threads[i].status = Status::Runnable;
-                }
-                // WaitingNotify is only released by an explicit notify.
-                _ => {}
-            }
-        }
-    }
-
-    fn pick_next(&mut self, current: usize) -> Result<usize, RuntimeError> {
-        let n = self.threads.len();
-        let runnable: Vec<usize> = (0..n)
-            .filter(|&i| self.threads[i].status == Status::Runnable)
-            .collect();
-        if runnable.is_empty() {
-            return Err(RuntimeError::Deadlock);
-        }
-        Ok(match self.policy {
-            SchedPolicy::RoundRobin { .. } => *runnable
-                .iter()
-                .find(|&&i| i > current)
-                .unwrap_or(&runnable[0]),
-            SchedPolicy::Random { .. } => runnable[self.rand_below(runnable.len() as u64) as usize],
-        })
-    }
-
-    /// Executes one work item of thread `t`.
-    fn step<S: EventSink>(&mut self, t: Tid, sink: &mut S) -> Result<(), RuntimeError> {
-        let ti = t.index();
-        let frames = &mut self.threads[ti].frames;
-        let Some(frame) = frames.last_mut() else {
-            self.threads[ti].status = Status::Done;
-            return Ok(());
-        };
-        let Some(work) = frame.work.pop() else {
-            // Frame finished: return to caller.
-            return self.pop_frame(t, sink);
-        };
-        match work {
-            Work::Reacquire { lock, count } => {
-                let state = self.locks.entry(lock).or_default();
-                match state.owner {
-                    None => {
-                        state.owner = Some(t);
-                        state.count = count;
-                        sink.event(&Event::Acquire { t, lock });
-                        Ok(())
-                    }
-                    Some(owner) if owner == t => unreachable!("waiter cannot hold the lock"),
-                    Some(_) => {
-                        let frame = self.threads[ti].frames.last_mut().expect("frame");
-                        frame.work.push(Work::Reacquire { lock, count });
-                        self.threads[ti].status = Status::BlockedLock(lock);
-                        Ok(())
-                    }
-                }
-            }
-            Work::LoopJunction(loop_stmt) => {
-                let StmtKind::Loop { head, exit, tail } = &loop_stmt.kind else {
-                    unreachable!("LoopJunction must reference a Loop");
-                };
-                let frame = self.threads[ti].frames.last_mut().expect("frame");
-                let done = as_bool(eval(&frame.env, &self.heap, exit)?)?;
-                if !done {
-                    frame.work.push(Work::LoopJunction(loop_stmt));
-                    for s in head.stmts.iter().rev() {
-                        frame.work.push(Work::Stmt(s));
-                    }
-                    for s in tail.stmts.iter().rev() {
-                        frame.work.push(Work::Stmt(s));
-                    }
-                }
-                Ok(())
-            }
-            Work::Stmt(s) => self.exec_stmt(t, s, sink),
-        }
+        bigfoot_obs::count!("interp.steps", self.sched.steps());
+        bigfoot_obs::count!("interp.context_switches", self.sched.context_switches());
+        bigfoot_obs::count!("interp.threads", self.sched.threads());
+        result.map(|()| self.sched.outcome(self.heap.cells))
     }
 
     fn pop_frame<S: EventSink>(&mut self, t: Tid, sink: &mut S) -> Result<(), RuntimeError> {
         let ti = t.index();
-        let frame = self.threads[ti].frames.pop().expect("frame");
+        let frame = self.threads[ti].pop().expect("frame");
         let ret_val = match frame.ret_expr {
             Some(e) => eval(&frame.env, &self.heap, e)?,
             None => Value::Int(0),
         };
-        if let Some(caller) = self.threads[ti].frames.last_mut() {
+        if let Some(caller) = self.threads[ti].last_mut() {
             if let Some(dst) = frame.ret_dst {
                 caller.env.insert(dst, ret_val);
             }
@@ -644,23 +419,17 @@ impl<'p> Interp<'p> {
         } else {
             // Thread root completed.
             self.final_envs[ti] = Some(frame.env);
-            self.threads[ti].status = Status::Done;
-            sink.event(&Event::ThreadExit { t });
+            self.sched.exit(t, sink);
             Ok(())
         }
     }
 
     fn env(&mut self, t: Tid) -> &mut Env {
-        &mut self.threads[t.index()]
-            .frames
-            .last_mut()
-            .expect("frame")
-            .env
+        &mut self.threads[t.index()].last_mut().expect("frame").env
     }
 
     fn lookup(&self, t: Tid, x: Sym) -> Result<Value, RuntimeError> {
         self.threads[t.index()]
-            .frames
             .last()
             .expect("frame")
             .env
@@ -707,7 +476,7 @@ impl<'p> Interp<'p> {
         match &s.kind {
             StmtKind::Skip => Ok(()),
             StmtKind::Assign { x, e } => {
-                let env = &mut self.threads[ti].frames.last_mut().expect("frame").env;
+                let env = &mut self.threads[ti].last_mut().expect("frame").env;
                 let v = eval(env, &self.heap, e)?;
                 env.insert(*x, v);
                 Ok(())
@@ -726,17 +495,17 @@ impl<'p> Interp<'p> {
                 then_b,
                 else_b,
             } => {
-                let env = &self.threads[ti].frames.last().expect("frame").env;
+                let env = &self.threads[ti].last().expect("frame").env;
                 let b = as_bool(eval(env, &self.heap, cond)?)?;
                 let block = if b { then_b } else { else_b };
-                let frame = self.threads[ti].frames.last_mut().expect("frame");
+                let frame = self.threads[ti].last_mut().expect("frame");
                 for st in block.stmts.iter().rev() {
                     frame.work.push(Work::Stmt(st));
                 }
                 Ok(())
             }
             StmtKind::Loop { head, .. } => {
-                let frame = self.threads[ti].frames.last_mut().expect("frame");
+                let frame = self.threads[ti].last_mut().expect("frame");
                 frame.work.push(Work::LoopJunction(s));
                 for st in head.stmts.iter().rev() {
                     frame.work.push(Work::Stmt(st));
@@ -745,40 +514,19 @@ impl<'p> Interp<'p> {
             }
             StmtKind::Acquire { lock } => {
                 let obj = self.lookup_obj(t, *lock)?;
-                let state = self.locks.entry(obj).or_default();
-                match state.owner {
-                    None => {
-                        state.owner = Some(t);
-                        state.count = 1;
-                        sink.event(&Event::Acquire { t, lock: obj });
-                        Ok(())
-                    }
-                    Some(owner) if owner == t => {
-                        state.count += 1;
-                        sink.event(&Event::Acquire { t, lock: obj });
-                        Ok(())
-                    }
-                    Some(_) => {
-                        // Re-issue the acquire and block.
-                        let frame = self.threads[ti].frames.last_mut().expect("frame");
-                        frame.work.push(Work::Stmt(s));
-                        self.threads[ti].status = Status::BlockedLock(obj);
-                        Ok(())
-                    }
+                if !self.sched.acquire(t, obj, 1, sink) {
+                    // Blocked: re-issue the acquire once woken.
+                    self.threads[ti]
+                        .last_mut()
+                        .expect("frame")
+                        .work
+                        .push(Work::Stmt(s));
                 }
+                Ok(())
             }
             StmtKind::Release { lock } => {
                 let obj = self.lookup_obj(t, *lock)?;
-                let state = self.locks.entry(obj).or_default();
-                if state.owner != Some(t) || state.count == 0 {
-                    return Err(RuntimeError::IllegalRelease);
-                }
-                state.count -= 1;
-                if state.count == 0 {
-                    state.owner = None;
-                }
-                sink.event(&Event::Release { t, lock: obj });
-                Ok(())
+                self.sched.release(t, obj, sink)
             }
             StmtKind::New { x, class } => {
                 let ci = self
@@ -797,7 +545,7 @@ impl<'p> Interp<'p> {
                 Ok(())
             }
             StmtKind::NewArray { x, len } => {
-                let env = &self.threads[ti].frames.last().expect("frame").env;
+                let env = &self.threads[ti].last().expect("frame").env;
                 let n = as_int(eval(env, &self.heap, len)?)?;
                 let arr = self.heap.alloc_array(n)?;
                 self.env(t).insert(*x, Value::Arr(arr));
@@ -850,7 +598,7 @@ impl<'p> Interp<'p> {
             }
             StmtKind::ReadArr { x, arr, idx } => {
                 let a = self.lookup_arr(t, *arr)?;
-                let env = &self.threads[ti].frames.last().expect("frame").env;
+                let env = &self.threads[ti].last().expect("frame").env;
                 let i = as_int(eval(env, &self.heap, idx)?)?;
                 let len = self.heap.array(a).data.len();
                 if i < 0 || i as usize >= len {
@@ -871,7 +619,7 @@ impl<'p> Interp<'p> {
             }
             StmtKind::WriteArr { arr, idx, src } => {
                 let a = self.lookup_arr(t, *arr)?;
-                let env = &self.threads[ti].frames.last().expect("frame").env;
+                let env = &self.threads[ti].last().expect("frame").env;
                 let i = as_int(eval(env, &self.heap, idx)?)?;
                 let v = self.lookup(t, *src)?;
                 let len = self.heap.array(a).data.len();
@@ -897,7 +645,7 @@ impl<'p> Interp<'p> {
                 args,
             } => {
                 let frame = self.call_frame(t, *recv, *meth, args, Some(*x))?;
-                self.threads[ti].frames.push(frame);
+                self.threads[ti].push(frame);
                 Ok(())
             }
             StmtKind::Fork {
@@ -907,14 +655,10 @@ impl<'p> Interp<'p> {
                 args,
             } => {
                 let frame = self.call_frame(t, *recv, *meth, args, None)?;
-                let child = Tid(self.threads.len() as u32);
-                self.threads.push(ThreadState {
-                    frames: vec![frame],
-                    status: Status::Runnable,
-                });
+                let child = self.sched.fork(t, sink);
+                self.threads.push(vec![frame]);
                 self.final_envs.push(None);
                 self.env(t).insert(*x, Value::Thread(child));
-                sink.event(&Event::Fork { parent: t, child });
                 Ok(())
             }
             StmtKind::Join { t: tvar } => {
@@ -926,51 +670,27 @@ impl<'p> Interp<'p> {
                         )))
                     }
                 };
-                if self.threads[target.index()].status == Status::Done {
-                    sink.event(&Event::Join {
-                        parent: t,
-                        child: target,
-                    });
-                    Ok(())
-                } else {
-                    let frame = self.threads[ti].frames.last_mut().expect("frame");
-                    frame.work.push(Work::Stmt(s));
-                    self.threads[ti].status = Status::BlockedJoin(target);
-                    Ok(())
+                if !self.sched.join(t, target, sink) {
+                    self.threads[ti]
+                        .last_mut()
+                        .expect("frame")
+                        .work
+                        .push(Work::Stmt(s));
                 }
+                Ok(())
             }
             StmtKind::Wait { lock } => {
                 let obj = self.lookup_obj(t, *lock)?;
-                let state = self.locks.entry(obj).or_default();
-                if state.owner != Some(t) || state.count == 0 {
-                    return Err(RuntimeError::IllegalRelease);
-                }
-                // Fully release the monitor, park, and schedule the
-                // re-acquire (with the saved reentrancy count) for after
-                // the notify.
-                let count = state.count;
-                state.owner = None;
-                state.count = 0;
-                sink.event(&Event::Release { t, lock: obj });
-                let frame = self.threads[ti].frames.last_mut().expect("frame");
+                // Park, and schedule the re-acquire (with the saved
+                // reentrancy count) for after the notify.
+                let count = self.sched.wait(t, obj, sink)?;
+                let frame = self.threads[ti].last_mut().expect("frame");
                 frame.work.push(Work::Reacquire { lock: obj, count });
-                self.threads[ti].status = Status::WaitingNotify(obj);
                 Ok(())
             }
             StmtKind::Notify { lock } => {
                 let obj = self.lookup_obj(t, *lock)?;
-                let state = self.locks.entry(obj).or_default();
-                if state.owner != Some(t) || state.count == 0 {
-                    return Err(RuntimeError::IllegalRelease);
-                }
-                // Wake every waiter (Java notifyAll); they contend for the
-                // monitor once it is released.
-                for th in &mut self.threads {
-                    if th.status == Status::WaitingNotify(obj) {
-                        th.status = Status::BlockedLock(obj);
-                    }
-                }
-                Ok(())
+                self.sched.notify(t, obj)
             }
             StmtKind::Check { paths } => {
                 let mut resolved = Vec::with_capacity(paths.len());
@@ -995,7 +715,7 @@ impl<'p> Interp<'p> {
             }
             Path::Arr { base, range } => {
                 let a = self.lookup_arr(t, *base)?;
-                let env = &self.threads[t.index()].frames.last().expect("frame").env;
+                let env = &self.threads[t.index()].last().expect("frame").env;
                 let lo = as_int(eval(env, &self.heap, &range.lo)?)?;
                 let hi = as_int(eval(env, &self.heap, &range.hi)?)?;
                 Ok(CheckTarget::Range(
@@ -1046,6 +766,53 @@ impl<'p> Interp<'p> {
             ret_dst,
             ret_expr: Some(&mdef.ret),
         })
+    }
+}
+
+impl Stepper for Interp<'_> {
+    fn sched(&mut self) -> &mut Sched {
+        &mut self.sched
+    }
+
+    /// Executes one work item of thread `t`.
+    fn step<S: EventSink>(&mut self, t: Tid, sink: &mut S) -> Result<(), RuntimeError> {
+        let ti = t.index();
+        let frame = self.threads[ti]
+            .last_mut()
+            .expect("a runnable thread has a frame");
+        let Some(work) = frame.work.pop() else {
+            // Frame finished: return to caller.
+            return self.pop_frame(t, sink);
+        };
+        match work {
+            Work::Reacquire { lock, count } => {
+                if !self.sched.acquire(t, lock, count, sink) {
+                    frame.work.push(Work::Reacquire { lock, count });
+                }
+                Ok(())
+            }
+            Work::LoopJunction(loop_stmt) => {
+                let StmtKind::Loop { head, exit, tail } = &loop_stmt.kind else {
+                    unreachable!("LoopJunction must reference a Loop");
+                };
+                let done = as_bool(eval(&frame.env, &self.heap, exit)?)?;
+                if !done {
+                    frame.work.push(Work::LoopJunction(loop_stmt));
+                    for s in head.stmts.iter().rev() {
+                        frame.work.push(Work::Stmt(s));
+                    }
+                    for s in tail.stmts.iter().rev() {
+                        frame.work.push(Work::Stmt(s));
+                    }
+                }
+                Ok(())
+            }
+            Work::Stmt(s) => self.exec_stmt(t, s, sink),
+        }
+    }
+
+    fn switched() {
+        bigfoot_obs::trace_instant!("interp.switch");
     }
 }
 

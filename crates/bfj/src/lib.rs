@@ -40,6 +40,7 @@ pub mod lexer;
 pub mod mutate;
 pub mod parser;
 pub mod pretty;
+pub mod sched;
 mod sym;
 pub mod trace;
 
@@ -55,13 +56,14 @@ pub use fingerprint::{
     fingerprint_block, fingerprint_body, fingerprint_method, FINGERPRINT_VERSION,
 };
 pub use interp::{
-    eval, Env, Heap, Interp, ProgramIndex, RunOutcome, RuntimeError, SchedPolicy, SymHasher, Value,
+    eval, Env, Heap, Interp, ProgramIndex, RunOutcome, RuntimeError, SymHasher, Value,
     MAX_ARRAY_LEN,
 };
 pub use lexer::{tokenize, LexError, Token};
 pub use mutate::{mutate, site_count, MutationKind};
 pub use parser::{parse_expr, parse_program, ParseError, MAX_NESTING};
 pub use pretty::{pretty, pretty_check_path, pretty_expr, pretty_stmt};
+pub use sched::SchedPolicy;
 pub use sym::Sym;
 pub use trace::compress::{
     compress, decompress, decompress_to, is_compressed, read_compressed, CompressedTrace,

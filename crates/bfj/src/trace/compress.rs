@@ -12,7 +12,7 @@
 //!    events. The trace body becomes a sequence of small symbol ids.
 //! 2. **RLE + tandem-repeat grammar.** The symbol sequence is run-length
 //!    collapsed, then repeatedly scanned for tandem repeats (`abcabcabc`
-//!    with period ≤ [`MAX_PERIOD`]); each repeated block is extracted
+//!    with period ≤ `MAX_PERIOD` = 64); each repeated block is extracted
 //!    into a straight-line-program rule and replaced by one
 //!    `(rule, count)` pair. Rounds nest, so a loop nest collapses into a
 //!    rule hierarchy.

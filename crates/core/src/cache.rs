@@ -67,7 +67,7 @@ pub enum CacheError {
         /// The offending byte.
         tag: u8,
     },
-    /// A length field exceeds [`MAX_LEN`].
+    /// A length field exceeds `MAX_LEN` (2^24).
     TooLarge {
         /// Which decoder hit it.
         what: &'static str,

@@ -1,6 +1,6 @@
 //! Bounded single-producer / single-consumer channel: the batch ring
-//! the online pipeline ([`crate::pipeline`]) hands event batches over,
-//! and returns drained batches through.
+//! the online pipeline ([`detect_pipelined`](crate::detect_pipelined))
+//! hands event batches over, and returns drained batches through.
 //!
 //! The ring is a `Mutex<VecDeque<T>>` with one condition variable per
 //! direction. Each side takes the lock a few times per batch, not per

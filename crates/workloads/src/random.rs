@@ -9,6 +9,7 @@
 //! worker-local fork/join subtrees — that the differential fuzzer uses to
 //! widen coverage. All default to off, preserving the classic shapes.
 
+use bigfoot_bfj::sched::Rng;
 use std::fmt::Write;
 
 /// Configuration for the generator.
@@ -63,42 +64,9 @@ impl Default for RandomConfig {
     }
 }
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Unbiased draw from `0..n` (Lemire multiply-shift with rejection);
-    /// `next() % n` would over-select low residues for most `n`.
-    fn below(&mut self, n: usize) -> usize {
-        let n = n.max(1) as u64;
-        let mut m = self.next() as u128 * n as u128;
-        let mut lo = m as u64;
-        if lo < n {
-            let threshold = n.wrapping_neg() % n;
-            while lo < threshold {
-                m = self.next() as u128 * n as u128;
-                lo = m as u64;
-            }
-        }
-        (m >> 64) as usize
-    }
-
-    fn chance(&mut self, pct: u32) -> bool {
-        self.below(100) < pct as usize
-    }
-}
-
 /// Generates the source text of a random BFJ program.
 pub fn random_program(cfg: &RandomConfig) -> String {
-    let mut rng = Rng(cfg.seed | 1);
+    let mut rng = Rng::new(cfg.seed);
     let mut src = String::new();
     let n = cfg.array_len;
     let two_locks = cfg.locks > 1;
@@ -171,7 +139,7 @@ fn gen_stmt(
     allow_fork: bool,
 ) {
     let indent = "        ";
-    let protected = !cfg.racy || rng.chance(60);
+    let protected = !cfg.racy || rng.below(100) < 60;
     let field = rng.below(3);
     // The classic six shapes always participate; the opt-in shapes are
     // appended so existing seeds keep their statement streams only when
@@ -189,7 +157,7 @@ fn gen_stmt(
     if allow_fork {
         shapes.push(8);
     }
-    match shapes[rng.below(shapes.len())] {
+    match shapes[rng.below(shapes.len() as u64) as usize] {
         // Lock-protected field read-modify-write.
         0 => {
             if protected {
@@ -321,7 +289,7 @@ fn gen_stmt(
                 src,
                 "{indent}fork h{worker}x{v} = this.help{worker}({args});"
             );
-            let skip_join = cfg.racy && rng.chance(40);
+            let skip_join = cfg.racy && rng.below(100) < 40;
             if !skip_join {
                 let _ = writeln!(src, "{indent}join(h{worker}x{v});");
             }
@@ -332,7 +300,7 @@ fn gen_stmt(
 /// Upper bound for a whole-array loop: the literal length, or the
 /// symbolic `a.length` when that knob is on.
 fn bound(cfg: &RandomConfig, rng: &mut Rng, n: usize) -> String {
-    if cfg.symbolic_bounds && rng.chance(50) {
+    if cfg.symbolic_bounds && rng.below(100) < 50 {
         "a.length".to_string()
     } else {
         n.to_string()
