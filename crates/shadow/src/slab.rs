@@ -186,9 +186,21 @@ impl<K: SlabKey, T> Slab<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `forced_map_mode_routes_to_spill` flips the process-global
+    /// `FORCE_MAP`, which would send another test's inserts to the spill
+    /// map while the tests run in parallel; each test here holds this.
+    static FORCE_MAP_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        // A test that panicked while holding the lock left no state behind.
+        FORCE_MAP_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn dense_roundtrip_and_values() {
+        let _serial = serial();
         let mut s: Slab<u32, String> = Slab::new();
         assert!(s.is_empty());
         for k in 0..100u32 {
@@ -206,6 +218,7 @@ mod tests {
 
     #[test]
     fn strided_keys_stay_dense() {
+        let _serial = serial();
         let mut s: Slab<u32, u64> = Slab::with_stride(64);
         for k in (3..6403u32).step_by(64) {
             s.insert(k, k as u64);
@@ -219,6 +232,7 @@ mod tests {
 
     #[test]
     fn sparse_ids_spill() {
+        let _serial = serial();
         let mut s: Slab<u32, u8> = Slab::new();
         s.insert(5, 1);
         s.insert(u32::MAX, 2);
@@ -232,6 +246,7 @@ mod tests {
 
     #[test]
     fn forced_map_mode_routes_to_spill() {
+        let _serial = serial();
         set_force_map_store(true);
         let mut s: Slab<u32, u8> = Slab::new();
         s.insert(0, 7);
