@@ -239,26 +239,28 @@ impl<'p> CompiledVm<'p> {
 
     /// Executes up to `budget` consecutive instructions of `t` that
     /// need at most the current thread — the frame-local arms, `call`
-    /// and `ret` (which only touch this thread's own frame stack),
-    /// and, when `lock_ok` certifies that no thread is `BlockedLock`,
-    /// lock acquires and releases — in a tight loop that keeps the
+    /// and `ret` (which only touch this thread's own frame stack), lock
+    /// acquires, and, when `release_ok` certifies that no thread is
+    /// `BlockedLock`, lock releases — in a tight loop that keeps the
     /// frame borrow live across steps instead of re-entering the
     /// scheduler per step.
     ///
-    /// None of the admitted instructions can wake another thread
-    /// (`fork`/`join`/`wait`/`notify` exit the slice; a contended
-    /// acquire blocks this thread and ends the slice; a root `ret`
-    /// marks this thread `Done` — the only transition a `BlockedJoin`
-    /// thread wakes on — and ends the slice immediately), so with
-    /// `lock_ok` established at entry, `wake_blocked`, the termination
-    /// scan, and `pick_next` are all provably no-ops for the whole
-    /// slice; the caller settles quantum and step accounting from the
-    /// returned count. While some thread *is* blocked on a lock, lock
-    /// instructions stay cold, because their per-step wake timing is
-    /// observable (a thread woken by one release can re-block on the
-    /// very next step if the slice re-acquires). Stops early (without
-    /// error) at the first instruction that needs the full machine —
-    /// or a pending monitor re-acquire — which [`Stepper::step`] runs.
+    /// `wake_blocked` wakes a `BlockedLock` thread when its lock is free
+    /// and a `BlockedJoin` thread when its target is `Done`. None of the
+    /// admitted instructions can bring either about mid-slice: an
+    /// acquire frees no lock (a contended one blocks this thread and
+    /// ends the slice); `fork`/`join`/`wait`/`notify` exit the slice; a
+    /// root `ret` marks this thread `Done` and ends the slice
+    /// immediately; and a release runs here only while no thread waits
+    /// on a lock. So `wake_blocked`, the termination scan and
+    /// `pick_next` are all provably no-ops for the whole slice, and the
+    /// caller settles quantum and step accounting from the returned
+    /// count. While some thread *is* blocked on a lock, releases stay
+    /// cold, because their per-step wake timing is observable (a thread
+    /// woken by one release can re-block on the very next step if the
+    /// slice re-acquires). Stops early (without error) at the first
+    /// instruction that needs the full machine — or a pending monitor
+    /// re-acquire — which [`Stepper::step`] runs.
     ///
     /// Inlined so that `step`'s one-instruction slice compiles to a
     /// straight dispatch.
@@ -267,7 +269,7 @@ impl<'p> CompiledVm<'p> {
         &mut self,
         t: Tid,
         budget: u64,
-        lock_ok: bool,
+        release_ok: bool,
         sink: &mut S,
     ) -> (u64, Result<(), RuntimeError>) {
         let prog = self.prog;
@@ -356,7 +358,7 @@ impl<'p> CompiledVm<'p> {
                     Instr::Check { site, next } => {
                         exec_check(prog, heap, regs, frame, sink, t, *site, *next)
                     }
-                    Instr::Acquire { lock, next } if lock_ok => {
+                    Instr::Acquire { lock, next } => {
                         let obj = match frame.get_obj(prog, *lock) {
                             Ok(o) => o,
                             Err(e) => return (executed, Err(e)),
@@ -370,10 +372,10 @@ impl<'p> CompiledVm<'p> {
                         frame.pc = *next;
                         Ok(())
                     }
-                    Instr::Release { lock, next } if lock_ok => match frame.get_obj(prog, *lock) {
-                        Ok(obj) => sched.release(t, obj, sink).map(|()| frame.pc = *next),
-                        Err(e) => Err(e),
-                    },
+                    Instr::Release { lock, next } if release_ok => frame
+                        .get_obj(prog, *lock)
+                        .and_then(|obj| sched.release(t, obj, sink))
+                        .map(|()| frame.pc = *next),
                     Instr::Call { dst, site, next } => {
                         match build_frame(prog, heap, pool, frame, *site, Some(*dst)) {
                             Ok(callee) => {
@@ -393,11 +395,10 @@ impl<'p> CompiledVm<'p> {
                         };
                         break SliceExit::Ret(v);
                     }
-                    // Thread-table instructions — and lock instructions
-                    // while some other thread is blocked — need the
-                    // full scheduler: hand back without consuming.
-                    Instr::Acquire { .. }
-                    | Instr::Release { .. }
+                    // Thread-table instructions — and releases while
+                    // some thread is blocked on a lock — need the full
+                    // scheduler: hand back without consuming.
+                    Instr::Release { .. }
                     | Instr::Fork { .. }
                     | Instr::Join { .. }
                     | Instr::Wait { .. }
@@ -444,8 +445,8 @@ impl Stepper for CompiledVm<'_> {
     }
 
     /// Executes one instruction (= one interpreter work item) of `t`:
-    /// a one-instruction [`CompiledVm::run_slice`] that admits lock
-    /// instructions, or, where the slice stops, a pending monitor
+    /// a one-instruction [`CompiledVm::run_slice`] that admits releases,
+    /// or, where the slice stops, a pending monitor
     /// re-acquire or a thread-table instruction.
     fn step<S: EventSink>(&mut self, t: Tid, sink: &mut S) -> Result<(), RuntimeError> {
         let (executed, r) = self.run_slice(t, 1, true, sink);
@@ -512,8 +513,8 @@ impl Stepper for CompiledVm<'_> {
         budget: u64,
         sink: &mut S,
     ) -> (u64, Result<(), RuntimeError>) {
-        let lock_ok = self.sched.lock_ok();
-        self.run_slice(t, budget, lock_ok, sink)
+        let release_ok = self.sched.release_ok();
+        self.run_slice(t, budget, release_ok, sink)
     }
 
     fn switched() {

@@ -110,8 +110,8 @@ pub(crate) struct Sched {
     context_switches: u64,
     /// Threads not yet `Done`: the run ends on `live == 0`.
     live: usize,
-    /// Threads in `BlockedLock`. They wake on lock-state changes, so while
-    /// any exist, lock operations must run one per scheduler step (the
+    /// Threads in `BlockedLock`. They wake when their lock is freed, so
+    /// while any exist, releases must run one per scheduler step (the
     /// per-step `wake_blocked` timing is observable).
     blocked_lock: usize,
     /// Threads in `BlockedJoin`. They wake only when a thread exits. With
@@ -195,10 +195,10 @@ impl Sched {
         }
     }
 
-    /// True while no thread is `BlockedLock`, so a lock operation cannot
-    /// wake anyone and may run inside a slice.
+    /// True while no thread is `BlockedLock`, so a release cannot wake
+    /// anyone and may run inside a slice.
     #[inline]
-    pub(crate) fn lock_ok(&self) -> bool {
+    pub(crate) fn release_ok(&self) -> bool {
         self.blocked_lock == 0
     }
 
