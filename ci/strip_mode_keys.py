@@ -3,14 +3,13 @@
 
 Usage: strip_mode_keys.py <a.json> <b.json> [label]
 
-The pipeline-smoke, compiled-smoke, and compressed-smoke CI jobs run
-the same program under different execution modes (serial vs the batched
-ring, the tree-walking interpreter vs the bytecode tier, raw vs
+The pipeline-smoke and compressed-smoke CI jobs run the same program
+under different execution modes (serial vs the batched ring, raw vs
 grammar-compressed trace replay) and require the reports to be
 identical except for the keys that merely describe *how* the run
-executed (`pipeline`, `replay_workers`, `compiled`, `compressed`,
-`trace_bytes`, `memo`, and the input `file` path) —
-races, counters, and space accounting must match byte for byte.
+executed (`pipeline`, `replay_workers`, `compressed`, `trace_bytes`,
+`memo`, and the input `file` path) — races, counters, and space
+accounting must match byte for byte.
 """
 
 import json
@@ -19,7 +18,6 @@ import sys
 MODE_KEYS = {
     "pipeline",
     "replay_workers",
-    "compiled",
     "compressed",
     "trace_bytes",
     "memo",

@@ -1,18 +1,20 @@
 //! Criterion bench of the detector event loop alone: each benchmark is
 //! recorded to a trace once and the pre-decoded events are streamed
 //! through the detector, so the numbers move with the detector hot path
-//! and not with the interpreter. This is the bench the `BENCH.json`
+//! and not with the VM. This is the bench the `BENCH.json`
 //! events/sec baseline tracks (see docs/PERFORMANCE.md).
 
 use bigfoot::{instrument, naive_instrument};
-use bigfoot_bfj::{trace::TraceWriter, Event, EventSink, Interp, Program, SchedPolicy};
+use bigfoot_bfj::{
+    compile, trace::TraceWriter, CompiledVm, Event, EventSink, Program, SchedPolicy,
+};
 use bigfoot_detectors::{ArrayEngine, CheckSource, Detector, ProxyTable, TraceReader};
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn record(program: &Program) -> Vec<Event> {
     let mut writer = TraceWriter::new();
-    Interp::new(program, SchedPolicy::default())
+    CompiledVm::new(&compile(program), SchedPolicy::default())
         .run(&mut writer)
         .expect("run");
     let bytes = writer.into_bytes();

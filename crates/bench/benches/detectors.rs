@@ -2,7 +2,7 @@
 //! Table 1 workloads (small scale — the full sweep lives in `repro`).
 
 use bigfoot::{instrument, naive_instrument, redcard_instrument};
-use bigfoot_bfj::{Interp, NullSink, SchedPolicy};
+use bigfoot_bfj::{compile, CompiledVm, NullSink, SchedPolicy};
 use bigfoot_detectors::{ArrayEngine, CheckSource, Detector, ProxyTable};
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -16,11 +16,14 @@ fn bench_detectors(c: &mut Criterion) {
         let b = benchmark(name, Scale::Small).expect("benchmark");
         let inst = instrument(&b.program);
         let (rc_prog, rc_proxies) = redcard_instrument(&b.program);
-        let naive = naive_instrument(&b.program);
+        let base = compile(&b.program);
+        let naive = compile(&naive_instrument(&b.program));
+        let rc_prog = compile(&rc_prog);
+        let bf_prog = compile(&inst.program);
 
-        group.bench_with_input(BenchmarkId::new("base", name), &b.program, |bench, p| {
+        group.bench_with_input(BenchmarkId::new("base", name), &base, |bench, p| {
             bench.iter(|| {
-                Interp::new(p, SchedPolicy::default())
+                CompiledVm::new(p, SchedPolicy::default())
                     .run(&mut NullSink)
                     .unwrap()
             })
@@ -33,7 +36,7 @@ fn bench_detectors(c: &mut Criterion) {
                     ArrayEngine::Fine,
                     ProxyTable::identity(),
                 );
-                Interp::new(p, SchedPolicy::default())
+                CompiledVm::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .unwrap();
                 det.finish().shadow_ops
@@ -42,7 +45,7 @@ fn bench_detectors(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("RC", name), &rc_prog, |bench, p| {
             bench.iter(|| {
                 let mut det = Detector::redcard(rc_proxies.clone());
-                Interp::new(p, SchedPolicy::default())
+                CompiledVm::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .unwrap();
                 det.finish().shadow_ops
@@ -56,16 +59,16 @@ fn bench_detectors(c: &mut Criterion) {
                     ArrayEngine::Footprint,
                     ProxyTable::identity(),
                 );
-                Interp::new(p, SchedPolicy::default())
+                CompiledVm::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .unwrap();
                 det.finish().shadow_ops
             })
         });
-        group.bench_with_input(BenchmarkId::new("BF", name), &inst.program, |bench, p| {
+        group.bench_with_input(BenchmarkId::new("BF", name), &bf_prog, |bench, p| {
             bench.iter(|| {
                 let mut det = Detector::bigfoot(inst.proxies.clone());
-                Interp::new(p, SchedPolicy::default())
+                CompiledVm::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .unwrap();
                 det.finish().shadow_ops

@@ -8,24 +8,24 @@
 //! Run with `cargo bench --bench obs_overhead`.
 
 use bigfoot::instrument;
-use bigfoot_bfj::{Interp, SchedPolicy};
+use bigfoot_bfj::{compile, CompiledProgram, CompiledVm, SchedPolicy};
 use bigfoot_detectors::{detect_pipelined, Detector, PipelineConfig};
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn detector_pass(program: &bigfoot_bfj::Program, proxies: &bigfoot_detectors::ProxyTable) -> u64 {
+fn detector_pass(program: &CompiledProgram, proxies: &bigfoot_detectors::ProxyTable) -> u64 {
     let mut det = Detector::bigfoot(proxies.clone());
-    Interp::new(program, SchedPolicy::default())
+    CompiledVm::new(program, SchedPolicy::default())
         .run(&mut det)
         .unwrap();
     det.finish().shadow_ops
 }
 
-fn pipelined_pass(program: &bigfoot_bfj::Program, proxies: &bigfoot_detectors::ProxyTable) -> u64 {
+fn pipelined_pass(program: &CompiledProgram, proxies: &bigfoot_detectors::ProxyTable) -> u64 {
     let det = Detector::bigfoot(proxies.clone());
     let (outcome, stats) = detect_pipelined(
         &PipelineConfig::default(),
-        |sink| Interp::new(program, SchedPolicy::default()).run(sink),
+        |sink| CompiledVm::new(program, SchedPolicy::default()).run(sink),
         det,
     );
     outcome.unwrap();
@@ -35,20 +35,21 @@ fn pipelined_pass(program: &bigfoot_bfj::Program, proxies: &bigfoot_detectors::P
 fn bench_obs_overhead(c: &mut Criterion) {
     let b = benchmark("moldyn", Scale::Small).expect("benchmark");
     let inst = instrument(&b.program);
+    let lowered = compile(&inst.program);
 
     bigfoot_obs::set_enabled(false);
     c.bench_function("obs/disabled", |bench| {
-        bench.iter(|| detector_pass(&inst.program, &inst.proxies))
+        bench.iter(|| detector_pass(&lowered, &inst.proxies))
     });
     bigfoot_obs::set_enabled(true);
     c.bench_function("obs/enabled", |bench| {
-        bench.iter(|| detector_pass(&inst.program, &inst.proxies))
+        bench.iter(|| detector_pass(&lowered, &inst.proxies))
     });
     bigfoot_obs::set_enabled(false);
     // Second disabled pass: measured after the enabled pass so cache/JIT
     // drift shows up as disagreement between the two disabled numbers.
     c.bench_function("obs/disabled-again", |bench| {
-        bench.iter(|| detector_pass(&inst.program, &inst.proxies))
+        bench.iter(|| detector_pass(&lowered, &inst.proxies))
     });
 
     // The flight recorder's sites (pipeline wait spans, batch instants,
@@ -58,15 +59,15 @@ fn bench_obs_overhead(c: &mut Criterion) {
     bigfoot_obs::set_enabled(false);
     bigfoot_obs::trace::set_enabled(false);
     c.bench_function("trace/disabled", |bench| {
-        bench.iter(|| pipelined_pass(&inst.program, &inst.proxies))
+        bench.iter(|| pipelined_pass(&lowered, &inst.proxies))
     });
     bigfoot_obs::trace::set_enabled(true);
     c.bench_function("trace/enabled", |bench| {
-        bench.iter(|| pipelined_pass(&inst.program, &inst.proxies))
+        bench.iter(|| pipelined_pass(&lowered, &inst.proxies))
     });
     bigfoot_obs::trace::set_enabled(false);
     c.bench_function("trace/disabled-again", |bench| {
-        bench.iter(|| pipelined_pass(&inst.program, &inst.proxies))
+        bench.iter(|| pipelined_pass(&lowered, &inst.proxies))
     });
 
     let median = |id: &str| -> f64 {

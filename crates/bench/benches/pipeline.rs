@@ -1,12 +1,12 @@
 //! Criterion bench: serial vs pipelined end-to-end detection.
 //!
-//! Measures the full interpret-and-detect loop two ways — detector inline
-//! with the interpreter on one thread, and detector on its own thread fed
+//! Measures the full execute-and-detect loop two ways — detector inline
+//! with the compiled VM on one thread, and detector on its own thread fed
 //! through the batched SPSC ring — plus a batch-size sweep, so the
 //! overlap win and the hand-off overhead are both visible.
 
 use bigfoot::instrument;
-use bigfoot_bfj::{Interp, SchedPolicy};
+use bigfoot_bfj::{compile, CompiledVm, SchedPolicy};
 use bigfoot_detectors::{
     detect_pipelined, run_pipelined, Detector, DjitDetector, PipelineConfig, DEFAULT_RING_SLOTS,
 };
@@ -21,11 +21,12 @@ fn bench_pipeline(c: &mut Criterion) {
     for name in ["crypt", "moldyn", "raytracer", "lufact"] {
         let b = benchmark(name, Scale::Small).expect("benchmark");
         let inst = instrument(&b.program);
+        let lowered = compile(&inst.program);
 
         group.bench_with_input(BenchmarkId::new("serial", name), &inst, |bench, inst| {
             bench.iter(|| {
                 let mut det = Detector::bigfoot(inst.proxies.clone());
-                Interp::new(&inst.program, SchedPolicy::default())
+                CompiledVm::new(&lowered, SchedPolicy::default())
                     .run(&mut det)
                     .expect("run");
                 det.finish().shadow_ops
@@ -44,7 +45,7 @@ fn bench_pipeline(c: &mut Criterion) {
                         let (_, stats) = detect_pipelined(
                             &config,
                             |sink| {
-                                Interp::new(&inst.program, SchedPolicy::default())
+                                CompiledVm::new(&lowered, SchedPolicy::default())
                                     .run(sink)
                                     .expect("run")
                             },
@@ -60,9 +61,9 @@ fn bench_pipeline(c: &mut Criterion) {
 }
 
 /// The case the pipeline exists for: a consumer whose per-event cost
-/// rivals the interpreter's. Djit compares full vector clocks on every
-/// access, so moving it off the interpreter thread overlaps real work
-/// instead of hiding a few nanoseconds.
+/// rivals the VM's. Djit compares full vector clocks on every access, so
+/// moving it off the VM thread overlaps real work instead of hiding a few
+/// nanoseconds.
 fn bench_pipeline_djit(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline-djit");
     group.sample_size(10);
@@ -70,24 +71,24 @@ fn bench_pipeline_djit(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for name in ["crypt", "moldyn"] {
         let b = benchmark(name, Scale::Small).expect("benchmark");
-        let inst = instrument(&b.program);
+        let lowered = compile(&instrument(&b.program).program);
 
-        group.bench_with_input(BenchmarkId::new("serial", name), &inst, |bench, inst| {
+        group.bench_with_input(BenchmarkId::new("serial", name), &lowered, |bench, p| {
             bench.iter(|| {
                 let mut det = DjitDetector::new();
-                Interp::new(&inst.program, SchedPolicy::default())
+                CompiledVm::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .expect("run");
                 det.finish().shadow_ops
             })
         });
         let config = PipelineConfig::default();
-        group.bench_with_input(BenchmarkId::new("pipelined", name), &inst, |bench, inst| {
+        group.bench_with_input(BenchmarkId::new("pipelined", name), &lowered, |bench, p| {
             bench.iter(|| {
                 let (_, det) = run_pipelined(
                     &config,
                     |sink| {
-                        Interp::new(&inst.program, SchedPolicy::default())
+                        CompiledVm::new(p, SchedPolicy::default())
                             .run(sink)
                             .expect("run")
                     },

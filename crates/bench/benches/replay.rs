@@ -3,10 +3,10 @@
 //! Each benchmark program is recorded once; the bench then measures the
 //! pure detection stage — the serial [`Detector`] fed from the trace, and
 //! [`replay_trace`] at 2, 4, and 8 workers — over identical input bytes,
-//! so the comparison isolates detection from interpretation.
+//! so the comparison isolates detection from execution.
 
 use bigfoot::instrument;
-use bigfoot_bfj::{trace::TraceWriter, EventSink, Interp, SchedPolicy};
+use bigfoot_bfj::{compile, trace::TraceWriter, CompiledVm, EventSink, SchedPolicy};
 use bigfoot_detectors::{replay_trace, Detector, ReplayConfig, TraceReader};
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,7 +20,7 @@ fn bench_replay(c: &mut Criterion) {
         let b = benchmark(name, Scale::Small).expect("benchmark");
         let inst = instrument(&b.program);
         let mut writer = TraceWriter::new();
-        Interp::new(&inst.program, SchedPolicy::default())
+        CompiledVm::new(&compile(&inst.program), SchedPolicy::default())
             .run(&mut writer)
             .expect("run");
         let bytes = writer.into_bytes();

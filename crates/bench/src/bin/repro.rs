@@ -10,6 +10,10 @@
 //!       [--json] [--out FILE]
 //! ```
 //!
+//! Every measurement executes programs on the compiled VM, lowered once
+//! outside the timed region; only `perf --compiled` also runs the
+//! reference interpreter, as the other side of its comparison.
+//!
 //! * `table1` — per-benchmark StaticBF time, check ratio, base time, and
 //!   time overheads for FT/RC/SS/SC/BF (wall clock plus the op-count
 //!   model).
@@ -101,7 +105,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         &["--json", "--pipeline", "--compiled", "--compressed"],
     )?;
     // The flight recorder spans the whole command (`repro perf
-    // --pipeline --trace-out t.json` shows the interpreter/detector
+    // --pipeline --trace-out t.json` shows the VM/detector
     // overlap per rep); the guard's drop path also writes the trace when
     // a command errors out or panics mid-run.
     let trace_guard = args

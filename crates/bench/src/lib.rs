@@ -1,12 +1,18 @@
 //! Measurement harness shared by the `repro` binary and the criterion
 //! benches: runs every detector configuration of the paper over a
 //! benchmark program and collects timing, operation counts, and space.
+//!
+//! Every program runs on the compiled tier: it is lowered once with
+//! [`compile()`], outside any timed region, and executed on [`CompiledVm`].
 
 use bigfoot::{
     instrument, instrument_with, naive_instrument, redcard_instrument, InstrumentOptions,
     Instrumented,
 };
-use bigfoot_bfj::{trace::TraceWriter, EventSink, Interp, NullSink, Program, SchedPolicy};
+use bigfoot_bfj::{
+    compile, trace::TraceWriter, CompiledProgram, CompiledVm, EventSink, NullSink, Program,
+    RunOutcome, SchedPolicy,
+};
 use bigfoot_detectors::{
     replay_trace, ArrayEngine, CheckSource, Detector, ProxyTable, ReplayConfig, Stats, TraceReader,
 };
@@ -136,10 +142,19 @@ impl BenchResult {
     }
 }
 
-/// Median-of-`reps` wall time for running `program` into `make_sink`'s
-/// detector (or `None` for the base run). Returns the last run's stats.
+/// Runs a lowered program once on the compiled VM under the default
+/// schedule, streaming its events into `sink`.
+fn run_vm<S: EventSink>(program: &CompiledProgram, sink: &mut S) -> RunOutcome {
+    CompiledVm::new(program, SchedPolicy::default())
+        .run(sink)
+        .expect("run")
+}
+
+/// Median-of-`reps` wall time for running the lowered `program` into
+/// `make_sink`'s detector (or `None` for the base run). Returns the last
+/// run's stats.
 fn timed<F: FnMut() -> Option<Detector>>(
-    program: &Program,
+    program: &CompiledProgram,
     reps: usize,
     mut make_sink: F,
 ) -> (Duration, Option<Stats>) {
@@ -149,16 +164,12 @@ fn timed<F: FnMut() -> Option<Detector>>(
         match make_sink() {
             None => {
                 let t0 = Instant::now();
-                Interp::new(program, SchedPolicy::default())
-                    .run(&mut NullSink)
-                    .expect("run");
+                run_vm(program, &mut NullSink);
                 times.push(t0.elapsed());
             }
             Some(mut det) => {
                 let t0 = Instant::now();
-                Interp::new(program, SchedPolicy::default())
-                    .run(&mut det)
-                    .expect("run");
+                run_vm(program, &mut det);
                 times.push(t0.elapsed());
                 last_stats = Some(det.finish());
             }
@@ -181,14 +192,13 @@ pub fn measure(name: &'static str, program: &Program, reps: usize) -> BenchResul
     let snap1 = bigfoot_obs::snapshot();
     let static_obs = StaticObsStats::between(&snap0, &snap1);
     let (rc_prog, rc_proxies) = redcard_instrument(program);
-    let naive = naive_instrument(program);
+    let base = compile(program);
+    let naive = compile(&naive_instrument(program));
+    let rc_prog = compile(&rc_prog);
+    let bf_prog = compile(&inst.program);
 
-    let (base_time, _) = timed(program, reps, || None);
-    let heap_cells = {
-        let mut i = Interp::new(program, SchedPolicy::default());
-        i.run(&mut NullSink).expect("run");
-        i.heap().cells()
-    };
+    let (base_time, _) = timed(&base, reps, || None);
+    let heap_cells = run_vm(&base, &mut NullSink).heap_cells;
 
     let mut runs = Vec::new();
     let (t, s) = timed(&naive, reps, || {
@@ -233,7 +243,7 @@ pub fn measure(name: &'static str, program: &Program, reps: usize) -> BenchResul
         time: t,
         stats: s.unwrap(),
     });
-    let (t, s) = timed(&inst.program, reps, || {
+    let (t, s) = timed(&bf_prog, reps, || {
         Some(Detector::bigfoot(inst.proxies.clone()))
     });
     runs.push(DetectorRun {
@@ -305,7 +315,7 @@ pub const ABLATIONS: [(&str, InstrumentOptions); 5] = [
 /// (wall time, stats).
 pub fn measure_ablation(program: &Program, options: InstrumentOptions, reps: usize) -> DetectorRun {
     let inst = instrument_with(program, options);
-    let (t, s) = timed(&inst.program, reps, || {
+    let (t, s) = timed(&compile(&inst.program), reps, || {
         Some(Detector::bigfoot(inst.proxies.clone()))
     });
     DetectorRun {
@@ -374,7 +384,7 @@ pub struct ReplayResult {
     pub trace_bytes: u64,
     /// Events in the trace.
     pub trace_events: u64,
-    /// Wall time of the recording run (interpreter + trace encoding).
+    /// Wall time of the recording run (VM + trace encoding).
     pub record_time: Duration,
     /// Median wall time of serial detection over the recorded trace.
     pub serial_time: Duration,
@@ -410,12 +420,11 @@ pub fn measure_replay(
     reps: usize,
 ) -> ReplayResult {
     let inst: Instrumented = instrument(program);
+    let lowered = compile(&inst.program);
 
     let t0 = Instant::now();
     let mut writer = TraceWriter::new();
-    Interp::new(&inst.program, SchedPolicy::default())
-        .run(&mut writer)
-        .expect("run");
+    run_vm(&lowered, &mut writer);
     let record_time = t0.elapsed();
     let trace_events = writer.events();
     let bytes = writer.into_bytes();

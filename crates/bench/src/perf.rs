@@ -2,20 +2,20 @@
 //! static-analysis cost, and peak shadow space — the numbers committed to
 //! `BENCH.json` as the tracked performance baseline.
 //!
-//! Unlike [`crate::measure`], which times interpreter + detector together
-//! (the paper's overhead experiment), `perf` records each benchmark to a
-//! trace once, decodes it once, and then streams the pre-decoded events
-//! through each detector configuration. That isolates the detector event
-//! loop, so `events_per_sec` moves when the detector moves and not when
-//! the interpreter does — exactly what a perf baseline must track.
+//! Unlike [`crate::measure`], which times VM + detector together (the
+//! paper's overhead experiment), `perf` records each benchmark to a trace
+//! once, decodes it once, and then streams the pre-decoded events through
+//! each detector configuration. That isolates the detector event loop, so
+//! `events_per_sec` moves when the detector moves and not when the VM
+//! does — exactly what a perf baseline must track.
 
-use crate::{geomean, StaticObsStats, DETECTORS};
+use crate::{geomean, run_vm, StaticObsStats, DETECTORS};
 use bigfoot::{
     instrument, instrument_incremental, naive_instrument, redcard_instrument, InstrumentOptions,
     Instrumented, CACHE_FILE,
 };
 use bigfoot_bfj::{
-    compile, mutate, site_count, trace::TraceWriter, CompiledVm, Event, EventSink, Interp,
+    compile, mutate, site_count, trace::TraceWriter, CompiledProgram, Event, EventSink, Interp,
     MutationKind, NullSink, Program, SchedPolicy,
 };
 use bigfoot_detectors::{
@@ -92,9 +92,7 @@ fn config_detector(d: &str, rc_proxies: &ProxyTable, bf_proxies: &ProxyTable) ->
 
 fn record(program: &Program) -> (u64, Vec<Event>) {
     let mut writer = TraceWriter::new();
-    Interp::new(program, SchedPolicy::default())
-        .run(&mut writer)
-        .expect("run");
+    run_vm(&compile(program), &mut writer);
     let events = writer.events();
     let bytes = writer.into_bytes();
     let decoded: Vec<Event> = TraceReader::new(&bytes)
@@ -181,20 +179,19 @@ pub fn measure_perf(name: &'static str, program: &Program, reps: usize) -> PerfB
     }
 }
 
-/// Serial vs pipelined *end-to-end* throughput (interpreter + detector)
-/// for one detector configuration on one benchmark.
+/// Serial vs pipelined *end-to-end* throughput (VM + detector) for one
+/// detector configuration on one benchmark.
 ///
-/// Unlike [`DetectorPerf`], both numbers here include interpretation:
-/// the pipeline's gain comes from overlapping the interpreter with the
-/// detector across the batched ring, which a detector-only loop cannot
-/// show.
+/// Unlike [`DetectorPerf`], both numbers here include execution: the
+/// pipeline's gain comes from overlapping the VM with the detector across
+/// the batched ring, which a detector-only loop cannot show.
 #[derive(Debug, Clone)]
 pub struct PipelineDetectorPerf {
     /// Short name (FT/RC/SS/SC/BF).
     pub name: &'static str,
     /// Events produced by one run of this configuration's program.
     pub events: u64,
-    /// Median events/second with interpreter and detector on one thread.
+    /// Median events/second with VM and detector on one thread.
     pub serial_events_per_sec: f64,
     /// Median events/second with the detector on its own thread, fed
     /// through the default batched ring.
@@ -253,10 +250,11 @@ fn end_to_end_rate(events: u64, reps: usize, run: impl Fn()) -> f64 {
 }
 
 /// Measures serial vs pipelined end-to-end throughput (`repro perf
-/// --pipeline`). Every run re-executes the interpreter, so — unlike
-/// [`measure_perf`] — these numbers move with the interpreter too; they
-/// are reported as an *additive* `pipeline` section, never fed to the
-/// [`check_against_baseline`] drift gate.
+/// --pipeline`). Every run re-executes the VM (lowering happens once,
+/// outside the timed region), so — unlike [`measure_perf`] — these
+/// numbers move with the VM too; they are reported as an *additive*
+/// `pipeline` section, never fed to the [`check_against_baseline`] drift
+/// gate.
 pub fn measure_pipeline(name: &'static str, program: &Program, reps: usize) -> PipelineBench {
     struct CountSink(u64);
     impl EventSink for CountSink {
@@ -264,46 +262,40 @@ pub fn measure_pipeline(name: &'static str, program: &Program, reps: usize) -> P
             self.0 += 1;
         }
     }
-    let count = |p: &Program| {
+    let count = |p: &CompiledProgram| {
         let mut c = CountSink(0);
-        Interp::new(p, SchedPolicy::default())
-            .run(&mut c)
-            .expect("run");
+        run_vm(p, &mut c);
         c.0
     };
 
     let inst: Instrumented = instrument(program);
     let (rc_prog, rc_proxies) = redcard_instrument(program);
-    let naive = naive_instrument(program);
+    let naive = compile(&naive_instrument(program));
+    let rc_prog = compile(&rc_prog);
+    let bf_prog = compile(&inst.program);
     let naive_events = count(&naive);
     let rc_events = count(&rc_prog);
-    let bf_events = count(&inst.program);
+    let bf_events = count(&bf_prog);
 
     let obs_was_on = bigfoot_obs::enabled();
     bigfoot_obs::set_enabled(false);
     let pipeline = PipelineConfig::default();
     let mut detectors = Vec::new();
     for d in DETECTORS {
-        let (events, prog): (u64, &Program) = match d {
+        let (events, prog): (u64, &CompiledProgram) = match d {
             "FT" | "SS" => (naive_events, &naive),
             "RC" | "SC" => (rc_events, &rc_prog),
-            _ => (bf_events, &inst.program),
+            _ => (bf_events, &bf_prog),
         };
         let serial = end_to_end_rate(events, reps, || {
             let mut det = config_detector(d, &rc_proxies, &inst.proxies);
-            Interp::new(prog, SchedPolicy::default())
-                .run(&mut det)
-                .expect("run");
+            run_vm(prog, &mut det);
             std::hint::black_box(det.finish());
         });
         let pipelined = end_to_end_rate(events, reps, || {
             let (_, stats) = detect_pipelined(
                 &pipeline,
-                |sink| {
-                    Interp::new(prog, SchedPolicy::default())
-                        .run(sink)
-                        .expect("run")
-                },
+                |sink| run_vm(prog, sink),
                 config_detector(d, &rc_proxies, &inst.proxies),
             );
             std::hint::black_box(stats);
@@ -404,9 +396,7 @@ pub fn measure_compiled(name: &'static str, program: &Program, reps: usize) -> C
             .expect("run");
     });
     let compiled_steps_per_sec = end_to_end_rate(steps, reps, || {
-        CompiledVm::new(&lowered, SchedPolicy::default())
-            .run(&mut NullSink)
-            .expect("run");
+        run_vm(&lowered, &mut NullSink);
     });
     let interp_events_per_sec = end_to_end_rate(events, reps, || {
         let mut det = Detector::bigfoot(inst.proxies.clone());
@@ -417,9 +407,7 @@ pub fn measure_compiled(name: &'static str, program: &Program, reps: usize) -> C
     });
     let compiled_events_per_sec = end_to_end_rate(events, reps, || {
         let mut det = Detector::bigfoot(inst.proxies.clone());
-        CompiledVm::new(&lowered_bf, SchedPolicy::default())
-            .run(&mut det)
-            .expect("run");
+        run_vm(&lowered_bf, &mut det);
         std::hint::black_box(det.finish());
     });
     bigfoot_obs::set_enabled(obs_was_on);
@@ -517,9 +505,7 @@ impl CompressedBench {
 pub fn measure_compressed(name: &'static str, program: &Program, reps: usize) -> CompressedBench {
     let record_bytes = |p: &Program| -> (u64, Vec<u8>) {
         let mut writer = TraceWriter::new();
-        Interp::new(p, SchedPolicy::default())
-            .run(&mut writer)
-            .expect("run");
+        run_vm(&compile(p), &mut writer);
         (writer.events(), writer.into_bytes())
     };
     let inst: Instrumented = instrument(program);

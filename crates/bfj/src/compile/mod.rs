@@ -1,13 +1,12 @@
-//! The BFJ compilation tier: AST → flat register bytecode → [`CompiledVm`].
+//! The BFJ compilation tier: AST → flat register bytecode → [`CompiledVm`],
+//! the executor every tool runs programs on.
 //!
-//! The tree-walking [`Interp`](crate::Interp) pays for a `HashMap`
-//! environment lookup per variable mention, a `Vec<Work>` push/pop per
-//! statement, and `Box<Expr>` pointer-chasing per operator. Once the
-//! detectors got fast (dense slab shadow stores, pipelined rings), that
-//! interpretive overhead became the dominant cost of every experiment —
-//! and the BigFoot overhead ratios are only honest when the *baseline*
-//! execution is fast, which is also how the paper's StaticBF placements
-//! were meant to be consumed: inlined into compiled code.
+//! The reference [`Interp`](crate::Interp) walks the AST and pays for a
+//! `HashMap` environment lookup per variable mention, a `Vec<Work>`
+//! push/pop per statement, and `Box<Expr>` pointer-chasing per operator.
+//! BigFoot's overhead ratios are only honest when the *baseline* execution
+//! is fast, which is also how the paper's StaticBF placements were meant
+//! to be consumed: inlined into compiled code.
 //!
 //! [`compile`] lowers a (possibly instrumented) program once:
 //!
@@ -25,14 +24,18 @@
 //!   file, preserving the recursive evaluator's exact evaluation and
 //!   type-check order.
 //!
-//! [`CompiledVm`] then re-implements the interpreter's green-thread
-//! scheduler — same quantum accounting, same xorshift64* / Lemire
-//! `rand_below` draw sequence, same `wake_blocked` scan order, same
-//! deadlock and step-limit behavior — over that bytecode. The contract,
-//! enforced by a fuzz oracle and a differential suite, is **byte
-//! identity**: for any program and [`SchedPolicy`](crate::SchedPolicy),
-//! the BFTR-encoded event stream of the compiled run equals the
-//! interpreted run's, bit for bit.
+//! [`CompiledVm`] runs that bytecode on the green-thread scheduler of
+//! [`crate::sched`], the one the interpreter runs on too: the thread and
+//! lock tables, the seeded RNG, quantum accounting, wake order, and
+//! deadlock and step-limit handling are shared code, and the VM keeps only
+//! frame-level state (slots, pcs, call frames, final environments). Within
+//! a `RoundRobin` quantum it runs consecutive instructions that cannot
+//! wake another thread in one tight slice, without re-entering the
+//! scheduler per step. The contract, enforced by a fuzz oracle, a
+//! differential suite and a schedule golden test, is **byte identity**:
+//! for any program and [`SchedPolicy`](crate::SchedPolicy), the
+//! BFTR-encoded event stream of the compiled run equals the interpreted
+//! run's, bit for bit.
 
 mod lower;
 mod vm;

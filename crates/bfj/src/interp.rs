@@ -1,4 +1,9 @@
-//! A deterministic, multi-threaded interpreter for BFJ.
+//! A deterministic, multi-threaded interpreter for BFJ: the reference
+//! semantics the compiled tier ([`mod@crate::compile`]) is tested against.
+//! Every tool executes programs on [`CompiledVm`](crate::CompiledVm);
+//! this tree-walker stays small and obviously faithful to the AST, so
+//! differential tests can hold the VM to it, and it publishes no
+//! run-time telemetry of its own.
 //!
 //! Threads are *green*: the interpreter holds every thread's control stack
 //! explicitly and the seeded scheduler of [`crate::sched`] decides which
@@ -393,15 +398,7 @@ impl<'p> Interp<'p> {
     /// [`RuntimeError::Deadlock`] if all live threads block, or
     /// [`RuntimeError::StepLimitExceeded`].
     pub fn run<S: EventSink>(&mut self, sink: &mut S) -> Result<RunOutcome, RuntimeError> {
-        // Top-level span on the interpreter's flight-recorder timeline;
-        // scheduling decisions appear as instant ticks inside it.
-        let _trace = bigfoot_obs::trace_span!("interp.run");
-        let result = sched::run(self, sink);
-        bigfoot_obs::count!("interp.runs");
-        bigfoot_obs::count!("interp.steps", self.sched.steps());
-        bigfoot_obs::count!("interp.context_switches", self.sched.context_switches());
-        bigfoot_obs::count!("interp.threads", self.sched.threads());
-        result.map(|()| self.sched.outcome(self.heap.cells))
+        sched::run(self, sink).map(|()| self.sched.outcome(self.heap.cells))
     }
 
     fn pop_frame<S: EventSink>(&mut self, t: Tid, sink: &mut S) -> Result<(), RuntimeError> {
@@ -809,10 +806,6 @@ impl Stepper for Interp<'_> {
             }
             Work::Stmt(s) => self.exec_stmt(t, s, sink),
         }
-    }
-
-    fn switched() {
-        bigfoot_obs::trace_instant!("interp.switch");
     }
 }
 

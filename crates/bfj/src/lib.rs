@@ -1,17 +1,21 @@
 //! BFJ (BigFoot Java): the idealized concurrent object language from
 //! *BigFoot: Static Check Placement for Dynamic Race Detection* (PLDI
-//! 2017), §3.1 — with a parser, pretty-printer, and a deterministic
-//! multi-threaded interpreter that streams race-detection events.
+//! 2017), §3.1 — with a parser, a pretty-printer, a bytecode compiler and
+//! a deterministic multi-threaded VM that streams race-detection events.
 //!
 //! This crate is the execution substrate of the BigFoot reproduction:
 //! programs are parsed (and automatically lowered to A-normal form),
-//! instrumented by the `bigfoot` crate's static analysis, and executed
-//! here while a dynamic detector consumes the [`Event`] stream.
+//! instrumented by the `bigfoot` crate's static analysis, lowered once to
+//! register bytecode by [`compile()`], and executed on [`CompiledVm`] while a
+//! dynamic detector consumes the [`Event`] stream. The tree-walking
+//! [`Interp`] is the reference semantics the VM is tested against; both
+//! run on one green-thread scheduler ([`sched`]) and emit byte-identical
+//! event streams for every program and [`SchedPolicy`].
 //!
 //! # Quick example
 //!
 //! ```
-//! use bigfoot_bfj::{parse_program, Interp, RecordingSink, SchedPolicy};
+//! use bigfoot_bfj::{compile, parse_program, CompiledVm, RecordingSink, SchedPolicy};
 //!
 //! let program = parse_program(
 //!     "class Counter {
@@ -24,7 +28,7 @@
 //!      }",
 //! )?;
 //! let mut sink = RecordingSink::default();
-//! Interp::new(&program, SchedPolicy::default()).run(&mut sink)?;
+//! CompiledVm::new(&compile(&program), SchedPolicy::default()).run(&mut sink)?;
 //! // Alloc of c, then bump() reads c.n, writes it, and reads it again
 //! // for the return, then the main thread exits.
 //! assert_eq!(sink.events.len(), 5);

@@ -143,7 +143,7 @@ pub(crate) trait Stepper {
     }
 
     /// Marks a context switch on the executor's trace timeline.
-    fn switched();
+    fn switched() {}
 }
 
 impl Sched {

@@ -532,11 +532,11 @@ pub fn read_event(bytes: &[u8], pos: &mut usize) -> Result<Option<Event>, TraceE
 /// # Examples
 ///
 /// ```
-/// use bigfoot_bfj::{parse_program, trace, Interp, SchedPolicy};
+/// use bigfoot_bfj::{compile, parse_program, trace, CompiledVm, SchedPolicy};
 ///
 /// let p = parse_program("main { a = new_array(4); a[0] = 1; }")?;
 /// let mut w = trace::TraceWriter::new();
-/// Interp::new(&p, SchedPolicy::default()).run(&mut w)?;
+/// CompiledVm::new(&compile(&p), SchedPolicy::default()).run(&mut w)?;
 /// let bytes = w.into_bytes();
 /// let start = trace::read_header(&bytes)?;
 /// let mut pos = start;

@@ -20,7 +20,7 @@
 //! # End to end
 //!
 //! ```
-//! use bigfoot_bfj::{parse_program, Interp, SchedPolicy};
+//! use bigfoot_bfj::{compile, parse_program, CompiledVm, SchedPolicy};
 //! use bigfoot_detectors::Detector;
 //!
 //! let program = parse_program(
@@ -40,7 +40,7 @@
 //! )?;
 //! let inst = bigfoot::instrument(&program);
 //! let mut detector = Detector::bigfoot(inst.proxies.clone());
-//! Interp::new(&inst.program, SchedPolicy::default())
+//! CompiledVm::new(&compile(&inst.program), SchedPolicy::default())
 //!     .run(&mut detector)?;
 //! let stats = detector.finish();
 //! assert!(!stats.has_races());

@@ -553,7 +553,9 @@ pub fn replay_compressed_report(
 /// # Examples
 ///
 /// ```
-/// use bigfoot_bfj::{parse_program, trace::compress, trace::TraceWriter, Interp, SchedPolicy};
+/// use bigfoot_bfj::{
+///     compile, parse_program, trace::compress, trace::TraceWriter, CompiledVm, SchedPolicy,
+/// };
 /// use bigfoot_detectors::{replay_compressed, replay_trace, ReplayConfig};
 ///
 /// let p = parse_program(
@@ -563,7 +565,7 @@ pub fn replay_compressed_report(
 ///      }",
 /// )?;
 /// let mut w = TraceWriter::new();
-/// Interp::new(&p, SchedPolicy::default()).run(&mut w)?;
+/// CompiledVm::new(&compile(&p), SchedPolicy::default()).run(&mut w)?;
 /// let raw = w.into_bytes();
 /// let packed = compress::compress(&raw)?;
 ///

@@ -15,7 +15,7 @@ use bigfoot_bfj::{Event, EventSink};
 /// # Examples
 ///
 /// ```
-/// use bigfoot_bfj::{parse_program, Interp, SchedPolicy};
+/// use bigfoot_bfj::{compile, parse_program, CompiledVm, SchedPolicy};
 /// use bigfoot_detectors::Detector;
 ///
 /// let p = parse_program(
@@ -28,7 +28,7 @@ use bigfoot_bfj::{Event, EventSink};
 ///      }",
 /// )?;
 /// let mut ft = Detector::fasttrack();
-/// Interp::new(&p, SchedPolicy::default()).run(&mut ft)?;
+/// CompiledVm::new(&compile(&p), SchedPolicy::default()).run(&mut ft)?;
 /// let stats = ft.finish();
 /// assert!(stats.has_races(), "unsynchronized writes race");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -104,7 +104,7 @@ impl Detector {
 }
 
 impl Drop for Detector {
-    /// A detector abandoned before [`Detector::finish`] — an interpreter
+    /// A detector abandoned before [`Detector::finish`] — an execution's
     /// `RuntimeError`, a panic unwinding past the run, a caller that just
     /// dropped it — still publishes its aggregated `det.events` count and
     /// the thread-local `bigfoot_vc::path_stats` tallies. Without this,

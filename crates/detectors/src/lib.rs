@@ -1,7 +1,7 @@
 //! Dynamic race detectors for the BigFoot reproduction.
 //!
 //! Implements every detector from the paper's evaluation (Fig. 2) over the
-//! BFJ interpreter's event stream — FastTrack, RedCard, SlimState,
+//! BFJ event stream — FastTrack, RedCard, SlimState,
 //! SlimCard, and BigFoot's run time (DynamicBF) — as configurations of one
 //! engine, plus the independent DJIT+ reference detector and the dynamic
 //! precise-checks verifier of §5.

@@ -1,9 +1,9 @@
-//! Pipelined online detection: the interpreter produces the event stream
-//! on one thread while the detector consumes it on another, with events
+//! Pipelined online detection: the executor (the compiled VM) produces the
+//! event stream on one thread while the detector consumes it on another, with events
 //! handed over in fixed-size **batches** through a bounded single-producer
 //! / single-consumer ring.
 //!
-//! The serial path runs interpreter → detector in lockstep: every event
+//! The serial path runs executor → detector in lockstep: every event
 //! crosses the [`EventSink`] boundary one at a time, and neither side can
 //! make progress while the other works. This module overlaps the two.
 //! The producer appends events to a private batch (a plain `Vec<Event>`)
@@ -187,7 +187,7 @@ impl EventSink for BatchSink<'_> {
 /// # Examples
 ///
 /// ```
-/// use bigfoot_bfj::{parse_program, Interp, SchedPolicy};
+/// use bigfoot_bfj::{compile, parse_program, CompiledVm, SchedPolicy};
 /// use bigfoot_detectors::{run_pipelined, Detector, PipelineConfig};
 ///
 /// let p = parse_program(
@@ -199,9 +199,10 @@ impl EventSink for BatchSink<'_> {
 ///          join(t1); join(t2);
 ///      }",
 /// )?;
+/// let lowered = compile(&p);
 /// let (outcome, det) = run_pipelined(
 ///     &PipelineConfig::default(),
-///     |sink| Interp::new(&p, SchedPolicy::default()).run(sink),
+///     |sink| CompiledVm::new(&lowered, SchedPolicy::default()).run(sink),
 ///     Detector::fasttrack(),
 /// );
 /// outcome?;

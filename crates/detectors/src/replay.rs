@@ -64,12 +64,12 @@ fn arr_shard(arr: ArrId) -> usize {
 /// # Examples
 ///
 /// ```
-/// use bigfoot_bfj::{parse_program, trace::TraceWriter, Interp, SchedPolicy};
+/// use bigfoot_bfj::{compile, parse_program, trace::TraceWriter, CompiledVm, SchedPolicy};
 /// use bigfoot_detectors::TraceReader;
 ///
 /// let p = parse_program("main { a = new_array(4); a[0] = 1; }")?;
 /// let mut w = TraceWriter::new();
-/// Interp::new(&p, SchedPolicy::default()).run(&mut w)?;
+/// CompiledVm::new(&compile(&p), SchedPolicy::default()).run(&mut w)?;
 /// let bytes = w.into_bytes();
 /// let events: Vec<_> = TraceReader::new(&bytes)?.collect::<Result<_, _>>()?;
 /// assert!(!events.is_empty());
@@ -531,7 +531,7 @@ pub(crate) fn detect_and_merge(
 /// # Examples
 ///
 /// ```
-/// use bigfoot_bfj::{parse_program, trace::TraceWriter, Interp, SchedPolicy};
+/// use bigfoot_bfj::{compile, parse_program, trace::TraceWriter, CompiledVm, SchedPolicy};
 /// use bigfoot_detectors::{replay_trace, Detector, ReplayConfig};
 ///
 /// let p = parse_program(
@@ -544,7 +544,7 @@ pub(crate) fn detect_and_merge(
 ///      }",
 /// )?;
 /// let mut w = TraceWriter::new();
-/// Interp::new(&p, SchedPolicy::default()).run(&mut w)?;
+/// CompiledVm::new(&compile(&p), SchedPolicy::default()).run(&mut w)?;
 /// let bytes = w.into_bytes();
 ///
 /// let stats = replay_trace(&bytes, &ReplayConfig::fasttrack(4))?;

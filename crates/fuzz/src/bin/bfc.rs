@@ -7,12 +7,12 @@
 //!                       [--salt K] [--out FILE] [--json]
 //! bfc check <file.bfj> [--detector bigfoot|fasttrack|redcard|slimstate|slimcard|djit]
 //!                      [--seed N] [--schedules N]
-//!                      [--replay-workers N | --pipeline] [--compiled]
+//!                      [--replay-workers N | --pipeline]
 //!                      [--record-out FILE [--compress-trace]] [--json]
 //! bfc run <file.bfj>
 //! bfc stats <file.bfj> [--json]
 //! bfc trace <file.bfj> [--seed N] [--limit N]
-//! bfc profile <file.bfj> [--detector NAME] [--pipeline] [--compiled]
+//! bfc profile <file.bfj> [--detector NAME] [--pipeline]
 //!                        [--record-out FILE [--compress-trace]] [--json]
 //! bfc replay <trace> [--detector NAME] [--replay-workers N] [--json]
 //! bfc compress <trace.bftr> <out.bftc>
@@ -33,19 +33,19 @@
 //!   pipeline's differential-test mutations) to the `--site`-th method
 //!   and prints the edited program — the driver for cold/warm cache
 //!   experiments from the shell.
+//! * Every command that executes a program — `run`, `check`, `stats`,
+//!   `trace` and `profile` — lowers it once to flat bytecode and runs it
+//!   on `bigfoot-bfj`'s `CompiledVm`. `check` and `profile` instrument
+//!   and lower once per invocation, whatever the number of schedules.
 //! * `check` executes the program under a detector (optionally across
 //!   several random schedules) and reports any data races. With
 //!   `--replay-workers N` the run is recorded to an in-memory trace and
 //!   detection replays it through the sharded parallel engine — the
 //!   verdicts are identical to the serial detector's at any `N`. With
-//!   `--pipeline` the interpreter produces into a batched SPSC ring and
-//!   the detector consumes on its own thread — verdicts again identical,
+//!   `--pipeline` the VM produces into a batched SPSC ring and the
+//!   detector consumes on its own thread — verdicts again identical,
 //!   byte for byte. The two flags pick different drivers and are
-//!   mutually exclusive. `--compiled` swaps the tree-walking interpreter
-//!   for the bytecode compilation tier (`bigfoot-bfj`'s `CompiledVm`) as
-//!   the event producer — verdicts stay byte-identical to the
-//!   interpreted run, and the flag composes with `--pipeline` and
-//!   `--replay-workers`.
+//!   mutually exclusive.
 //!   `--record-out FILE` additionally records the schedule's event
 //!   stream to a binary trace file: raw `BFTR`, or — with
 //!   `--compress-trace` — the grammar-compressed `BFTC` container.
@@ -74,8 +74,8 @@
 //!   lossless; feeding the wrong format is a typed error).
 //! * `fuzz` runs the differential fuzzing campaign: each seed in the
 //!   range becomes a random program + schedule cross-checked between the
-//!   unoptimized and BigFoot-optimized placements, the interpreted and
-//!   compiled execution tiers, cold and warm incremental re-analysis,
+//!   unoptimized and BigFoot-optimized placements, the compiled VM and
+//!   the reference interpreter, cold and warm incremental re-analysis,
 //!   serial and sharded replay, and the trace codec round-trip.
 //!   Divergences are shrunk to
 //!   minimal reproducers and written to the corpus directory; the exit
@@ -89,8 +89,8 @@ use bigfoot::{
 };
 use bigfoot_bfj::{
     compile, compress, decompress, fingerprint_block, fingerprint_method, is_compressed,
-    mutate as mutate_site, parse_program, pretty, site_count, trace::TraceWriter, CompiledVm,
-    CompressedTraceWriter, EventSink, Interp, MutationKind, NullSink, Program, RunOutcome,
+    mutate as mutate_site, parse_program, pretty, site_count, trace::TraceWriter, CompiledProgram,
+    CompiledVm, CompressedTraceWriter, EventSink, MutationKind, NullSink, Program, RunOutcome,
     RuntimeError, SchedPolicy, Tid, Value,
 };
 use bigfoot_detectors::{
@@ -152,7 +152,7 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "  bfc check <file.bfj> [--detector NAME] [--seed N] [--schedules N] \
-                 [--replay-workers N | --pipeline] [--compiled] \
+                 [--replay-workers N | --pipeline] \
                  [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
             );
             eprintln!("  bfc run <file.bfj>");
@@ -160,7 +160,7 @@ fn main() -> ExitCode {
             eprintln!("  bfc trace <file.bfj> [--seed N] [--limit N]");
             eprintln!(
                 "  bfc profile <file.bfj> [--detector NAME] [--pipeline] \
-                 [--compiled] [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
+                 [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
             );
             eprintln!("  bfc replay <trace.bftr|trace.bftc> [--detector NAME] [--replay-workers N] [--json]");
             eprintln!("  bfc compress <trace.bftr> <out.bftc>");
@@ -277,13 +277,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             "--salt",
             "--out",
         ],
-        &[
-            "--json",
-            "--pipeline",
-            "--compiled",
-            "--compress-trace",
-            "--incremental",
-        ],
+        &["--json", "--pipeline", "--compress-trace", "--incremental"],
     )?;
     let cmd = args.positional(0).ok_or("missing command")?.to_owned();
     if cmd == "fuzz" {
@@ -420,9 +414,10 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "run" => {
-            let mut interp = Interp::new(&program, SchedPolicy::default());
-            interp.run(&mut NullSink).map_err(runtime_error)?;
-            if let Some(env) = interp.final_env(Tid(0)) {
+            let lowered = compile(&program);
+            let mut vm = CompiledVm::new(&lowered, SchedPolicy::default());
+            vm.run(&mut NullSink).map_err(runtime_error)?;
+            if let Some(env) = vm.final_env(Tid(0)) {
                 let mut vars: Vec<_> = env
                     .iter()
                     .filter_map(|(k, v)| match v {
@@ -455,7 +450,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             let schedules: u64 = args.parsed("--schedules")?.unwrap_or(1);
             let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
             let pipelined = args.has("--pipeline");
-            let compiled = args.has("--compiled");
             validate_workers(pipelined, replay_workers)?;
             let record_out = args.value("--record-out");
             let compress_trace = args.has("--compress-trace");
@@ -466,6 +460,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             let trace_guard = args
                 .value("--trace-out")
                 .map(bigfoot_obs::TraceOutGuard::new);
+            let prepared = prepare(which, &program);
             if let Some(path) = record_out {
                 // `validate_recording` pinned schedules to 1, so this is
                 // the same policy the detection loop below will use.
@@ -477,7 +472,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                         switch_inv: 2,
                     }
                 };
-                let bytes = record_trace(&program, which, policy, compiled, compress_trace)?;
+                let bytes = record_trace(&prepared.lowered, policy, compress_trace)?;
                 std::fs::write(path, &bytes)
                     .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             }
@@ -492,8 +487,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                         switch_inv: 2,
                     }
                 };
-                let stats =
-                    check_once(&program, which, policy, replay_workers, pipelined, compiled)?;
+                let stats = check_once(which, &prepared, policy, replay_workers, pipelined)?;
                 if stats.has_races() {
                     any_race = true;
                 }
@@ -529,9 +523,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 if pipelined {
                     report.set("pipeline", true);
                 }
-                if compiled {
-                    report.set("compiled", true);
-                }
                 report.set("any_race", any_race);
                 report.set("runs", schedule_reports);
                 outln!("{}", report.to_string_pretty());
@@ -551,14 +542,10 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
         "stats" => {
             let inst = instrument(&program);
             let mut bf = Detector::bigfoot(inst.proxies.clone());
-            Interp::new(&inst.program, SchedPolicy::default())
-                .run(&mut bf)
-                .map_err(runtime_error)?;
+            execute(&compile(&inst.program), SchedPolicy::default(), &mut bf)?;
             let bf = bf.finish();
             let mut ft = Detector::fasttrack();
-            Interp::new(&program, SchedPolicy::default())
-                .run(&mut ft)
-                .map_err(runtime_error)?;
+            execute(&compile(&program), SchedPolicy::default(), &mut ft)?;
             let ft = ft.finish();
             if json {
                 let mut report = envelope("stats", &file);
@@ -630,9 +617,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 }
             };
             let mut sink = bigfoot_bfj::RecordingSink::default();
-            Interp::new(&inst.program, policy)
-                .run(&mut sink)
-                .map_err(runtime_error)?;
+            execute(&compile(&inst.program), policy, &mut sink)?;
             let total = sink.events.len();
             for ev in sink.events.iter().take(limit) {
                 outln!("{ev:?}");
@@ -659,7 +644,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             )?;
             let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
             let pipelined = args.has("--pipeline");
-            let compiled = args.has("--compiled");
             validate_workers(pipelined, replay_workers)?;
             let record_out = args.value("--record-out");
             let compress_trace = args.has("--compress-trace");
@@ -669,17 +653,14 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 .map(bigfoot_obs::TraceOutGuard::new);
             bigfoot_obs::set_enabled(true);
             bigfoot_obs::reset();
-            // Record inside the profiled region: the compressor flushes
-            // `trace.compressed_bytes`/`trace.rules`/`trace.rule_hits`
-            // and the compression-ratio gauge into this snapshot.
+            // Instrument, lower and record inside the profiled region: the
+            // compressor flushes `trace.compressed_bytes`/`trace.rules`/
+            // `trace.rule_hits` and the compression-ratio gauge into this
+            // snapshot.
+            let prepared = prepare(which, &program);
             if let Some(path) = record_out {
-                let bytes = record_trace(
-                    &program,
-                    which,
-                    SchedPolicy::default(),
-                    compiled,
-                    compress_trace,
-                )?;
+                let bytes =
+                    record_trace(&prepared.lowered, SchedPolicy::default(), compress_trace)?;
                 std::fs::write(path, &bytes)
                     .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             }
@@ -688,12 +669,11 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             // below still describes the partial run. The report carries
             // the error and the exit code is non-zero.
             let (stats, run_error) = match check_once(
-                &program,
                 which,
+                &prepared,
                 SchedPolicy::default(),
                 replay_workers,
                 pipelined,
-                compiled,
             ) {
                 Ok(stats) => (Some(stats), None),
                 Err(e) => (None, Some(e.to_string())),
@@ -718,9 +698,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 report.set("detector", which);
                 if pipelined {
                     report.set("pipeline", true);
-                }
-                if compiled {
-                    report.set("compiled", true);
                 }
                 if let Some(stats) = &stats {
                     report.set("stats", stats.to_json());
@@ -922,35 +899,24 @@ fn validate_recording(
     Ok(())
 }
 
-/// Records one schedule of `program` — instrumented the same way the
-/// `which` detector would see it — to the binary trace encoding: raw
-/// `BFTR`, or the grammar-compressed `BFTC` container with `compress`
-/// set. Recording is a separate execution from the detection run, but
-/// the scheduler is deterministic per policy, so both observe the same
-/// interleaving.
+/// Records one schedule of a prepared program to the binary trace
+/// encoding: raw `BFTR`, or the grammar-compressed `BFTC` container with
+/// `compress` set. Recording is a separate execution from the detection
+/// run, but the scheduler is deterministic per policy, so both observe
+/// the same interleaving.
 fn record_trace(
-    program: &Program,
-    which: &str,
+    lowered: &CompiledProgram,
     policy: SchedPolicy,
-    compiled: bool,
     compress: bool,
 ) -> Result<Vec<u8>, CliError> {
-    let rec = |prog: &Program| -> Result<Vec<u8>, CliError> {
-        if compress {
-            let mut w = CompressedTraceWriter::new();
-            execute(prog, policy, compiled, &mut w).map_err(runtime_error)?;
-            Ok(w.into_bytes())
-        } else {
-            let mut w = TraceWriter::new();
-            execute(prog, policy, compiled, &mut w).map_err(runtime_error)?;
-            Ok(w.into_bytes())
-        }
-    };
-    match which {
-        "bigfoot" => rec(&instrument(program).program),
-        "redcard" | "slimcard" => rec(&redcard_instrument(program).0),
-        // fasttrack / slimstate / djit detect on the raw event stream.
-        _ => rec(program),
+    if compress {
+        let mut w = CompressedTraceWriter::new();
+        execute(lowered, policy, &mut w)?;
+        Ok(w.into_bytes())
+    } else {
+        let mut w = TraceWriter::new();
+        execute(lowered, policy, &mut w)?;
+        Ok(w.into_bytes())
     }
 }
 
@@ -1080,122 +1046,105 @@ fn replay_file_cmd(input: &str, bytes: &[u8], args: &CliArgs) -> Result<ExitCode
     })
 }
 
-/// Runs `program` to completion on the selected execution tier,
-/// streaming its events into `sink`. With `compiled` set the program is
-/// lowered to flat bytecode once and executed on [`CompiledVm`] — the
-/// event stream is byte-identical to the interpreter's, so everything
-/// downstream (detectors, rings, replay) is oblivious to the swap.
-fn execute<S: EventSink>(
-    program: &Program,
-    policy: SchedPolicy,
-    compiled: bool,
-    sink: &mut S,
-) -> Result<RunOutcome, RuntimeError> {
-    if compiled {
-        let lowered = compile(program);
-        CompiledVm::new(&lowered, policy).run(sink)
-    } else {
-        Interp::new(program, policy).run(sink)
-    }
+/// The program one detector configuration runs, instrumented the way
+/// that detector expects and lowered for the VM, with the field-proxy
+/// table its detector groups checks by.
+struct Prepared {
+    lowered: CompiledProgram,
+    proxies: ProxyTable,
 }
 
-/// Runs one schedule under the named detector configuration. With
-/// `replay_workers` set, the schedule is recorded to an in-memory trace and
-/// detection runs through the parallel sharded replay engine instead of
-/// inline — same verdicts, record-once/detect-many. With `pipelined` set,
-/// the interpreter produces into the batched SPSC ring and the detector
-/// consumes on its own thread — same verdicts, byte for byte.
+/// Instruments and lowers `program` for the `which` detector, once per
+/// invocation: every schedule and the recording run share the result.
+fn prepare(which: &str, program: &Program) -> Prepared {
+    let (lowered, proxies) = match which {
+        "bigfoot" => {
+            let inst = instrument(program);
+            (compile(&inst.program), inst.proxies)
+        }
+        "redcard" | "slimcard" => {
+            let (rc, proxies) = redcard_instrument(program);
+            (compile(&rc), proxies)
+        }
+        // fasttrack / slimstate / djit detect on the raw event stream.
+        _ => (compile(program), ProxyTable::identity()),
+    };
+    Prepared { lowered, proxies }
+}
+
+/// Runs a lowered program to completion on [`CompiledVm`], streaming its
+/// events into `sink`.
+fn execute<S: EventSink>(
+    lowered: &CompiledProgram,
+    policy: SchedPolicy,
+    sink: &mut S,
+) -> Result<RunOutcome, CliError> {
+    CompiledVm::new(lowered, policy)
+        .run(sink)
+        .map_err(runtime_error)
+}
+
+/// Runs one schedule under the named detector configuration, with a
+/// fresh detector. With `replay_workers` set, the schedule is recorded to
+/// an in-memory trace and detection runs through the parallel sharded
+/// replay engine instead of inline — same verdicts, record-once/
+/// detect-many. With `pipelined` set, the VM produces into the batched
+/// SPSC ring and the detector consumes on its own thread — same
+/// verdicts, byte for byte.
 fn check_once(
-    program: &Program,
     which: &str,
+    prepared: &Prepared,
     policy: SchedPolicy,
     replay_workers: Option<usize>,
     pipelined: bool,
-    compiled: bool,
 ) -> Result<Stats, CliError> {
+    let Prepared { lowered, proxies } = prepared;
     if let Some(workers) = replay_workers {
-        return check_replay(program, which, policy, workers, compiled);
-    }
-    let run_detector = |prog: &Program, mut det: Detector| -> Result<Stats, CliError> {
-        if pipelined {
-            let (run, stats) = detect_pipelined(
-                &PipelineConfig::default(),
-                |sink| execute(prog, policy, compiled, sink),
-                det,
-            );
-            run.map_err(runtime_error)?;
-            return Ok(stats);
-        }
-        execute(prog, policy, compiled, &mut det).map_err(runtime_error)?;
-        Ok(det.finish())
-    };
-    match which {
-        "bigfoot" => {
-            let inst = instrument(program);
-            run_detector(&inst.program, Detector::bigfoot(inst.proxies.clone()))
-        }
-        "fasttrack" => run_detector(program, Detector::fasttrack()),
-        "slimstate" => run_detector(program, Detector::slimstate()),
-        "redcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            run_detector(&rc, Detector::redcard(proxies))
-        }
-        "slimcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            run_detector(&rc, Detector::slimcard(proxies))
-        }
-        "djit" => {
-            if pipelined {
-                let (run, det) = run_pipelined(
-                    &PipelineConfig::default(),
-                    |sink| execute(program, policy, compiled, sink),
-                    DjitDetector::new(),
-                );
-                run.map_err(runtime_error)?;
-                return Ok(det.finish());
-            }
-            let mut det = DjitDetector::new();
-            execute(program, policy, compiled, &mut det).map_err(runtime_error)?;
-            Ok(det.finish())
-        }
-        other => Err(format!("unknown detector `{other}`").into()),
-    }
-}
-
-/// Record-then-replay variant of [`check_once`].
-fn check_replay(
-    program: &Program,
-    which: &str,
-    policy: SchedPolicy,
-    workers: usize,
-    compiled: bool,
-) -> Result<Stats, CliError> {
-    let replay = |prog: &Program, config: ReplayConfig| -> Result<Stats, CliError> {
+        let config = match which {
+            "bigfoot" => ReplayConfig::bigfoot(proxies.clone(), workers),
+            "fasttrack" => ReplayConfig::fasttrack(workers),
+            "slimstate" => ReplayConfig::slimstate(workers),
+            "redcard" => ReplayConfig::redcard(proxies.clone(), workers),
+            "slimcard" => ReplayConfig::slimcard(proxies.clone(), workers),
+            _ => return Err("--replay-workers is not supported for --detector djit".into()),
+        };
         let mut w = TraceWriter::new();
-        execute(prog, policy, compiled, &mut w).map_err(runtime_error)?;
-        replay_trace(&w.into_bytes(), &config).map_err(|e| failed(format!("replay error: {e}")))
-    };
-    match which {
-        "bigfoot" => {
-            let inst = instrument(program);
-            replay(
-                &inst.program,
-                ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-            )
-        }
-        "fasttrack" => replay(program, ReplayConfig::fasttrack(workers)),
-        "slimstate" => replay(program, ReplayConfig::slimstate(workers)),
-        "redcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            replay(&rc, ReplayConfig::redcard(proxies, workers))
-        }
-        "slimcard" => {
-            let (rc, proxies) = redcard_instrument(program);
-            replay(&rc, ReplayConfig::slimcard(proxies, workers))
-        }
-        "djit" => Err("--replay-workers is not supported for --detector djit".into()),
-        other => Err(format!("unknown detector `{other}`").into()),
+        execute(lowered, policy, &mut w)?;
+        return replay_trace(&w.into_bytes(), &config)
+            .map_err(|e| failed(format!("replay error: {e}")));
     }
+    if which == "djit" {
+        if pipelined {
+            let (run, det) = run_pipelined(
+                &PipelineConfig::default(),
+                |sink| execute(lowered, policy, sink),
+                DjitDetector::new(),
+            );
+            run?;
+            return Ok(det.finish());
+        }
+        let mut det = DjitDetector::new();
+        execute(lowered, policy, &mut det)?;
+        return Ok(det.finish());
+    }
+    let mut det = match which {
+        "bigfoot" => Detector::bigfoot(proxies.clone()),
+        "fasttrack" => Detector::fasttrack(),
+        "slimstate" => Detector::slimstate(),
+        "redcard" => Detector::redcard(proxies.clone()),
+        _ => Detector::slimcard(proxies.clone()),
+    };
+    if pipelined {
+        let (run, stats) = detect_pipelined(
+            &PipelineConfig::default(),
+            |sink| execute(lowered, policy, sink),
+            det,
+        );
+        run?;
+        return Ok(stats);
+    }
+    execute(lowered, policy, &mut det)?;
+    Ok(det.finish())
 }
 
 #[cfg(test)]

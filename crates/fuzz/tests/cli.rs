@@ -126,6 +126,8 @@ fn unknown_and_clashing_driver_flags_are_usage_errors() {
             vec!["profile", racy.as_str(), "--detect-workers", "2"],
             "--detect-workers",
         ),
+        // The VM is the only executor; the old tier switch is gone.
+        (vec!["check", racy.as_str(), "--compiled"], "--compiled"),
         (
             vec![
                 "check",
@@ -166,12 +168,7 @@ fn runtime_errors_exit_2_without_usage_text() {
 /// Runs `args` on `path` and expects exit 2 with `want` on stderr and no
 /// usage text.
 fn expect_typed_error(path: &str, want: &str) {
-    for args in [
-        vec!["run", path],
-        vec!["check", path],
-        vec!["check", path, "--compiled"],
-        vec!["stats", path],
-    ] {
+    for args in [vec!["run", path], vec!["check", path], vec!["stats", path]] {
         let out = bfc(&args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
@@ -216,10 +213,7 @@ fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
         ")".repeat(90)
     );
     let ok = write_program("deep_ok.bfj", &ok);
-    for args in [
-        vec!["run", ok.as_str()],
-        vec!["check", ok.as_str(), "--compiled"],
-    ] {
+    for args in [vec!["run", ok.as_str()], vec!["check", ok.as_str()]] {
         let out = bfc(&args);
         assert_eq!(
             out.status.code(),

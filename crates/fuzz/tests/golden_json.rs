@@ -188,7 +188,7 @@ fn profile_json_exposes_spans_and_counters() {
     // when a gauge fired, e.g. `pipeline.depth_max` under `--pipeline`).
     assert!(metrics.get("gauges").is_some(), "missing gauges section");
     let counters = metrics.get("counters").unwrap();
-    assert!(counters.get("interp.steps").and_then(Json::as_u64).unwrap() > 0);
+    assert!(counters.get("vm.steps").and_then(Json::as_u64).unwrap() > 0);
     assert!(
         counters
             .get("detector.runs")

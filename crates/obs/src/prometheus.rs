@@ -103,7 +103,7 @@ mod tests {
     fn renders_counters_gauges_and_summaries() {
         let snap = Snapshot {
             counters: vec![CounterSnap {
-                name: "interp.steps".into(),
+                name: "vm.steps".into(),
                 value: 42,
             }],
             gauges: vec![GaugeSnap {
@@ -118,8 +118,8 @@ mod tests {
             }],
         };
         let text = render(&snap);
-        assert!(text.contains("# TYPE bigfoot_interp_steps_total counter\n"));
-        assert!(text.contains("bigfoot_interp_steps_total 42\n"));
+        assert!(text.contains("# TYPE bigfoot_vm_steps_total counter\n"));
+        assert!(text.contains("bigfoot_vm_steps_total 42\n"));
         assert!(text.contains("# TYPE bigfoot_pipeline_depth_max gauge\n"));
         assert!(text.contains("bigfoot_pipeline_depth_max 7\n"));
         assert!(text.contains("# TYPE bigfoot_entail_query summary\n"));

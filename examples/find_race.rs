@@ -6,7 +6,7 @@
 //! cargo run --example find_race
 //! ```
 
-use bigfoot_bfj::{parse_program, EventSink, Interp, RecordingSink, SchedPolicy};
+use bigfoot_bfj::{compile, parse_program, CompiledVm, EventSink, RecordingSink, SchedPolicy};
 use bigfoot_detectors::Detector;
 
 /// A classic bug: the "done" flag is published without holding the lock
@@ -54,13 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = parse_program(SOURCE)?;
     let inst = bigfoot::instrument(&program);
     println!("instrumented with {} checks\n", inst.stats.checks_inserted);
+    let lowered = compile(&inst.program);
 
     let mut found = 0;
     for seed in 1..=10u64 {
         // One deterministic execution, observed by both detectors.
         let mut trace = RecordingSink::default();
-        Interp::new(
-            &inst.program,
+        CompiledVm::new(
+            &lowered,
             SchedPolicy::Random {
                 seed,
                 switch_inv: 2,

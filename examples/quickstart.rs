@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use bigfoot_bfj::{parse_program, pretty, Interp, SchedPolicy};
+use bigfoot_bfj::{compile, parse_program, pretty, CompiledVm, SchedPolicy};
 use bigfoot_detectors::Detector;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,14 +49,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         inst.stats.time_per_method().as_secs_f64() * 1e3,
     );
 
-    // Run the instrumented program under DynamicBF and the original under
-    // FastTrack, and compare the work each detector did.
+    // Lower both programs to bytecode, run the instrumented one under
+    // DynamicBF and the original under FastTrack, and compare the work
+    // each detector did.
     let mut bf = Detector::bigfoot(inst.proxies.clone());
-    Interp::new(&inst.program, SchedPolicy::default()).run(&mut bf)?;
+    CompiledVm::new(&compile(&inst.program), SchedPolicy::default()).run(&mut bf)?;
     let bf = bf.finish();
 
     let mut ft = Detector::fasttrack();
-    Interp::new(&program, SchedPolicy::default()).run(&mut ft)?;
+    CompiledVm::new(&compile(&program), SchedPolicy::default()).run(&mut ft)?;
     let ft = ft.finish();
 
     println!("=== dynamic race detection ===");
