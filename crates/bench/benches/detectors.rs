@@ -1,9 +1,11 @@
 //! Criterion benches: end-to-end detector throughput on representative
 //! Table 1 workloads (small scale — the full sweep lives in `repro`).
+//! Each detector runs the program it consumes, as in `measure`:
+//! FastTrack and SlimState the uninstrumented one (raw accesses).
 
-use bigfoot::{instrument, naive_instrument, redcard_instrument};
+use bigfoot::{instrument, redcard_instrument};
 use bigfoot_bfj::{compile, CompiledVm, NullSink, SchedPolicy};
-use bigfoot_detectors::{ArrayEngine, CheckSource, Detector, ProxyTable};
+use bigfoot_detectors::Detector;
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -17,7 +19,6 @@ fn bench_detectors(c: &mut Criterion) {
         let inst = instrument(&b.program);
         let (rc_prog, rc_proxies) = redcard_instrument(&b.program);
         let base = compile(&b.program);
-        let naive = compile(&naive_instrument(&b.program));
         let rc_prog = compile(&rc_prog);
         let bf_prog = compile(&inst.program);
 
@@ -28,14 +29,9 @@ fn bench_detectors(c: &mut Criterion) {
                     .unwrap()
             })
         });
-        group.bench_with_input(BenchmarkId::new("FT", name), &naive, |bench, p| {
+        group.bench_with_input(BenchmarkId::new("FT", name), &base, |bench, p| {
             bench.iter(|| {
-                let mut det = Detector::new(
-                    "FT",
-                    CheckSource::CheckEvents,
-                    ArrayEngine::Fine,
-                    ProxyTable::identity(),
-                );
+                let mut det = Detector::fasttrack();
                 CompiledVm::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .unwrap();
@@ -51,14 +47,9 @@ fn bench_detectors(c: &mut Criterion) {
                 det.finish().shadow_ops
             })
         });
-        group.bench_with_input(BenchmarkId::new("SS", name), &naive, |bench, p| {
+        group.bench_with_input(BenchmarkId::new("SS", name), &base, |bench, p| {
             bench.iter(|| {
-                let mut det = Detector::new(
-                    "SS",
-                    CheckSource::CheckEvents,
-                    ArrayEngine::Footprint,
-                    ProxyTable::identity(),
-                );
+                let mut det = Detector::slimstate();
                 CompiledVm::new(p, SchedPolicy::default())
                     .run(&mut det)
                     .unwrap();

@@ -5,17 +5,12 @@
 //! Every program runs on the compiled tier: it is lowered once with
 //! [`compile()`], outside any timed region, and executed on [`CompiledVm`].
 
-use bigfoot::{
-    instrument, instrument_with, naive_instrument, redcard_instrument, InstrumentOptions,
-    Instrumented,
-};
+use bigfoot::{instrument, instrument_with, redcard_instrument, InstrumentOptions, Instrumented};
 use bigfoot_bfj::{
     compile, trace::TraceWriter, CompiledProgram, CompiledVm, EventSink, NullSink, Program,
     RunOutcome, SchedPolicy,
 };
-use bigfoot_detectors::{
-    replay_trace, ArrayEngine, CheckSource, Detector, ProxyTable, ReplayConfig, Stats, TraceReader,
-};
+use bigfoot_detectors::{replay_trace, Detector, ReplayConfig, Stats, TraceReader};
 use std::time::{Duration, Instant};
 
 pub mod perf;
@@ -150,107 +145,100 @@ fn run_vm<S: EventSink>(program: &CompiledProgram, sink: &mut S) -> RunOutcome {
         .expect("run")
 }
 
-/// Median-of-`reps` wall time for running the lowered `program` into
-/// `make_sink`'s detector (or `None` for the base run). Returns the last
-/// run's stats.
+/// Wall time of one run of the lowered `program` into `make_sink`'s
+/// detector (or into `NullSink` for `None`), with the detector's stats.
+fn run_once<F: FnMut() -> Option<Detector>>(
+    program: &CompiledProgram,
+    make_sink: &mut F,
+) -> (Duration, Option<Stats>) {
+    match make_sink() {
+        None => {
+            let t0 = Instant::now();
+            run_vm(program, &mut NullSink);
+            (t0.elapsed(), None)
+        }
+        Some(mut det) => {
+            let t0 = Instant::now();
+            run_vm(program, &mut det);
+            let dt = t0.elapsed();
+            (dt, Some(det.finish()))
+        }
+    }
+}
+
+/// Per-run wall time for running the lowered `program` into
+/// `make_sink`'s detector (or `None` for the base run): the median of
+/// `reps` samples, each the mean of as many whole runs as fill
+/// `min_sample` (at least one), as [`perf`] samples detection. Returns
+/// the calibration run's stats.
 fn timed<F: FnMut() -> Option<Detector>>(
     program: &CompiledProgram,
     reps: usize,
+    min_sample: Duration,
     mut make_sink: F,
 ) -> (Duration, Option<Stats>) {
-    let mut times = Vec::with_capacity(reps);
-    let mut last_stats = None;
-    for _ in 0..reps.max(1) {
-        match make_sink() {
-            None => {
-                let t0 = Instant::now();
-                run_vm(program, &mut NullSink);
-                times.push(t0.elapsed());
-            }
-            Some(mut det) => {
-                let t0 = Instant::now();
-                run_vm(program, &mut det);
-                times.push(t0.elapsed());
-                last_stats = Some(det.finish());
-            }
-        }
-    }
+    let (once, stats) = run_once(program, &mut make_sink);
+    let iters = (min_sample.as_nanos() / once.as_nanos().max(1)).clamp(1, 10_000) as u32;
+    let mut times: Vec<Duration> = (0..reps.max(1))
+        .map(|_| {
+            let total: Duration = (0..iters)
+                .map(|_| run_once(program, &mut make_sink).0)
+                .sum();
+            total / iters
+        })
+        .collect();
     times.sort();
-    (times[times.len() / 2], last_stats)
+    (times[times.len() / 2], stats)
 }
 
 /// Runs the full detector matrix over one benchmark program.
 ///
-/// Instrumentation cost is charged faithfully: FastTrack and SlimState run
-/// the *naively instrumented* program (one check statement per access, as
-/// RoadRunner inserts one callback per access), RedCard/SlimCard run the
-/// RedCard-instrumented program, and BigFoot runs the BigFoot-instrumented
-/// program. Overheads are all relative to the uninstrumented base run.
+/// Every detector is charged for the events it consumes, as `bfc check`
+/// and perfbench run it: FastTrack and SlimState check the raw access
+/// events of the uninstrumented program (RoadRunner's one callback per
+/// access), RedCard/SlimCard run the RedCard-instrumented program, and
+/// BigFoot runs the BigFoot-instrumented program. Overheads are all
+/// relative to the uninstrumented base run.
 pub fn measure(name: &'static str, program: &Program, reps: usize) -> BenchResult {
+    measure_sampled(name, program, reps, perf::MIN_SAMPLE)
+}
+
+fn measure_sampled(
+    name: &'static str,
+    program: &Program,
+    reps: usize,
+    min_sample: Duration,
+) -> BenchResult {
     let snap0 = bigfoot_obs::snapshot();
     let inst: Instrumented = instrument(program);
     let snap1 = bigfoot_obs::snapshot();
     let static_obs = StaticObsStats::between(&snap0, &snap1);
     let (rc_prog, rc_proxies) = redcard_instrument(program);
     let base = compile(program);
-    let naive = compile(&naive_instrument(program));
     let rc_prog = compile(&rc_prog);
     let bf_prog = compile(&inst.program);
 
-    let (base_time, _) = timed(&base, reps, || None);
+    let (base_time, _) = timed(&base, reps, min_sample, || None);
     let heap_cells = run_vm(&base, &mut NullSink).heap_cells;
 
-    let mut runs = Vec::new();
-    let (t, s) = timed(&naive, reps, || {
-        Some(Detector::new(
-            "FastTrack",
-            CheckSource::CheckEvents,
-            ArrayEngine::Fine,
-            ProxyTable::identity(),
-        ))
-    });
-    runs.push(DetectorRun {
-        name: "FT",
-        time: t,
-        stats: s.unwrap(),
-    });
-    let (t, s) = timed(&rc_prog, reps, || {
-        Some(Detector::redcard(rc_proxies.clone()))
-    });
-    runs.push(DetectorRun {
-        name: "RC",
-        time: t,
-        stats: s.unwrap(),
-    });
-    let (t, s) = timed(&naive, reps, || {
-        Some(Detector::new(
-            "SlimState",
-            CheckSource::CheckEvents,
-            ArrayEngine::Footprint,
-            ProxyTable::identity(),
-        ))
-    });
-    runs.push(DetectorRun {
-        name: "SS",
-        time: t,
-        stats: s.unwrap(),
-    });
-    let (t, s) = timed(&rc_prog, reps, || {
-        Some(Detector::slimcard(rc_proxies.clone()))
-    });
-    runs.push(DetectorRun {
-        name: "SC",
-        time: t,
-        stats: s.unwrap(),
-    });
-    let (t, s) = timed(&bf_prog, reps, || {
-        Some(Detector::bigfoot(inst.proxies.clone()))
-    });
-    runs.push(DetectorRun {
-        name: "BF",
-        time: t,
-        stats: s.unwrap(),
-    });
+    let matrix: [(&'static str, &CompiledProgram, &dyn Fn() -> Detector); 5] = [
+        ("FT", &base, &Detector::fasttrack),
+        ("RC", &rc_prog, &|| Detector::redcard(rc_proxies.clone())),
+        ("SS", &base, &Detector::slimstate),
+        ("SC", &rc_prog, &|| Detector::slimcard(rc_proxies.clone())),
+        ("BF", &bf_prog, &|| Detector::bigfoot(inst.proxies.clone())),
+    ];
+    let runs = matrix
+        .into_iter()
+        .map(|(name, prog, make)| {
+            let (time, stats) = timed(prog, reps, min_sample, || Some(make()));
+            DetectorRun {
+                name,
+                time,
+                stats: stats.expect("detector stats"),
+            }
+        })
+        .collect();
 
     BenchResult {
         name,
@@ -315,7 +303,7 @@ pub const ABLATIONS: [(&str, InstrumentOptions); 5] = [
 /// (wall time, stats).
 pub fn measure_ablation(program: &Program, options: InstrumentOptions, reps: usize) -> DetectorRun {
     let inst = instrument_with(program, options);
-    let (t, s) = timed(&compile(&inst.program), reps, || {
+    let (t, s) = timed(&compile(&inst.program), reps, perf::MIN_SAMPLE, || {
         Some(Detector::bigfoot(inst.proxies.clone()))
     });
     DetectorRun {
@@ -356,10 +344,11 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
-/// A pure-detector measurement that replays the instrumented program once
-/// and returns only the statistics (no timing) — cheap enough for tests.
+/// A pure-detector measurement that runs each program of the matrix
+/// once, with no minimum sample time, for its statistics — cheap enough
+/// for tests. Its times are single runs.
 pub fn stats_only(name: &'static str, program: &Program) -> BenchResult {
-    measure(name, program, 1)
+    measure_sampled(name, program, 1, Duration::ZERO)
 }
 
 /// One worker count's replay measurement.

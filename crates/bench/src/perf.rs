@@ -30,6 +30,10 @@ use std::time::Instant;
 /// per-event quotient on small traces.
 const MIN_SAMPLE_NS: u64 = 20_000_000;
 
+/// [`MIN_SAMPLE_NS`] as a duration, for the wall-time samples of
+/// `measure` and `measure_ablation`.
+pub(crate) const MIN_SAMPLE: std::time::Duration = std::time::Duration::from_nanos(MIN_SAMPLE_NS);
+
 /// One detector configuration's throughput on one benchmark.
 #[derive(Debug, Clone)]
 pub struct DetectorPerf {

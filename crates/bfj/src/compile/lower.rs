@@ -90,14 +90,21 @@ pub(crate) struct CallSite {
     pub(crate) by_class: Box<[CallTarget]>,
 }
 
+/// Per-class resolution of a check's field path: the range of
+/// [`CompiledProgram::check_fields`] holding its field indices in path
+/// order, or the site id of the first field the class lacks.
+pub(crate) type FieldsRes = Result<(u32, u32), u32>;
+
 /// One lowered `check(C)` path.
 #[derive(Debug)]
 pub(crate) enum CPath {
     Fields {
         kind: AccessKind,
         base: SlotId,
-        /// Field-site ids, one per path component.
-        fields: Box<[u32]>,
+        /// Start of this path's per-class rows in
+        /// [`CompiledProgram::check_fields_res`]: the receiver's class
+        /// `c` resolves at `res + c`.
+        res: u32,
     },
     Arr {
         kind: AccessKind,
@@ -254,6 +261,13 @@ pub struct CompiledProgram {
     pub(crate) field_sites: Box<[FieldSite]>,
     pub(crate) call_sites: Box<[CallSite]>,
     pub(crate) check_sites: Box<[CheckSite]>,
+    /// Every check field path resolved against every class, one row of
+    /// `classes.len()` entries per path, so an executed check only
+    /// indexes a table.
+    pub(crate) check_fields_res: Box<[FieldsRes]>,
+    /// The field indices the `Ok` entries of `check_fields_res` point
+    /// at; a check borrows its field lists from here.
+    pub(crate) check_fields: Box<[u32]>,
     pub(crate) classes: Box<[ClassMeta]>,
     /// Size of the shared expression register file.
     pub(crate) max_regs: u32,
@@ -304,6 +318,8 @@ pub fn compile(program: &Program) -> CompiledProgram {
         field_site_ids: HashMap::new(),
         call_sites: Vec::new(),
         check_sites: Vec::new(),
+        check_fields_res: Vec::new(),
+        check_fields: Vec::new(),
         max_regs: 0,
     };
     let mut methods = Vec::with_capacity(next_id as usize);
@@ -322,6 +338,8 @@ pub fn compile(program: &Program) -> CompiledProgram {
         field_sites: ctx.field_sites.into_boxed_slice(),
         call_sites: ctx.call_sites.into_boxed_slice(),
         check_sites: ctx.check_sites.into_boxed_slice(),
+        check_fields_res: ctx.check_fields_res.into_boxed_slice(),
+        check_fields: ctx.check_fields.into_boxed_slice(),
         classes,
         max_regs: ctx.max_regs,
     }
@@ -339,6 +357,8 @@ struct Ctx<'p> {
     field_site_ids: HashMap<Sym, u32>,
     call_sites: Vec<CallSite>,
     check_sites: Vec<CheckSite>,
+    check_fields_res: Vec<FieldsRes>,
+    check_fields: Vec<u32>,
     max_regs: u32,
 }
 
@@ -374,6 +394,34 @@ impl Ctx<'_> {
         self.field_sites.push(FieldSite { field, by_class });
         self.field_site_ids.insert(field, id);
         id
+    }
+
+    /// Resolves a check's field path against every class: appends one
+    /// row to `check_fields_res` and returns where it starts.
+    fn check_fields_path(&mut self, fields: &[Sym]) -> u32 {
+        let sites: Vec<u32> = fields.iter().map(|f| self.field_site(*f)).collect();
+        let res = self.check_fields_res.len() as u32;
+        for class in 0..self.program.classes.len() {
+            let start = self.check_fields.len();
+            let missing = sites.iter().copied().find(|&site| {
+                match self.field_sites[site as usize].by_class[class] {
+                    Some((fi, _)) => {
+                        self.check_fields.push(fi);
+                        false
+                    }
+                    None => true,
+                }
+            });
+            let row = match missing {
+                None => Ok((start as u32, self.check_fields.len() as u32)),
+                Some(site) => {
+                    self.check_fields.truncate(start);
+                    Err(site)
+                }
+            };
+            self.check_fields_res.push(row);
+        }
+        res
     }
 
     /// Lowers one body. `ret` is the declared return expression of a
@@ -731,7 +779,7 @@ impl MethodLowerer<'_, '_> {
                         Path::Fields { base, fields } => CPath::Fields {
                             kind: cp.kind,
                             base: self.slot(*base),
-                            fields: fields.iter().map(|f| self.ctx.field_site(*f)).collect(),
+                            res: self.ctx.check_fields_path(fields),
                         },
                         Path::Arr { base, range } => {
                             let base = self.slot(*base);

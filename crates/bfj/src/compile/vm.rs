@@ -14,7 +14,7 @@ use super::lower::{
     CExpr, CPath, CallTarget, CompiledMethod, CompiledProgram, EOp, ExprId, Instr, Operand, SlotId,
 };
 use crate::ast::{Binop, Unop};
-use crate::event::{CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId};
+use crate::event::{CheckRef, ConcreteRange, Event, EventSink, Loc, ObjId};
 use crate::interp::{as_bool, as_int, Env, Heap, RunOutcome, RuntimeError, Value};
 use crate::sched::{self, Sched, SchedPolicy, Stepper};
 use crate::sym::Sym;
@@ -184,6 +184,9 @@ pub struct CompiledVm<'p> {
     /// slot arrays, and `ret` pushes the popped frame back, keeping
     /// steady-state method calls allocation-free.
     pool: Vec<VmFrame>,
+    /// Scratch for the resolved paths of the executing `check`, reused
+    /// across checks so that running one allocates nothing.
+    check_paths: Vec<(AccessKind, CheckRef<'p>)>,
 }
 
 impl<'p> CompiledVm<'p> {
@@ -198,6 +201,7 @@ impl<'p> CompiledVm<'p> {
             sched: Sched::new(policy),
             regs: vec![Value::Int(0); prog.max_regs as usize],
             pool: Vec::new(),
+            check_paths: Vec::new(),
         }
     }
 
@@ -280,6 +284,7 @@ impl<'p> CompiledVm<'p> {
             regs,
             final_envs,
             pool,
+            check_paths,
             ..
         } = self;
         let frames = &mut threads[t.index()];
@@ -356,7 +361,7 @@ impl<'p> CompiledVm<'p> {
                         next,
                     } => exec_write_arr(prog, heap, regs, frame, sink, t, *arr, *idx, *src, *next),
                     Instr::Check { site, next } => {
-                        exec_check(prog, heap, regs, frame, sink, t, *site, *next)
+                        exec_check(prog, heap, regs, check_paths, frame, sink, t, *site, *next)
                     }
                     Instr::Acquire { lock, next } => {
                         let obj = match frame.get_obj(prog, *lock) {
@@ -708,11 +713,7 @@ fn exec_read_field<S: EventSink>(
             field: fi,
         });
     } else {
-        sink.event(&Event::Access {
-            t,
-            kind: AccessKind::Read,
-            loc: Loc::Field(o, fi),
-        });
+        sink.access(t, AccessKind::Read, Loc::Field(o, fi));
     }
     Ok(())
 }
@@ -743,11 +744,7 @@ fn exec_write_field<S: EventSink>(
             field: fi,
         });
     } else {
-        sink.event(&Event::Access {
-            t,
-            kind: AccessKind::Write,
-            loc: Loc::Field(o, fi),
-        });
+        sink.access(t, AccessKind::Write, Loc::Field(o, fi));
     }
     Ok(())
 }
@@ -779,11 +776,7 @@ fn exec_read_arr<S: EventSink>(
     let v = heap.array(a).data[i as usize];
     frame.set(dst, v);
     frame.pc = next;
-    sink.event(&Event::Access {
-        t,
-        kind: AccessKind::Read,
-        loc: Loc::Elem(a, i),
-    });
+    sink.access(t, AccessKind::Read, Loc::Elem(a, i));
     Ok(())
 }
 
@@ -814,40 +807,40 @@ fn exec_write_arr<S: EventSink>(
     }
     heap.arrays[a.0 as usize].data[i as usize] = v;
     frame.pc = next;
-    sink.event(&Event::Access {
-        t,
-        kind: AccessKind::Write,
-        loc: Loc::Elem(a, i),
-    });
+    sink.access(t, AccessKind::Write, Loc::Elem(a, i));
     Ok(())
 }
 
-/// Resolves and emits one `check` statement's paths.
+/// Resolves one `check` statement's paths into the VM's `paths` scratch
+/// and hands them to [`EventSink::check`]. Field lists are borrowed from
+/// the program's lowering-time tables and the scratch keeps its
+/// capacity, so a check allocates nothing.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn exec_check<S: EventSink>(
-    prog: &CompiledProgram,
+fn exec_check<'p, S: EventSink>(
+    prog: &'p CompiledProgram,
     heap: &Heap,
     regs: &mut [Value],
+    paths: &mut Vec<(AccessKind, CheckRef<'p>)>,
     frame: &mut VmFrame,
     sink: &mut S,
     t: Tid,
     site: u32,
     next: u32,
 ) -> Result<(), RuntimeError> {
-    let site = &prog.check_sites[site as usize];
-    let mut resolved = Vec::with_capacity(site.paths.len());
-    for p in site.paths.iter() {
+    paths.clear();
+    for p in prog.check_sites[site as usize].paths.iter() {
         match p {
-            CPath::Fields { kind, base, fields } => {
+            CPath::Fields { kind, base, res } => {
                 let o = frame.get_obj(prog, *base)?;
                 let class = heap.object(o).class;
-                let mut idxs = Vec::with_capacity(fields.len());
-                for &fsid in fields.iter() {
-                    let (fi, _) = field_res(prog, fsid, class)?;
-                    idxs.push(fi);
+                match prog.check_fields_res[*res as usize + class] {
+                    Ok((lo, hi)) => {
+                        let idxs = &prog.check_fields[lo as usize..hi as usize];
+                        paths.push((*kind, CheckRef::Fields(o, idxs)));
+                    }
+                    Err(fsid) => return Err(unknown_field(prog, fsid, class)),
                 }
-                resolved.push((*kind, CheckTarget::Fields(o, idxs)));
             }
             CPath::Arr {
                 kind,
@@ -859,21 +852,16 @@ fn exec_check<S: EventSink>(
                 let a = frame.get_arr(prog, *base)?;
                 let lo = as_int(eval(prog, heap, frame, regs, *lo)?)?;
                 let hi = as_int(eval(prog, heap, frame, regs, *hi)?)?;
-                resolved.push((
-                    *kind,
-                    CheckTarget::Range(
-                        a,
-                        ConcreteRange {
-                            lo,
-                            hi,
-                            step: *step,
-                        },
-                    ),
-                ));
+                let range = ConcreteRange {
+                    lo,
+                    hi,
+                    step: *step,
+                };
+                paths.push((*kind, CheckRef::Range(a, range)));
             }
         }
     }
-    sink.event(&Event::Check { t, paths: resolved });
+    sink.check(t, paths);
     frame.pc = next;
     Ok(())
 }

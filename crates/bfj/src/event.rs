@@ -128,6 +128,38 @@ pub enum CheckTarget {
     Range(ArrId, ConcreteRange),
 }
 
+impl CheckTarget {
+    /// This path, borrowed (the form [`EventSink::check`] receives).
+    #[inline]
+    pub fn borrowed(&self) -> CheckRef<'_> {
+        match self {
+            CheckTarget::Fields(obj, idxs) => CheckRef::Fields(*obj, idxs),
+            CheckTarget::Range(arr, r) => CheckRef::Range(*arr, *r),
+        }
+    }
+}
+
+/// One resolved path of a `check(C)` statement, borrowed: the field
+/// list points into storage the executor keeps, so handing a check to
+/// [`EventSink::check`] copies nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckRef<'a> {
+    /// A (possibly coalesced) group of fields of one object.
+    Fields(ObjId, &'a [u32]),
+    /// A strided range of one array.
+    Range(ArrId, ConcreteRange),
+}
+
+impl CheckRef<'_> {
+    /// An owned copy of this path (what [`Event::Check`] holds).
+    pub fn to_target(self) -> CheckTarget {
+        match self {
+            CheckRef::Fields(obj, idxs) => CheckTarget::Fields(obj, idxs.to_vec()),
+            CheckRef::Range(arr, r) => CheckTarget::Range(arr, r),
+        }
+    }
+}
+
 /// A dynamic event, in program execution order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
@@ -204,9 +236,31 @@ impl Event {
 ///
 /// Implemented by every dynamic race detector, by the trace recorder used
 /// in tests, and by the precision verifier.
+///
+/// The executors hand heap accesses and checks — the two events of the
+/// hot path — to the typed hooks [`access`](EventSink::access) and
+/// [`check`](EventSink::check) instead of building an [`Event`]. Their
+/// defaults build the owned event and pass it to
+/// [`event`](EventSink::event), so a sink that implements only `event`
+/// sees exactly the stream it would otherwise. A sink that overrides a
+/// hook must treat the call as that event: the stream is the same
+/// either way.
 pub trait EventSink {
     /// Observes the next event in the global total order.
     fn event(&mut self, ev: &Event);
+
+    /// Observes [`Event::Access`] `{ t, kind, loc }`.
+    #[inline]
+    fn access(&mut self, t: Tid, kind: AccessKind, loc: Loc) {
+        self.event(&Event::Access { t, kind, loc });
+    }
+
+    /// Observes [`Event::Check`] for thread `t`, its paths borrowed.
+    #[inline]
+    fn check(&mut self, t: Tid, paths: &[(AccessKind, CheckRef<'_>)]) {
+        let paths = paths.iter().map(|(k, p)| (*k, p.to_target())).collect();
+        self.event(&Event::Check { t, paths });
+    }
 }
 
 /// A sink that discards all events (used to measure base running time).
@@ -216,6 +270,12 @@ pub struct NullSink;
 impl EventSink for NullSink {
     #[inline]
     fn event(&mut self, _ev: &Event) {}
+
+    #[inline]
+    fn access(&mut self, _t: Tid, _kind: AccessKind, _loc: Loc) {}
+
+    #[inline]
+    fn check(&mut self, _t: Tid, _paths: &[(AccessKind, CheckRef<'_>)]) {}
 }
 
 /// A sink that records the full trace (used by tests and the verifier).
@@ -232,8 +292,19 @@ impl EventSink for RecordingSink {
 }
 
 impl<S: EventSink + ?Sized> EventSink for &mut S {
+    #[inline]
     fn event(&mut self, ev: &Event) {
         (**self).event(ev);
+    }
+
+    #[inline]
+    fn access(&mut self, t: Tid, kind: AccessKind, loc: Loc) {
+        (**self).access(t, kind, loc);
+    }
+
+    #[inline]
+    fn check(&mut self, t: Tid, paths: &[(AccessKind, CheckRef<'_>)]) {
+        (**self).check(t, paths);
     }
 }
 

@@ -565,11 +565,7 @@ impl<'p> Interp<'p> {
                         field: fi,
                     });
                 } else {
-                    sink.event(&Event::Access {
-                        t,
-                        kind: AccessKind::Read,
-                        loc: Loc::Field(o, fi),
-                    });
+                    sink.access(t, AccessKind::Read, Loc::Field(o, fi));
                 }
                 Ok(())
             }
@@ -585,11 +581,7 @@ impl<'p> Interp<'p> {
                         field: fi,
                     });
                 } else {
-                    sink.event(&Event::Access {
-                        t,
-                        kind: AccessKind::Write,
-                        loc: Loc::Field(o, fi),
-                    });
+                    sink.access(t, AccessKind::Write, Loc::Field(o, fi));
                 }
                 Ok(())
             }
@@ -607,11 +599,7 @@ impl<'p> Interp<'p> {
                 }
                 let v = self.heap.array(a).data[i as usize];
                 self.env(t).insert(*x, v);
-                sink.event(&Event::Access {
-                    t,
-                    kind: AccessKind::Read,
-                    loc: Loc::Elem(a, i),
-                });
+                sink.access(t, AccessKind::Read, Loc::Elem(a, i));
                 Ok(())
             }
             StmtKind::WriteArr { arr, idx, src } => {
@@ -628,11 +616,7 @@ impl<'p> Interp<'p> {
                     });
                 }
                 self.heap.arrays[a.0 as usize].data[i as usize] = v;
-                sink.event(&Event::Access {
-                    t,
-                    kind: AccessKind::Write,
-                    loc: Loc::Elem(a, i),
-                });
+                sink.access(t, AccessKind::Write, Loc::Elem(a, i));
                 Ok(())
             }
             StmtKind::Call {
@@ -694,7 +678,8 @@ impl<'p> Interp<'p> {
                 for cp in paths {
                     resolved.push((cp.kind, self.resolve_path(t, &cp.path)?));
                 }
-                sink.event(&Event::Check { t, paths: resolved });
+                let borrowed: Vec<_> = resolved.iter().map(|(k, p)| (*k, p.borrowed())).collect();
+                sink.check(t, &borrowed);
                 Ok(())
             }
         }

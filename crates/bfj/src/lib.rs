@@ -54,7 +54,8 @@ pub use ast::{
 };
 pub use compile::{compile, CompiledProgram, CompiledVm};
 pub use event::{
-    ArrId, CheckTarget, ConcreteRange, Event, EventSink, Loc, NullSink, ObjId, RecordingSink,
+    ArrId, CheckRef, CheckTarget, ConcreteRange, Event, EventSink, Loc, NullSink, ObjId,
+    RecordingSink,
 };
 pub use fingerprint::{
     fingerprint_block, fingerprint_body, fingerprint_method, FINGERPRINT_VERSION,

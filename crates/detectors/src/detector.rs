@@ -8,7 +8,8 @@
 use crate::engine::{Annotator, ArrayEngine, CheckSource, ProxyTable, ShardState};
 use crate::replay::ReplayConfig;
 use crate::stats::Stats;
-use bigfoot_bfj::{Event, EventSink};
+use bigfoot_bfj::{CheckRef, Event, EventSink, Loc};
+use bigfoot_vc::{AccessKind, Tid};
 
 /// A configurable precise dynamic race detector over the event stream.
 ///
@@ -121,9 +122,27 @@ impl Drop for Detector {
     }
 }
 
+/// The typed hooks run the annotator's per-kind functions that
+/// `Annotator::ingest` dispatches to, so a detector fed by the VM's
+/// hooks and one fed owned events compute the same thing. A detector
+/// that consumes checks only counts an access here; no
+/// [`Event::Access`] is ever built for it.
 impl EventSink for Detector {
+    #[inline]
     fn event(&mut self, ev: &Event) {
         self.ann.ingest(ev);
+    }
+
+    #[inline]
+    fn access(&mut self, t: Tid, kind: AccessKind, loc: Loc) {
+        self.ann.events += 1;
+        self.ann.access(t, kind, loc);
+    }
+
+    #[inline]
+    fn check(&mut self, t: Tid, paths: &[(AccessKind, CheckRef<'_>)]) {
+        self.ann.events += 1;
+        self.ann.check(t, paths.iter().copied());
     }
 }
 

@@ -33,7 +33,7 @@
 
 use crate::stats::{Race, RaceTarget, Stats};
 use crate::sync::SyncClocks;
-use bigfoot_bfj::{ArrId, CheckTarget, ConcreteRange, Event, Loc, ObjId};
+use bigfoot_bfj::{ArrId, CheckRef, ConcreteRange, Event, Loc, ObjId};
 use bigfoot_obs::fx::FxHashMap;
 use bigfoot_shadow::{ArrayShadow, FieldGrouping, Footprint, ObjectShadow, Slab};
 use bigfoot_vc::{AccessKind, Tid, VarState, VectorClock};
@@ -516,37 +516,54 @@ impl<S: ItemSink> Annotator<S> {
                 self.sink.alloc_obj(*obj, grouping);
             }
             Event::AllocArr { arr, len, .. } => self.sink.alloc_arr(*arr, *len),
-            Event::Access { t, kind, loc } => {
-                match kind {
-                    AccessKind::Read => self.stats.reads += 1,
-                    AccessKind::Write => self.stats.writes += 1,
-                }
-                if self.source == CheckSource::RawAccesses {
-                    match loc {
-                        Loc::Field(obj, f) => self.field_check(*t, *obj, &[*f], *kind),
-                        Loc::Elem(arr, i) => {
-                            self.array_check(*t, *arr, ConcreteRange::singleton(*i), *kind)
-                        }
-                    }
-                }
-            }
+            Event::Access { t, kind, loc } => self.access(*t, *kind, *loc),
             Event::Check { t, paths } => {
-                if self.source == CheckSource::CheckEvents {
-                    for (kind, target) in paths {
-                        match target {
-                            CheckTarget::Fields(obj, idxs) => {
-                                self.field_check(*t, *obj, idxs, *kind)
-                            }
-                            CheckTarget::Range(arr, r) => {
-                                if !r.is_empty() {
-                                    self.array_check(*t, *arr, *r, *kind)
-                                }
-                            }
-                        }
-                    }
-                }
+                self.check(*t, paths.iter().map(|(k, p)| (*k, p.borrowed())))
             }
             sync => self.on_sync(sync),
+        }
+    }
+
+    /// One heap access: counted, and checked when the detector consumes
+    /// raw accesses. [`Annotator::ingest`] and the typed
+    /// [`EventSink::access`](bigfoot_bfj::EventSink::access) hook both
+    /// land here, so the two paths cannot drift apart.
+    #[inline(always)]
+    pub(crate) fn access(&mut self, t: Tid, kind: AccessKind, loc: Loc) {
+        match kind {
+            AccessKind::Read => self.stats.reads += 1,
+            AccessKind::Write => self.stats.writes += 1,
+        }
+        if self.source == CheckSource::RawAccesses {
+            match loc {
+                Loc::Field(obj, f) => self.field_check(t, obj, &[f], kind),
+                Loc::Elem(arr, i) => self.array_check(t, arr, ConcreteRange::singleton(i), kind),
+            }
+        }
+    }
+
+    /// One executed `check(C)` statement, whether it arrived as an owned
+    /// [`Event::Check`] or through the borrowed
+    /// [`EventSink::check`](bigfoot_bfj::EventSink::check) hook; ignored
+    /// by detectors that check raw accesses.
+    #[inline(always)]
+    pub(crate) fn check<'a>(
+        &mut self,
+        t: Tid,
+        paths: impl IntoIterator<Item = (AccessKind, CheckRef<'a>)>,
+    ) {
+        if self.source != CheckSource::CheckEvents {
+            return;
+        }
+        for (kind, path) in paths {
+            match path {
+                CheckRef::Fields(obj, idxs) => self.field_check(t, obj, idxs, kind),
+                CheckRef::Range(arr, r) => {
+                    if !r.is_empty() {
+                        self.array_check(t, arr, r, kind)
+                    }
+                }
+            }
         }
     }
 

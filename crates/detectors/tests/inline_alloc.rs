@@ -7,36 +7,52 @@
 //! single- and multi-field checks, array range checks — flow into
 //! `Detector::bigfoot` and `Detector::fasttrack`. One warm-up span of the
 //! same shape runs first, so pooled footprints, per-thread lists and
-//! scratch buffers already have their capacity. Lives in its own
-//! integration binary because the allocator is process-global.
+//! scratch buffers already have their capacity. The live path is held to
+//! the same rule: an instrumented loop program run on `CompiledVm` into
+//! `Detector::bigfoot` must allocate as much at 10·N iterations as at N,
+//! so an executed check, its accesses and its syncs allocate nothing.
+//! Lives in its own integration binary because the allocator is
+//! process-global.
 
-use bigfoot_bfj::{ArrId, CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId};
+use bigfoot_bfj::{
+    compile, parse_program, ArrId, CheckTarget, CompiledVm, ConcreteRange, Event, EventSink, Loc,
+    ObjId, SchedPolicy,
+};
 use bigfoot_detectors::{Detector, ProxyTable};
 use bigfoot_shadow::FieldGrouping;
 use bigfoot_vc::{AccessKind, Tid};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations while `COUNTING` is set. Per thread, so
+    /// the tests of this binary can run side by side.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_allocation() {
     if COUNTING.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
     }
+}
+
+/// Allocations this thread makes while running `f`.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 // SAFETY: every method forwards its arguments unchanged to the system
 // allocator, which meets the same contract; the counting around it reads
-// a const-initialised thread-local and bumps an atomic, neither of which
-// allocates or touches the memory handed out.
+// and bumps const-initialised thread-locals, which neither allocates nor
+// touches the memory handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
@@ -63,13 +79,12 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations this thread makes while feeding `events` to `det`.
 fn allocations_while(det: &mut Detector, events: &[Event]) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    for ev in events {
-        det.event(ev);
-    }
-    COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations_during(|| {
+        for ev in events {
+            det.event(ev);
+        }
+    })
+    .0
 }
 
 const LEN: i64 = 64;
@@ -198,4 +213,69 @@ fn inline_checks_allocate_nothing_between_syncs() {
     };
     assert_inline_checks_allocate_nothing("BigFoot", Detector::bigfoot(proxies));
     assert_inline_checks_allocate_nothing("FastTrack", Detector::fasttrack());
+}
+
+/// Two workers run `n` iterations each. Every iteration executes one
+/// check statement with a multi-field, a single-field, a contiguous and
+/// a strided array path, between an acquire and a release that commit
+/// the array footprints.
+fn loop_program(n: u32) -> String {
+    format!(
+        "class P {{ field x; field y; field z; }}
+         class L {{ }}
+         class W {{
+             meth work(p, a, l, n) {{
+                 for (i = 0; i < n; i = i + 1) {{
+                     acq(l);
+                     p.x = i; p.y = p.x; p.z = p.y;
+                     a[i % 8] = i;
+                     check(w: p.x/y/z, r: p.x, w: a[0..8], r: a[1..8:2]);
+                     rel(l);
+                 }}
+                 return 0;
+             }}
+         }}
+         main {{
+             l = new L;
+             p = new P; q = new P;
+             a = new_array(8); b = new_array(8);
+             w = new W;
+             fork t1 = w.work(p, a, l, {n});
+             fork t2 = w.work(q, b, l, {n});
+             join(t1); join(t2);
+         }}"
+    )
+}
+
+/// Allocations this thread makes running the lowered `n`-iteration loop
+/// program into a fresh BigFoot detector (lowering excluded), with the
+/// checks the detector saw.
+fn vm_run_allocations(n: u32) -> (u64, u64) {
+    let program = compile(&parse_program(&loop_program(n)).expect("parse"));
+    let (allocations, stats) = allocations_during(|| {
+        let mut det = Detector::bigfoot(ProxyTable::identity());
+        CompiledVm::new(&program, SchedPolicy::default())
+            .run(&mut det)
+            .expect("run");
+        det.finish()
+    });
+    assert!(!stats.has_races(), "{:?}", stats.races);
+    (allocations, stats.checks)
+}
+
+#[test]
+fn vm_checks_into_bigfoot_allocate_nothing_per_iteration() {
+    const N: u32 = 50;
+    // Warm-up: one-time registrations (obs counters, thread-locals).
+    vm_run_allocations(N);
+    let (small, small_checks) = vm_run_allocations(N);
+    let (large, large_checks) = vm_run_allocations(10 * N);
+    assert!(
+        large_checks >= 10 * small_checks - 40,
+        "the checks run per iteration: {small_checks} at N, {large_checks} at 10N"
+    );
+    assert_eq!(
+        large, small,
+        "allocations grew with the iteration count: {small} at N, {large} at 10N"
+    );
 }

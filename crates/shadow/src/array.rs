@@ -15,6 +15,11 @@ use bigfoot_bfj::ConcreteRange;
 use bigfoot_vc::{AccessKind, RaceInfo, Tid, VarState, VectorClock};
 
 /// Maximum number of block segments before degrading to fine-grained.
+/// A `Blocks` representation also degrades once it holds more than half
+/// as many segments as the array has elements: past that point its
+/// binary searches cost more than a fine per-element index, and, since
+/// every shadow state takes at least two units, its bounds vector could
+/// make it larger than the fine representation.
 const MAX_SEGMENTS: usize = 64;
 
 /// The representation of one array's shadow state.
@@ -268,7 +273,7 @@ impl ArrayShadow {
                         states.insert(seg, copy);
                     }
                 }
-                if states.len() > MAX_SEGMENTS {
+                if states.len() > MAX_SEGMENTS || 2 * states.len() as i64 > len {
                     return Step::ToFine;
                 }
                 let first = bounds.binary_search(&r.lo).expect("cut present");
@@ -737,5 +742,117 @@ mod tests {
             sh.space_units()
         };
         assert!(coarse_space * 10 < fine_space);
+    }
+
+    #[test]
+    fn singleton_commits_leave_blocks_for_fine() {
+        // h2's 64-row array: MAX_SEGMENTS can never be exceeded on 64
+        // elements, so only the half-the-length rule ends the Blocks
+        // stage.
+        let mut sh = ArrayShadow::new(64);
+        let c = clock(Tid(0), 1);
+        for i in 0..64 {
+            sh.apply(ConcreteRange::singleton(i), AccessKind::Write, Tid(0), &c);
+            if sh.repr_kind() == ReprKind::Blocks {
+                assert!(2 * sh.locations() <= 64, "{} segments", sh.locations());
+            }
+        }
+        assert_eq!(sh.repr_kind(), ReprKind::Fine);
+        // Once fine, each singleton commit is one direct shadow op.
+        let out = sh.apply(ConcreteRange::singleton(9), AccessKind::Read, Tid(0), &c);
+        assert_eq!(out.shadow_ops, 1);
+    }
+
+    /// A tiny xorshift generator, so the seeded sequences need no crate.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: i64) -> i64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as i64
+        }
+    }
+
+    /// A random committed range over an array of `len`: whole, a block,
+    /// a singleton, a full residue class or an arbitrary strided range.
+    fn random_range(rng: &mut Rng, len: i64) -> ConcreteRange {
+        let lo = rng.below(len);
+        match rng.below(5) {
+            0 => ConcreteRange::contiguous(0, len),
+            1 => ConcreteRange::contiguous(lo, lo + 1 + rng.below(len - lo)),
+            2 => ConcreteRange::singleton(lo),
+            3 => {
+                let k = 2 + rng.below(3);
+                ConcreteRange {
+                    lo: rng.below(k),
+                    hi: len,
+                    step: k,
+                }
+            }
+            _ => ConcreteRange {
+                lo,
+                hi: lo + 1 + rng.below(len - lo),
+                step: 1 + rng.below(4),
+            },
+        }
+    }
+
+    /// Seeded commit sequences by three threads that synchronize now and
+    /// then: the adaptive shadow's races cover exactly the elements a
+    /// fine-only shadow finds racy, and whenever it holds blocks they
+    /// take no more space than its own fine expansion.
+    #[test]
+    fn random_commits_match_a_fine_shadow() {
+        for seed in 1..=200u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let len = 2 + rng.below(70);
+            let mut sh = ArrayShadow::new(len as usize);
+            let mut fine = vec![VarState::new(); len as usize];
+            let mut clocks: Vec<VectorClock> = (0..3).map(|t| clock(Tid(t), 1)).collect();
+            for step in 0..60 {
+                let t = rng.below(3) as usize;
+                if rng.below(4) == 0 {
+                    // t acquires what another thread released.
+                    let u = rng.below(3) as usize;
+                    let released = clocks[u].clone();
+                    clocks[u].tick(Tid(u as u32));
+                    clocks[t].join(&released);
+                }
+                let kind = if rng.below(2) == 0 {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                let r = random_range(&mut rng, len);
+                let tid = Tid(t as u32);
+                let out = sh.apply(r, kind, tid, &clocks[t]);
+                let fine_racy: Vec<i64> = r
+                    .indices()
+                    .filter(|&i| fine[i as usize].apply(kind, tid, &clocks[t]).is_err())
+                    .collect();
+                let adaptive_racy: Vec<i64> = r
+                    .indices()
+                    .filter(|&i| out.races.iter().any(|(extent, _)| extent.contains(i)))
+                    .collect();
+                assert_eq!(
+                    adaptive_racy, fine_racy,
+                    "seed {seed} step {step}: {r} by {tid:?} over {len} elements"
+                );
+                if sh.repr_kind() != ReprKind::Blocks {
+                    continue;
+                }
+                let mut expanded = sh.clone();
+                expanded.go_fine();
+                assert!(
+                    sh.space_units() <= expanded.space_units(),
+                    "seed {seed} step {step}: {:?} holds {} units, fine {}",
+                    sh.repr_kind(),
+                    sh.space_units(),
+                    expanded.space_units()
+                );
+            }
+        }
     }
 }
