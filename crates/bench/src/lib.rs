@@ -69,6 +69,13 @@ pub struct StaticObsStats {
     /// Refutations that fell back to FM over all rows
     /// (`entail.fm.fallbacks`).
     pub fm_fallbacks: u64,
+    /// Times a StaticBF budget fired and quietly weakened placement (all
+    /// `static.budget.*` counters: the FM atom gate and row cap, dropped
+    /// bool and alias facts, exhausted loop fixpoints).
+    pub budget_hits: u64,
+    /// Check paths the ownership pass deleted
+    /// (`static.ownership.paths_removed.*`).
+    pub ownership_paths_removed: u64,
 }
 
 impl StaticObsStats {
@@ -87,6 +94,10 @@ impl StaticObsStats {
             fm_components: counter("entail.fm.components"),
             fm_rows: counter("entail.fm.rows"),
             fm_fallbacks: counter("entail.fm.fallbacks"),
+            budget_hits: after.counter_total("static.budget.")
+                - before.counter_total("static.budget."),
+            ownership_paths_removed: after.counter_total("static.ownership.paths_removed.")
+                - before.counter_total("static.ownership.paths_removed."),
         }
     }
 
@@ -100,6 +111,8 @@ impl StaticObsStats {
                 fm_components: acc.fm_components + s.fm_components,
                 fm_rows: acc.fm_rows + s.fm_rows,
                 fm_fallbacks: acc.fm_fallbacks + s.fm_fallbacks,
+                budget_hits: acc.budget_hits + s.budget_hits,
+                ownership_paths_removed: acc.ownership_paths_removed + s.ownership_paths_removed,
             })
     }
 
@@ -166,29 +179,46 @@ fn run_once<F: FnMut() -> Option<Detector>>(
     }
 }
 
-/// Per-run wall time for running the lowered `program` into
-/// `make_sink`'s detector (or `None` for the base run): the median of
-/// `reps` samples, each the mean of as many whole runs as fill
-/// `min_sample` (at least one), as [`perf`] samples detection. Returns
-/// the calibration run's stats.
-fn timed<F: FnMut() -> Option<Detector>>(
-    program: &CompiledProgram,
+/// One timed configuration: a lowered program and the detector it feeds
+/// (`None` for the base run into `NullSink`).
+type Config<'a> = (&'a CompiledProgram, &'a dyn Fn() -> Option<Detector>);
+
+/// Per-run wall time of each configuration: the median of `reps`
+/// samples, each the mean of as many whole runs as fill `min_sample` (at
+/// least one), as [`perf`] samples detection. The samples are
+/// interleaved: each rep takes one sample of every configuration in
+/// turn, so the base run and the detectors see the same moments of a
+/// shared host. Returns each configuration's calibration-run stats.
+fn timed(
+    configs: &[Config<'_>],
     reps: usize,
     min_sample: Duration,
-    mut make_sink: F,
-) -> (Duration, Option<Stats>) {
-    let (once, stats) = run_once(program, &mut make_sink);
-    let iters = (min_sample.as_nanos() / once.as_nanos().max(1)).clamp(1, 10_000) as u32;
-    let mut times: Vec<Duration> = (0..reps.max(1))
-        .map(|_| {
-            let total: Duration = (0..iters)
-                .map(|_| run_once(program, &mut make_sink).0)
-                .sum();
-            total / iters
+) -> Vec<(Duration, Option<Stats>)> {
+    let calibration: Vec<(u32, Option<Stats>)> = configs
+        .iter()
+        .map(|(prog, make)| {
+            let (once, stats) = run_once(prog, &mut || make());
+            let iters = (min_sample.as_nanos() / once.as_nanos().max(1)).clamp(1, 10_000) as u32;
+            (iters, stats)
         })
         .collect();
-    times.sort();
-    (times[times.len() / 2], stats)
+    let mut times: Vec<Vec<Duration>> = vec![Vec::with_capacity(reps); configs.len()];
+    for _ in 0..reps.max(1) {
+        for (((prog, make), (iters, _)), samples) in
+            configs.iter().zip(&calibration).zip(&mut times)
+        {
+            let total: Duration = (0..*iters).map(|_| run_once(prog, &mut || make()).0).sum();
+            samples.push(total / *iters);
+        }
+    }
+    times
+        .into_iter()
+        .zip(calibration)
+        .map(|(mut t, (_, stats))| {
+            t.sort();
+            (t[t.len() / 2], stats)
+        })
+        .collect()
 }
 
 /// Runs the full detector matrix over one benchmark program.
@@ -218,25 +248,26 @@ fn measure_sampled(
     let rc_prog = compile(&rc_prog);
     let bf_prog = compile(&inst.program);
 
-    let (base_time, _) = timed(&base, reps, min_sample, || None);
     let heap_cells = run_vm(&base, &mut NullSink).heap_cells;
 
-    let matrix: [(&'static str, &CompiledProgram, &dyn Fn() -> Detector); 5] = [
-        ("FT", &base, &Detector::fasttrack),
-        ("RC", &rc_prog, &|| Detector::redcard(rc_proxies.clone())),
-        ("SS", &base, &Detector::slimstate),
-        ("SC", &rc_prog, &|| Detector::slimcard(rc_proxies.clone())),
-        ("BF", &bf_prog, &|| Detector::bigfoot(inst.proxies.clone())),
+    let names = ["FT", "RC", "SS", "SC", "BF"];
+    let configs: [Config<'_>; 6] = [
+        (&base, &|| None),
+        (&base, &|| Some(Detector::fasttrack())),
+        (&rc_prog, &|| Some(Detector::redcard(rc_proxies.clone()))),
+        (&base, &|| Some(Detector::slimstate())),
+        (&rc_prog, &|| Some(Detector::slimcard(rc_proxies.clone()))),
+        (&bf_prog, &|| Some(Detector::bigfoot(inst.proxies.clone()))),
     ];
-    let runs = matrix
+    let mut timings = timed(&configs, reps, min_sample).into_iter();
+    let (base_time, _) = timings.next().expect("base run");
+    let runs = names
         .into_iter()
-        .map(|(name, prog, make)| {
-            let (time, stats) = timed(prog, reps, min_sample, || Some(make()));
-            DetectorRun {
-                name,
-                time,
-                stats: stats.expect("detector stats"),
-            }
+        .zip(timings)
+        .map(|(name, (time, stats))| DetectorRun {
+            name,
+            time,
+            stats: stats.expect("detector stats"),
         })
         .collect();
 
@@ -250,62 +281,69 @@ fn measure_sampled(
     }
 }
 
-/// One ablation configuration of the static analysis.
-pub const ABLATIONS: [(&str, InstrumentOptions); 5] = [
-    (
-        "full",
-        InstrumentOptions {
-            anticipation: true,
-            coalescing: true,
-            loop_invariants: true,
-            field_proxies: true,
-        },
-    ),
+/// The ablation configurations of the static analysis. `full` is the
+/// default; `-ownership` turns off the ownership pass, which goes beyond
+/// the paper, leaving the paper's own placement; the other rows each
+/// disable one of the paper's ingredients from that placement, so they
+/// read against `-ownership` as the paper's ablation reads against its
+/// full BigFoot.
+pub const ABLATIONS: [(&str, InstrumentOptions); 6] = [
+    ("full", FULL),
+    ("-ownership", PAPER),
     (
         "-anticipation",
         InstrumentOptions {
             anticipation: false,
-            coalescing: true,
-            loop_invariants: true,
-            field_proxies: true,
+            ..PAPER
         },
     ),
     (
         "-coalescing",
         InstrumentOptions {
-            anticipation: true,
             coalescing: false,
-            loop_invariants: true,
-            field_proxies: true,
+            ..PAPER
         },
     ),
     (
         "-loop-motion",
         InstrumentOptions {
-            anticipation: true,
-            coalescing: true,
             loop_invariants: false,
-            field_proxies: true,
+            ..PAPER
         },
     ),
     (
         "-proxies",
         InstrumentOptions {
-            anticipation: true,
-            coalescing: true,
-            loop_invariants: true,
             field_proxies: false,
+            ..PAPER
         },
     ),
 ];
+
+/// Every ingredient on (`InstrumentOptions::default()`, in a `const`).
+const FULL: InstrumentOptions = InstrumentOptions {
+    anticipation: true,
+    coalescing: true,
+    loop_invariants: true,
+    field_proxies: true,
+    ownership: true,
+};
+
+/// The paper's placement: every ingredient but the ownership pass.
+const PAPER: InstrumentOptions = InstrumentOptions {
+    ownership: false,
+    ..FULL
+};
 
 /// Runs the BigFoot detector under one ablation configuration and returns
 /// (wall time, stats).
 pub fn measure_ablation(program: &Program, options: InstrumentOptions, reps: usize) -> DetectorRun {
     let inst = instrument_with(program, options);
-    let (t, s) = timed(&compile(&inst.program), reps, perf::MIN_SAMPLE, || {
-        Some(Detector::bigfoot(inst.proxies.clone()))
-    });
+    let lowered = compile(&inst.program);
+    let make = || Some(Detector::bigfoot(inst.proxies.clone()));
+    let (t, s) = timed(&[(&lowered, &make)], reps, perf::MIN_SAMPLE)
+        .pop()
+        .expect("one configuration");
     DetectorRun {
         name: "BF",
         time: t,

@@ -97,6 +97,8 @@ pub(crate) fn set_fm_fields(stat: &mut Json, s: &StaticObsStats) {
     stat.set("fm_components", s.fm_components);
     stat.set("fm_rows", s.fm_rows);
     stat.set("fm_fallbacks", s.fm_fallbacks);
+    stat.set("budget_hits", s.budget_hits);
+    stat.set("ownership_paths_removed", s.ownership_paths_removed);
 }
 
 fn with_benchmarks(mut env: Json, results: &[BenchResult]) -> Json {

@@ -66,7 +66,7 @@ pub use interp::{
 };
 pub use lexer::{tokenize, LexError, Token};
 pub use mutate::{mutate, site_count, MutationKind};
-pub use parser::{parse_expr, parse_program, ParseError, MAX_NESTING};
+pub use parser::{parse_expr, parse_program, parse_program_with_lines, ParseError, MAX_NESTING};
 pub use pretty::{pretty, pretty_check_path, pretty_expr, pretty_stmt};
 pub use sched::SchedPolicy;
 pub use sym::Sym;

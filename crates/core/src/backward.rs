@@ -271,14 +271,19 @@ impl<'a> BackwardPass<'a> {
     ) -> Anticipated {
         let mut a_head = seed_candidates(head, tail);
         self.quiet += 1;
+        let mut stable = false;
         for _ in 0..MAX_LOOP_ITERS {
             let a_tail_pre = self.block(tail, a_head.clone());
             let a_junction = meet(a, h_ctx, &a_tail_pre, h_ctx);
             let next = intersect_entailed(&self.block(head, a_junction), &a_head, h_ctx);
             if next == a_head {
+                stable = true;
                 break;
             }
             a_head = next;
+        }
+        if !stable {
+            bigfoot_obs::count!("static.budget.loop_iters");
         }
         self.quiet -= 1;
         a_head

@@ -236,6 +236,8 @@ impl History {
         const MAX_BOOLS: usize = 32;
         if self.bools.len() < MAX_BOOLS {
             self.bools.push(e);
+        } else {
+            bigfoot_obs::count!("static.budget.bools_dropped");
         }
     }
 
@@ -244,6 +246,8 @@ impl History {
         const MAX_ALIASES: usize = 32;
         if self.aliases.len() < MAX_ALIASES {
             self.aliases.push((x, rhs));
+        } else {
+            bigfoot_obs::count!("static.budget.aliases_dropped");
         }
     }
 

@@ -788,6 +788,7 @@ impl<'a> Fwd<'a> {
         bigfoot_obs::count!("static.loop_invariant.loops");
         let place = std::mem::replace(&mut self.place, false);
         self.simulating += 1;
+        let mut stable = false;
         for _ in 0..MAX_INV_ITERS {
             bigfoot_obs::count!("static.loop_invariant.iterations");
             let before = (inv.bools.len(), inv.aliases.len(), inv.accesses.len());
@@ -800,8 +801,12 @@ impl<'a> Fwd<'a> {
             let (_, hback) = self.block(&tail.stmts, hb);
             prune_by(&mut inv, &hback);
             if before == (inv.bools.len(), inv.aliases.len(), inv.accesses.len()) {
+                stable = true;
                 break;
             }
+        }
+        if !stable {
+            bigfoot_obs::count!("static.budget.inv_iters");
         }
         self.simulating -= 1;
         self.place = place;

@@ -11,6 +11,9 @@
 //! * post-analysis path coalescing and static field-proxy compression
 //!   (§4),
 //! * the `[CALL]` kill-set interprocedural analysis,
+//! * a whole-program ownership pass, beyond the paper, that deletes the
+//!   checks of thread-local, lock-owned and read-only-after-fork
+//!   locations ([`InstrumentOptions::ownership`]),
 //! * the RedCard baseline instrumenter and a naive per-access
 //!   instrumenter for comparisons.
 //!
@@ -57,6 +60,7 @@ mod coalesce;
 mod facts;
 mod forward;
 mod killset;
+mod ownership;
 mod pipeline;
 mod proxy;
 mod readset;
@@ -72,6 +76,7 @@ pub use forward::{
     forward_pass, forward_pass_opts, forward_pass_view, ForwardTables, PlacementOptions,
 };
 pub use killset::{scan_method_body, volatile_fields, Effects, KillSets, KillSummary};
+pub use ownership::{AllocSite, OwnedLocation, OwnershipReport, OwnershipRule};
 pub use pipeline::{
     config_fingerprint, count_checks, instrument, instrument_incremental, instrument_with,
     naive_instrument, AnalysisStats, IncrementalStats, InstrumentOptions, Instrumented,

@@ -2,7 +2,8 @@
 //! change unless a change means to change placements.
 //!
 //! Each input is instrumented under the default [`InstrumentOptions`] and
-//! under every single-ingredient ablation. The test folds the pretty-printed
+//! under every single-ingredient ablation (`no-ownership` is the paper's
+//! own placement). The test folds the pretty-printed
 //! instrumented program and the field-proxy table into one
 //! [`StableHasher`] digest per (input, configuration) and compares the
 //! digests against `tests/golden/placements.txt`.
@@ -56,6 +57,13 @@ fn configs() -> Vec<(&'static str, InstrumentOptions)> {
             "no-field-proxies",
             InstrumentOptions {
                 field_proxies: false,
+                ..full
+            },
+        ),
+        (
+            "no-ownership",
+            InstrumentOptions {
+                ownership: false,
                 ..full
             },
         ),

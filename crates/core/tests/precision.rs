@@ -3,11 +3,28 @@
 //! every detector configuration reports the same races as FastTrack on the
 //! same trace — across hand-written programs, random programs, and many
 //! schedules.
+//!
+//! Coverage is a property of the paper's placement, so the precision
+//! checks run with the ownership pass off (it deletes the checks of
+//! locations that cannot race); verdict agreement is checked on the
+//! pruned placement too.
 
-use bigfoot::{instrument, redcard_instrument};
+use bigfoot::{instrument, instrument_with, redcard_instrument, InstrumentOptions, Instrumented};
 use bigfoot_bfj::{parse_program, Event, EventSink, Interp, RecordingSink, SchedPolicy};
 use bigfoot_detectors::{verify_precise_checks, Detector};
 use bigfoot_workloads::{random_program, RandomConfig};
+
+/// The paper's placement: every option on but the ownership pass.
+fn paper_options() -> InstrumentOptions {
+    InstrumentOptions {
+        ownership: false,
+        ..InstrumentOptions::default()
+    }
+}
+
+fn paper_placement(p: &bigfoot_bfj::Program) -> Instrumented {
+    instrument_with(p, paper_options())
+}
 
 /// Runs `program` deterministically and returns the trace.
 fn trace_of(src_program: &bigfoot_bfj::Program, policy: SchedPolicy) -> Vec<Event> {
@@ -153,7 +170,7 @@ fn scenarios() -> Vec<(&'static str, &'static str)> {
 fn bigfoot_placement_is_precise_on_scenarios() {
     for (name, src) in scenarios() {
         let p = parse_program(src).unwrap();
-        let inst = instrument(&p);
+        let inst = paper_placement(&p);
         for policy in [
             SchedPolicy::RoundRobin { quantum: 1 },
             SchedPolicy::RoundRobin { quantum: 64 },
@@ -247,34 +264,37 @@ fn random_programs_precise_and_agreeing() {
             };
             let src = random_program(&cfg);
             let p = parse_program(&src).unwrap();
-            let inst = instrument(&p);
             let policy = SchedPolicy::Random {
                 seed: seed * 31 + 7,
                 switch_inv: 3,
             };
-            let events = trace_of(&inst.program, policy);
-            verify_precise_checks(&events).unwrap_or_else(|e| {
-                panic!(
-                    "seed {seed} racy={racy}: {e}\nsource:\n{src}\ninstrumented:\n{}",
-                    bigfoot_bfj::pretty(&inst.program)
-                )
-            });
-            let ft = replay(&events, Detector::fasttrack());
-            let bf = replay(&events, Detector::bigfoot(inst.proxies.clone()));
-            assert_eq!(
-                ft.has_races(),
-                bf.has_races(),
-                "seed {seed} racy={racy}: FT={:?} BF={:?}\n{src}",
-                ft.races,
-                bf.races
-            );
-            assert_eq!(
-                ft.racy_locations(),
-                bf.racy_locations(),
-                "seed {seed} racy={racy}\n{src}"
-            );
-            if !racy {
-                assert!(!ft.has_races(), "race-free program raced: {:?}", ft.races);
+            for (pruned, inst) in [(false, paper_placement(&p)), (true, instrument(&p))] {
+                let events = trace_of(&inst.program, policy);
+                if !pruned {
+                    verify_precise_checks(&events).unwrap_or_else(|e| {
+                        panic!(
+                            "seed {seed} racy={racy}: {e}\nsource:\n{src}\ninstrumented:\n{}",
+                            bigfoot_bfj::pretty(&inst.program)
+                        )
+                    });
+                }
+                let ft = replay(&events, Detector::fasttrack());
+                let bf = replay(&events, Detector::bigfoot(inst.proxies.clone()));
+                assert_eq!(
+                    ft.has_races(),
+                    bf.has_races(),
+                    "seed {seed} racy={racy} pruned={pruned}: FT={:?} BF={:?}\n{src}",
+                    ft.races,
+                    bf.races
+                );
+                assert_eq!(
+                    ft.racy_locations(),
+                    bf.racy_locations(),
+                    "seed {seed} racy={racy} pruned={pruned}\n{src}"
+                );
+                if !racy {
+                    assert!(!ft.has_races(), "race-free program raced: {:?}", ft.races);
+                }
             }
         }
     }
@@ -363,29 +383,29 @@ fn alias_hazard_still_reports_first_race() {
 /// knobs trade performance, never soundness.
 #[test]
 fn ablations_remain_precise() {
-    use bigfoot::InstrumentOptions;
+    let paper = paper_options();
     let configs = [
         InstrumentOptions {
             anticipation: false,
-            ..InstrumentOptions::default()
+            ..paper
         },
         InstrumentOptions {
             coalescing: false,
-            ..InstrumentOptions::default()
+            ..paper
         },
         InstrumentOptions {
             loop_invariants: false,
-            ..InstrumentOptions::default()
+            ..paper
         },
         InstrumentOptions {
             field_proxies: false,
-            ..InstrumentOptions::default()
+            ..paper
         },
     ];
     for (name, src) in scenarios() {
         let p = parse_program(src).unwrap();
         for (ci, opts) in configs.iter().enumerate() {
-            let inst = bigfoot::instrument_with(&p, *opts);
+            let inst = instrument_with(&p, *opts);
             let events = trace_of(&inst.program, SchedPolicy::RoundRobin { quantum: 16 });
             verify_precise_checks(&events).unwrap_or_else(|e| panic!("{name} config {ci}: {e}"));
             let ft = replay(&events, Detector::fasttrack());

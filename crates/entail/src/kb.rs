@@ -633,6 +633,7 @@ impl FactParts {
         }
         let new_atoms = self.new_atoms(query);
         if self.atoms.len() + new_atoms.len() > FM_MAX_ATOMS {
+            bigfoot_obs::count!("static.budget.fm_atoms");
             return false;
         }
         self.solve(rows);
@@ -775,6 +776,7 @@ fn fm_eliminate(rows: &mut Vec<Lin>, mut atoms: Vec<Atom>) -> Option<Elim> {
             }
         }
         if rest.len() > FM_MAX_ROWS {
+            bigfoot_obs::count!("static.budget.fm_rows");
             return None;
         }
         peak = peak.max(rest.len());

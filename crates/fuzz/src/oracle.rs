@@ -10,8 +10,9 @@
 //!   both the unoptimized and the BigFoot-instrumented program, running
 //!   the compiled form under the same schedule must produce the same
 //!   outcome and a byte-identical BFTR event stream as the interpreter.
-//! * **placement** — the precision theorem (§3.5): the BigFoot-placed
-//!   checks must be *precise* (`verify_precise_checks`) and must make the
+//! * **placement** — the precision theorem (§3.5): the paper's placement
+//!   (ownership pass off) must be *precise* (`verify_precise_checks`),
+//!   and both it and the default, ownership-pruned placement must make the
 //!   detector report exactly FastTrack's race verdict — same boolean, same
 //!   set of racy locations. The theorem is *per trace*: both detectors
 //!   consume the **same** recorded execution of the instrumented program
@@ -49,7 +50,9 @@
 //! All oracles are deterministic functions of `(program, policy)`, which
 //! is what lets the shrinker re-validate determinism at every step.
 
-use bigfoot::{instrument, instrument_incremental, InstrumentOptions, Instrumented};
+use bigfoot::{
+    instrument, instrument_incremental, instrument_with, InstrumentOptions, Instrumented,
+};
 use bigfoot_bfj::{
     compile, fingerprint_block, mutate, site_count,
     trace::{read_event, read_header},
@@ -476,24 +479,47 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
     }
 
     // Per-trace comparison: both detectors read the instrumented run.
+    // Coverage (§5) is a property of the paper's placement, so precision
+    // is verified with the ownership pass off; the verdicts must agree on
+    // both placements.
     bigfoot_obs::count!("fuzz.oracle.placement");
-    let ft = serial(&bf_events, Detector::fasttrack());
-    let bf = serial(&bf_events, Detector::bigfoot(inst.proxies.clone()));
-    if let Err(e) = verify_precise_checks(&bf_events) {
+    let paper = instrument_with(
+        program,
+        InstrumentOptions {
+            ownership: false,
+            ..InstrumentOptions::default()
+        },
+    );
+    let paper_events = if paper.program == inst.program {
+        None
+    } else {
+        match record(&paper.program, policy) {
+            Ok((_, events, _)) => Some(events),
+            Err(e) => {
+                return Some(Divergence::new(
+                    OracleKind::Execution,
+                    format!("paper placement: {e}"),
+                ))
+            }
+        }
+    };
+    if let Err(e) = verify_precise_checks(paper_events.as_deref().unwrap_or(&bf_events)) {
         return Some(Divergence::new(
             OracleKind::Placement,
             format!("imprecise checks: {e}"),
         ));
     }
-    if ft.has_races() != bf.has_races() || ft.racy_locations() != bf.racy_locations() {
-        return Some(Divergence::new(
-            OracleKind::Placement,
-            format!(
-                "fasttrack sees races at {:?}, bigfoot at {:?}",
-                ft.racy_locations(),
-                bf.racy_locations()
-            ),
-        ));
+    if let Some(events) = &paper_events {
+        let ft = serial(events, Detector::fasttrack());
+        let bf = serial(events, Detector::bigfoot(paper.proxies.clone()));
+        if let Some(d) = placement_agrees("paper placement", &ft, &bf) {
+            return Some(d);
+        }
+    }
+    let ft = serial(&bf_events, Detector::fasttrack());
+    let bf = serial(&bf_events, Detector::bigfoot(inst.proxies.clone()));
+    if let Some(d) = placement_agrees("pruned placement", &ft, &bf) {
+        return Some(d);
     }
     // FastTrack's own verdict is the ground truth above, so hold it to
     // the independent DJIT+ reference (both are precise) on the
@@ -617,6 +643,21 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
         return Some(d);
     }
     None
+}
+
+/// The §3.5 theorem on one trace: BigFoot reports exactly FastTrack's
+/// racy locations.
+fn placement_agrees(what: &str, ft: &Stats, bf: &Stats) -> Option<Divergence> {
+    (ft.has_races() != bf.has_races() || ft.racy_locations() != bf.racy_locations()).then(|| {
+        Divergence::new(
+            OracleKind::Placement,
+            format!(
+                "{what}: fasttrack sees races at {:?}, bigfoot at {:?}",
+                ft.racy_locations(),
+                bf.racy_locations()
+            ),
+        )
+    })
 }
 
 /// The incremental-placement oracle: run the cold incremental pipeline

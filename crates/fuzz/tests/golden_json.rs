@@ -211,3 +211,109 @@ fn profile_human_output_reports_entailment_share() {
     );
     assert!(text.contains("-- counters --"), "{text}");
 }
+
+/// A lock-bound program: `main` fills `input` before the first fork,
+/// the workers read it (R3), touch `out` and `cur.pos` only under the one
+/// lock `main` allocates (R2), and keep a scratch array of their own (R1).
+const OWNED: &str = "class Cursor { field pos; }
+class Lk { }
+class T {
+    meth work(input, out, cur, lock) {
+        tmp = new_array(4);
+        for (i = 0; i < input.length; i = i + 1) {
+            tmp[i % 4] = input[i];
+            acq(lock);
+            p = cur.pos;
+            out[p % out.length] = tmp[i % 4];
+            cur.pos = p + 1;
+            rel(lock);
+        }
+        return 0;
+    }
+}
+main {
+    input = new_array(8);
+    for (i = 0; i < 8; i = i + 1) { input[i] = i; }
+    out = new_array(8);
+    cur = new Cursor;
+    lock = new Lk;
+    t = new T;
+    fork t1 = t.work(input, out, cur, lock);
+    fork t2 = t.work(input, out, cur, lock);
+    join(t1);
+    join(t2);
+}
+";
+
+#[test]
+fn analyze_json_explains_the_ownership_pass() {
+    let file = write_program("owned.bfj", OWNED);
+    let out = bfc(&["analyze", &file, "--json"]);
+    assert_eq!(out.status.code(), Some(0));
+    let report = parse_stdout(&out);
+    let stat = report.get("static").unwrap();
+    assert_eq!(
+        stat.get("ownership_paths_removed").and_then(Json::as_u64),
+        Some(4)
+    );
+    let rows: Vec<String> = report
+        .get("ownership")
+        .unwrap()
+        .items()
+        .iter()
+        .map(|o| {
+            format!(
+                "{}:{} {} {} lock={:?} paths={}",
+                o.get("method").and_then(Json::as_str).unwrap(),
+                o.get("line").and_then(Json::as_u64).unwrap(),
+                o.get("field").and_then(Json::as_str).unwrap(),
+                o.get("rule").and_then(Json::as_str).unwrap(),
+                o.get("lock_line").and_then(Json::as_u64),
+                o.get("paths").and_then(Json::as_u64).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            "T.work:5 [] local lock=None paths=1",
+            "main:18 [] readonly lock=None paths=1",
+            "main:20 [] locked lock=Some(22) paths=1",
+            "main:21 pos locked lock=Some(22) paths=1",
+        ]
+    );
+    // The human report names the same locations.
+    let text = String::from_utf8_lossy(&bfc(&["analyze", &file]).stdout).into_owned();
+    assert!(
+        text.contains("ownership: main line 21 pos — locked (lock allocated on line 22)"),
+        "{text}"
+    );
+}
+
+#[test]
+fn profile_reports_static_budgets_even_at_zero() {
+    let file = write_program("owned-profile.bfj", OWNED);
+    let out = bfc(&["profile", &file, "--json"]);
+    assert_eq!(out.status.code(), Some(0));
+    let report = parse_stdout(&out);
+    let budgets = report.get("static_budgets").unwrap();
+    for name in [
+        "static.budget.fm_atoms",
+        "static.budget.fm_rows",
+        "static.budget.bools_dropped",
+        "static.budget.aliases_dropped",
+        "static.budget.inv_iters",
+        "static.budget.loop_iters",
+        "static.ownership.budget_hits",
+    ] {
+        assert_eq!(budgets.get(name).and_then(Json::as_u64), Some(0), "{name}");
+    }
+    assert_eq!(
+        budgets
+            .get("static.ownership.paths_removed.locked")
+            .and_then(Json::as_u64),
+        Some(2)
+    );
+    let timers = report.get("metrics").unwrap().get("timers").unwrap();
+    assert!(timers.get("static.ownership").is_some());
+}

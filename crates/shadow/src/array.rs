@@ -358,6 +358,11 @@ impl ArrayShadow {
         let Repr::Coarse(state) = &self.repr else {
             return self.go_fine();
         };
+        // With `len <= k` every residue class holds at most one element,
+        // so `k` states would be no finer than `Fine` and possibly larger.
+        if self.len <= k {
+            return self.go_fine();
+        }
         let seed = state.clone();
         self.repr = Repr::Strided {
             k,
@@ -763,6 +768,36 @@ mod tests {
         assert_eq!(out.shadow_ops, 1);
     }
 
+    #[test]
+    fn stride_at_least_the_length_goes_fine() {
+        // A stride-4 full-class commit on 3 elements: one residue class
+        // per element, so four strided states would outgrow `Fine`.
+        let mut sh = ArrayShadow::new(3);
+        let c = clock(Tid(0), 1);
+        let r = ConcreteRange {
+            lo: 1,
+            hi: 3,
+            step: 4,
+        };
+        sh.apply(r, AccessKind::Write, Tid(0), &c);
+        assert_eq!(sh.repr_kind(), ReprKind::Fine);
+        assert_eq!(sh.locations(), 3);
+        // A stride shorter than the array still goes strided.
+        let mut sh = ArrayShadow::new(8);
+        sh.apply(
+            ConcreteRange {
+                lo: 1,
+                hi: 8,
+                step: 4,
+            },
+            AccessKind::Write,
+            Tid(0),
+            &c,
+        );
+        assert_eq!(sh.repr_kind(), ReprKind::Strided);
+        assert_eq!(sh.locations(), 4);
+    }
+
     /// A tiny xorshift generator, so the seeded sequences need no crate.
     struct Rng(u64);
 
@@ -840,9 +875,6 @@ mod tests {
                     adaptive_racy, fine_racy,
                     "seed {seed} step {step}: {r} by {tid:?} over {len} elements"
                 );
-                if sh.repr_kind() != ReprKind::Blocks {
-                    continue;
-                }
                 let mut expanded = sh.clone();
                 expanded.go_fine();
                 assert!(
