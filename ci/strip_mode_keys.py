@@ -3,11 +3,10 @@
 
 Usage: strip_mode_keys.py <a.json> <b.json> [label]
 
-The pipeline-smoke and compressed-smoke CI jobs run the same program
-under different execution modes (serial vs the batched ring, raw vs
-grammar-compressed trace replay) and require the reports to be
-identical except for the keys that merely describe *how* the run
-executed (`pipeline`, `replay_workers`, `compressed`, `trace_bytes`,
+The compressed-smoke CI job runs the same program under different
+execution modes (raw vs grammar-compressed trace replay) and requires
+the reports to be identical except for the keys that merely describe
+*how* the run executed (`replay_workers`, `compressed`, `trace_bytes`,
 `memo`, and the input `file` path) — races, counters, and space
 accounting must match byte for byte.
 """
@@ -16,7 +15,6 @@ import json
 import sys
 
 MODE_KEYS = {
-    "pipeline",
     "replay_workers",
     "compressed",
     "trace_bytes",

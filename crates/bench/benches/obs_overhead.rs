@@ -9,7 +9,7 @@
 
 use bigfoot::instrument;
 use bigfoot_bfj::{compile, CompiledProgram, CompiledVm, SchedPolicy};
-use bigfoot_detectors::{detect_pipelined, Detector, PipelineConfig};
+use bigfoot_detectors::Detector;
 use bigfoot_workloads::{benchmark, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -19,17 +19,6 @@ fn detector_pass(program: &CompiledProgram, proxies: &bigfoot_detectors::ProxyTa
         .run(&mut det)
         .unwrap();
     det.finish().shadow_ops
-}
-
-fn pipelined_pass(program: &CompiledProgram, proxies: &bigfoot_detectors::ProxyTable) -> u64 {
-    let det = Detector::bigfoot(proxies.clone());
-    let (outcome, stats) = detect_pipelined(
-        &PipelineConfig::default(),
-        |sink| CompiledVm::new(program, SchedPolicy::default()).run(sink),
-        det,
-    );
-    outcome.unwrap();
-    stats.shadow_ops
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -52,22 +41,22 @@ fn bench_obs_overhead(c: &mut Criterion) {
         bench.iter(|| detector_pass(&lowered, &inst.proxies))
     });
 
-    // The flight recorder's sites (pipeline wait spans, batch instants,
-    // counter tracks) are hottest on the pipelined path; the guarantee is
-    // that with tracing compiled in but *disabled* — one relaxed load per
-    // site — pipelined throughput holds within a few percent of itself.
+    // The flight recorder's sites (spans, instants, counter tracks): the
+    // guarantee is that with tracing compiled in but *disabled* — one
+    // relaxed load per site — throughput holds within a few percent of
+    // itself.
     bigfoot_obs::set_enabled(false);
     bigfoot_obs::trace::set_enabled(false);
     c.bench_function("trace/disabled", |bench| {
-        bench.iter(|| pipelined_pass(&lowered, &inst.proxies))
+        bench.iter(|| detector_pass(&lowered, &inst.proxies))
     });
     bigfoot_obs::trace::set_enabled(true);
     c.bench_function("trace/enabled", |bench| {
-        bench.iter(|| pipelined_pass(&lowered, &inst.proxies))
+        bench.iter(|| detector_pass(&lowered, &inst.proxies))
     });
     bigfoot_obs::trace::set_enabled(false);
     c.bench_function("trace/disabled-again", |bench| {
-        bench.iter(|| pipelined_pass(&lowered, &inst.proxies))
+        bench.iter(|| detector_pass(&lowered, &inst.proxies))
     });
 
     let median = |id: &str| -> f64 {

@@ -6,7 +6,7 @@
 //! repro [table1|table2|fig2|fig8|static|ablation|replay|fuzz|perf|all]
 //!       [--scale small|full] [--reps N] [--bench NAME]
 //!       [--replay-workers N] [--budget SECS]
-//!       [--pipeline] [--compiled] [--compressed]
+//!       [--compiled] [--compressed]
 //!       [--json] [--out FILE]
 //! ```
 //!
@@ -37,14 +37,10 @@
 //!   wall time, entailment share, and peak shadow space. `--out
 //!   BENCH.json` writes the baseline; `--check BENCH.json` re-measures
 //!   and fails on a >`--tolerance` (default 0.25) throughput regression
-//!   (see `docs/PERFORMANCE.md`). `--pipeline` additionally measures
-//!   end-to-end serial vs pipelined (batched-ring) throughput per
-//!   detector configuration and adds an additive `pipeline` section to
-//!   the JSON report.
-//!   `--compiled` measures the bytecode compilation tier against the
-//!   tree-walking interpreter (uninstrumented steps/sec and
-//!   BigFoot-instrumented end-to-end events/sec) and adds an additive
-//!   `compiled` section. `--compressed` records each configuration's
+//!   (see `docs/PERFORMANCE.md`). `--compiled` measures the bytecode
+//!   compilation tier against the tree-walking interpreter
+//!   (uninstrumented steps/sec and BigFoot-instrumented end-to-end
+//!   events/sec) and adds an additive `compiled` section. `--compressed` records each configuration's
 //!   trace, compresses it to the `BFTC` grammar container, and compares
 //!   raw-trace replay against detection directly on the compressed form
 //!   (per-benchmark compression ratio, replay events/sec both ways,
@@ -79,7 +75,7 @@ fn main() -> ExitCode {
                 "usage: repro [table1|table2|fig2|fig8|static|ablation|replay|fuzz|perf|all] \
                  [--scale small|full] [--reps N] [--bench NAME] [--replay-workers N] \
                  [--budget SECS] [--check BENCH.json] [--tolerance FRAC] \
-                 [--pipeline] [--compiled] [--compressed] \
+                 [--compiled] [--compressed] \
                  [--trace-out FILE] [--metrics-out FILE] [--json] [--out FILE]"
             );
             ExitCode::from(2)
@@ -102,12 +98,12 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--trace-out",
             "--metrics-out",
         ],
-        &["--json", "--pipeline", "--compiled", "--compressed"],
+        &["--json", "--compiled", "--compressed"],
     )?;
     // The flight recorder spans the whole command (`repro perf
-    // --pipeline --trace-out t.json` shows the VM/detector
-    // overlap per rep); the guard's drop path also writes the trace when
-    // a command errors out or panics mid-run.
+    // --trace-out t.json` shows each measurement's spans); the guard's
+    // drop path also writes the trace when a command errors out or
+    // panics mid-run.
     let trace_guard = args
         .value("--trace-out")
         .map(bigfoot_obs::TraceOutGuard::new);
@@ -192,7 +188,7 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
         println!(
             "fuzz: {} case(s) over seeds {}..{} in {:.1}s — all oracles agree \
              (roundtrip {}, compiled {}, placement {}, incremental {}, replay {}, \
-             compressed {}, pipeline {})",
+             compressed {})",
             report.cases,
             report.seed_lo,
             report.seed_hi,
@@ -203,7 +199,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
             report.oracle_runs[3],
             report.oracle_runs[4],
             report.oracle_runs[5],
-            report.oracle_runs[6],
         );
         return Ok(());
     }
@@ -227,17 +222,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
                 bigfoot_bench::perf::measure_perf(b.name, &b.program, reps)
             })
             .collect();
-        let pipelined = args.has("--pipeline");
-        let pipeline: Option<Vec<bigfoot_bench::perf::PipelineBench>> = pipelined.then(|| {
-            eprintln!("pipelined end-to-end throughput (serial vs batched ring hand-off) …");
-            selected
-                .iter()
-                .map(|b| {
-                    eprintln!("  {}", b.name);
-                    bigfoot_bench::perf::measure_pipeline(b.name, &b.program, reps)
-                })
-                .collect()
-        });
         let compiled: Option<Vec<bigfoot_bench::perf::CompiledBench>> =
             args.has("--compiled").then(|| {
                 eprintln!("compiled tier throughput (bytecode vs tree-walking interpreter) …");
@@ -280,7 +264,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
         let report = bigfoot_bench::perf::perf_json(
             &results,
             &incremental,
-            pipeline.as_deref(),
             compiled.as_deref(),
             compressed.as_deref(),
             scale_name,
@@ -303,9 +286,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
         }
         perf_table(&results);
         incremental_table(&incremental);
-        if let Some(pipeline) = &pipeline {
-            pipeline_table(pipeline);
-        }
         if let Some(compiled) = &compiled {
             compiled_table(compiled);
         }
@@ -665,30 +645,6 @@ fn incremental_table(results: &[bigfoot_bench::perf::StaticIncrementalBench]) {
             0.0
         },
     );
-}
-
-fn pipeline_table(results: &[bigfoot_bench::perf::PipelineBench]) {
-    println!();
-    println!("== pipelined detection: end-to-end speedup (pipelined / serial events/sec) ==");
-    println!(
-        "{:<11} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "program", "FT", "RC", "SS", "SC", "BF"
-    );
-    for r in results {
-        print!("{:<11}", r.name);
-        for d in DETECTORS {
-            print!(" {:>6.2}x", r.run(d).speedup());
-        }
-        println!();
-    }
-    print!("{:<11}", "GeoMean");
-    for d in DETECTORS {
-        print!(
-            " {:>6.2}x",
-            geomean(results.iter().map(|r| r.run(d).speedup()))
-        );
-    }
-    println!();
 }
 
 fn compiled_table(results: &[bigfoot_bench::perf::CompiledBench]) {

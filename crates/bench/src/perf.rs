@@ -15,12 +15,12 @@ use bigfoot::{
     Instrumented, CACHE_FILE,
 };
 use bigfoot_bfj::{
-    compile, mutate, site_count, trace::TraceWriter, CompiledProgram, Event, EventSink, Interp,
-    MutationKind, NullSink, Program, SchedPolicy,
+    compile, mutate, site_count, trace::TraceWriter, Event, EventSink, Interp, MutationKind,
+    NullSink, Program, SchedPolicy,
 };
 use bigfoot_detectors::{
-    detect_pipelined, replay_compressed_report, replay_trace, ArrayEngine, CheckSource, Detector,
-    PipelineConfig, ProxyTable, ReplayConfig, Stats, TraceReader,
+    replay_compressed_report, replay_trace, ArrayEngine, CheckSource, Detector, ProxyTable,
+    ReplayConfig, Stats, TraceReader,
 };
 use bigfoot_obs::json::Json;
 use std::time::Instant;
@@ -183,56 +183,6 @@ pub fn measure_perf(name: &'static str, program: &Program, reps: usize) -> PerfB
     }
 }
 
-/// Serial vs pipelined *end-to-end* throughput (VM + detector) for one
-/// detector configuration on one benchmark.
-///
-/// Unlike [`DetectorPerf`], both numbers here include execution: the
-/// pipeline's gain comes from overlapping the VM with the detector across
-/// the batched ring, which a detector-only loop cannot show.
-#[derive(Debug, Clone)]
-pub struct PipelineDetectorPerf {
-    /// Short name (FT/RC/SS/SC/BF).
-    pub name: &'static str,
-    /// Events produced by one run of this configuration's program.
-    pub events: u64,
-    /// Median events/second with VM and detector on one thread.
-    pub serial_events_per_sec: f64,
-    /// Median events/second with the detector on its own thread, fed
-    /// through the default batched ring.
-    pub pipelined_events_per_sec: f64,
-}
-
-impl PipelineDetectorPerf {
-    /// Pipelined / serial throughput ratio (> 1 means overlap pays).
-    pub fn speedup(&self) -> f64 {
-        if self.serial_events_per_sec > 0.0 {
-            self.pipelined_events_per_sec / self.serial_events_per_sec
-        } else {
-            1.0
-        }
-    }
-}
-
-/// All pipelined-mode measurements for one benchmark.
-#[derive(Debug)]
-pub struct PipelineBench {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Per-detector serial-vs-pipelined throughput, in [`DETECTORS`]
-    /// order.
-    pub detectors: Vec<PipelineDetectorPerf>,
-}
-
-impl PipelineBench {
-    /// The run for a detector name.
-    pub fn run(&self, name: &str) -> &PipelineDetectorPerf {
-        self.detectors
-            .iter()
-            .find(|r| r.name == name)
-            .expect("detector")
-    }
-}
-
 /// Median end-to-end events/sec over `reps` samples of `run`, where each
 /// sample loops whole runs until [`MIN_SAMPLE_NS`] has elapsed.
 fn end_to_end_rate(events: u64, reps: usize, run: impl Fn()) -> f64 {
@@ -251,69 +201,6 @@ fn end_to_end_rate(events: u64, reps: usize, run: impl Fn()) -> f64 {
     }
     rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
     rates[rates.len() / 2]
-}
-
-/// Measures serial vs pipelined end-to-end throughput (`repro perf
-/// --pipeline`). Every run re-executes the VM (lowering happens once,
-/// outside the timed region), so — unlike [`measure_perf`] — these
-/// numbers move with the VM too; they are reported as an *additive*
-/// `pipeline` section, never fed to the [`check_against_baseline`] drift
-/// gate.
-pub fn measure_pipeline(name: &'static str, program: &Program, reps: usize) -> PipelineBench {
-    struct CountSink(u64);
-    impl EventSink for CountSink {
-        fn event(&mut self, _: &Event) {
-            self.0 += 1;
-        }
-    }
-    let count = |p: &CompiledProgram| {
-        let mut c = CountSink(0);
-        run_vm(p, &mut c);
-        c.0
-    };
-
-    let inst: Instrumented = instrument(program);
-    let (rc_prog, rc_proxies) = redcard_instrument(program);
-    let naive = compile(&naive_instrument(program));
-    let rc_prog = compile(&rc_prog);
-    let bf_prog = compile(&inst.program);
-    let naive_events = count(&naive);
-    let rc_events = count(&rc_prog);
-    let bf_events = count(&bf_prog);
-
-    let obs_was_on = bigfoot_obs::enabled();
-    bigfoot_obs::set_enabled(false);
-    let pipeline = PipelineConfig::default();
-    let mut detectors = Vec::new();
-    for d in DETECTORS {
-        let (events, prog): (u64, &CompiledProgram) = match d {
-            "FT" | "SS" => (naive_events, &naive),
-            "RC" | "SC" => (rc_events, &rc_prog),
-            _ => (bf_events, &bf_prog),
-        };
-        let serial = end_to_end_rate(events, reps, || {
-            let mut det = config_detector(d, &rc_proxies, &inst.proxies);
-            run_vm(prog, &mut det);
-            std::hint::black_box(det.finish());
-        });
-        let pipelined = end_to_end_rate(events, reps, || {
-            let (_, stats) = detect_pipelined(
-                &pipeline,
-                |sink| run_vm(prog, sink),
-                config_detector(d, &rc_proxies, &inst.proxies),
-            );
-            std::hint::black_box(stats);
-        });
-        detectors.push(PipelineDetectorPerf {
-            name: d,
-            events,
-            serial_events_per_sec: serial,
-            pipelined_events_per_sec: pipelined,
-        });
-    }
-    bigfoot_obs::set_enabled(obs_was_on);
-
-    PipelineBench { name, detectors }
 }
 
 /// Interpreted vs compiled execution throughput for one benchmark
@@ -686,8 +573,8 @@ pub fn measure_static_incremental(
 }
 
 /// The `repro perf --json` report (the `BENCH.json` schema). The
-/// `pipeline`, `compiled`, and `compressed` sections are additive:
-/// present only when `--pipeline`, `--compiled`, and `--compressed` ran.
+/// `compiled` and `compressed` sections are additive: present only when
+/// `--compiled` and `--compressed` ran.
 /// The `static_incremental` section is always present. Of all these,
 /// [`check_against_baseline`] never reads the numbers, but it does
 /// require the baseline and the fresh report to carry the same set of
@@ -695,7 +582,6 @@ pub fn measure_static_incremental(
 pub fn perf_json(
     results: &[PerfBench],
     incremental: &[StaticIncrementalBench],
-    pipeline: Option<&[PipelineBench]>,
     compiled: Option<&[CompiledBench]>,
     compressed: Option<&[CompressedBench]>,
     scale: &str,
@@ -797,52 +683,6 @@ pub fn perf_json(
         );
         inc.set("summary", isummary);
         env.set("static_incremental", inc);
-    }
-
-    if let Some(pipeline) = pipeline {
-        let mut p = Json::object();
-        p.set(
-            "batch_events",
-            bigfoot_detectors::DEFAULT_BATCH_EVENTS as u64,
-        );
-        p.set("ring_slots", bigfoot_detectors::DEFAULT_RING_SLOTS as u64);
-        let mut arr = Json::array();
-        for r in pipeline {
-            let mut b = Json::object();
-            b.set("name", r.name);
-            let mut dets = Json::object();
-            for d in &r.detectors {
-                let mut o = Json::object();
-                o.set("events", d.events);
-                o.set("serial_events_per_sec", d.serial_events_per_sec);
-                o.set("pipelined_events_per_sec", d.pipelined_events_per_sec);
-                o.set("speedup", d.speedup());
-                dets.set(d.name, o);
-            }
-            b.set("detectors", dets);
-            arr.push(b);
-        }
-        p.set("benchmarks", arr);
-        let mut psummary = Json::object();
-        let mut serial_rates = Json::object();
-        let mut piped_rates = Json::object();
-        let mut speedups = Json::object();
-        for d in DETECTORS {
-            serial_rates.set(
-                d,
-                geomean(pipeline.iter().map(|r| r.run(d).serial_events_per_sec)),
-            );
-            piped_rates.set(
-                d,
-                geomean(pipeline.iter().map(|r| r.run(d).pipelined_events_per_sec)),
-            );
-            speedups.set(d, geomean(pipeline.iter().map(|r| r.run(d).speedup())));
-        }
-        psummary.set("serial_events_per_sec_geomean", serial_rates);
-        psummary.set("pipelined_events_per_sec_geomean", piped_rates);
-        psummary.set("speedup_geomean", speedups);
-        p.set("summary", psummary);
-        env.set("pipeline", p);
     }
 
     if let Some(compiled) = compiled {
@@ -1050,8 +890,8 @@ mod tests {
 
     #[test]
     fn a_section_missing_from_the_current_run_fails() {
-        // Baseline was generated with --pipeline --compiled, the check
-        // ran bare: the pipeline/compiled numbers silently vanish unless
+        // Baseline was generated with --compiled --compressed, the check
+        // ran bare: the compiled/compressed numbers silently vanish unless
         // the gate demands section parity.
         let err = check_against_baseline(&report(1e6, None), &report(1e6, Some("compiled")), 0.25)
             .expect_err("missing section must fail");
@@ -1076,11 +916,11 @@ mod tests {
     #[test]
     fn section_drift_is_reported_in_both_directions_at_once() {
         let err = check_against_baseline(
-            &report(1e6, Some("pipeline")),
+            &report(1e6, Some("compressed")),
             &report(1e6, Some("compiled")),
             0.25,
         )
         .expect_err("section mismatch must fail");
-        assert!(err.contains("pipeline") && err.contains("compiled"));
+        assert!(err.contains("compressed") && err.contains("compiled"));
     }
 }

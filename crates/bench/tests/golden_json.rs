@@ -257,4 +257,11 @@ fn scale_flag_requires_its_own_value() {
     let out = repro(&["table1", "--scale", "tiny"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--scale"));
+    // Inline detection is the only online driver: `perf --pipeline` is
+    // an unknown flag.
+    let out = repro(&["perf", "--pipeline"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown flag `--pipeline`"), "{err}");
+    assert!(err.contains("usage:"), "printed no usage: {err}");
 }

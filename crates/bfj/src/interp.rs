@@ -380,11 +380,6 @@ impl<'p> Interp<'p> {
         &self.heap
     }
 
-    /// The name-resolution index.
-    pub fn index(&self) -> &ProgramIndex {
-        &self.index
-    }
-
     /// The final environment of a completed thread's root frame.
     pub fn final_env(&self, t: Tid) -> Option<&Env> {
         self.final_envs.get(t.index())?.as_ref()

@@ -747,7 +747,8 @@ impl<'p> Builder<'p> {
         let main = self.main_id();
 
         // Per method: call targets, fork targets, direct forks, and the
-        // locks its own `rel`/`wait` may release.
+        // locks its own `rel` may release. `wait` re-acquires its monitor
+        // before it returns, so it releases nothing a caller held.
         let mut callees: Vec<Vec<MethodId>> = vec![Vec::new(); n];
         let mut fork_targets: Vec<MethodId> = Vec::new();
         let mut forks = vec![false; n];
@@ -771,7 +772,7 @@ impl<'p> Builder<'p> {
                         escaped.union_with(self.pts(m, *a));
                     }
                 }
-                StmtKind::Release { lock } | StmtKind::Wait { lock } => {
+                StmtKind::Release { lock } => {
                     releases[m].union_with(self.pts(m, *lock));
                 }
                 _ => {}
@@ -911,7 +912,9 @@ impl LockWalk<'_, '_> {
                         }
                     }
                 }
-                StmtKind::Release { lock } | StmtKind::Wait { lock } => {
+                // `wait(l)` gives `l` up and takes it back before it
+                // returns: the lock is held on both sides of it.
+                StmtKind::Release { lock } => {
                     held.subtract(self.b.pts(m, *lock));
                 }
                 StmtKind::Call { recv, meth, .. } => {

@@ -276,3 +276,74 @@ fn a_loop_that_forks_is_concurrent_code_as_a_whole() {
     });
     assert!(raced);
 }
+
+#[test]
+fn an_access_after_wait_is_still_lock_owned() {
+    // `wait(l)` re-acquires `l` before it returns, so the read of
+    // `f.ready` in the loop and the write of `d.v` after it are still
+    // inside the critical section: R2 clears both.
+    let src = "
+        class Flag { field ready; }
+        class Data { field v; }
+        class Lk { }
+        class W {
+            meth waiter(f, d, l) {
+                acq(l);
+                while (f.ready == 0) { wait(l); }
+                d.v = d.v + 1;
+                rel(l);
+                return 0;
+            }
+            meth notifier(f, d, l) {
+                acq(l);
+                d.v = 5;
+                f.ready = 1;
+                notify(l);
+                rel(l);
+                return 0;
+            }
+        }
+        main {
+            f = new Flag;
+            d = new Data;
+            l = new Lk;
+            w = new W;
+            fork t1 = w.waiter(f, d, l);
+            fork t2 = w.notifier(f, d, l);
+            join(t1);
+            join(t2);
+        }";
+    let p = parse_program(src).unwrap();
+    let inst = instrument(&p);
+    assert!(method_checks(&paper_placement(&p).program) > 0);
+    let found: Vec<String> = inst
+        .ownership
+        .locations
+        .iter()
+        .map(|l| {
+            format!(
+                "{}#{} {:?} {:?} lock={:?}",
+                l.site.method_label(&inst.program),
+                l.site.ordinal,
+                l.field.map(|f| f.as_str()),
+                l.rule,
+                l.lock.map(|s| s.ordinal),
+            )
+        })
+        .collect();
+    assert_eq!(
+        found,
+        [
+            "main#0 Some(\"ready\") Locked lock=Some(2)",
+            "main#1 Some(\"v\") Locked lock=Some(2)",
+        ],
+        "{}",
+        pretty(&inst.program)
+    );
+    assert_eq!(method_checks(&inst.program), 0, "{}", pretty(&inst.program));
+    for policy in policies() {
+        let events = trace_of(&inst.program, policy);
+        assert!(!bigfoot_on(&events, &inst).has_races(), "{policy:?}");
+        assert!(!djit_on(&events).has_races(), "{policy:?}");
+    }
+}

@@ -14,12 +14,10 @@
 //! parallel and merge the races back into trace order — with the same
 //! report either way.
 
-pub mod channel;
 mod creplay;
 mod detector;
 mod djit;
 mod engine;
-mod pipeline;
 mod precision;
 mod replay;
 mod stats;
@@ -29,10 +27,6 @@ pub use creplay::{replay_compressed, replay_compressed_report, CompressedReplayR
 pub use detector::Detector;
 pub use djit::{DjitDetector, DjitState};
 pub use engine::{ArrayEngine, CheckSource, ProxyTable};
-pub use pipeline::{
-    detect_pipelined, run_pipelined, BatchSink, PipelineConfig, DEFAULT_BATCH_EVENTS,
-    DEFAULT_RING_SLOTS,
-};
 pub use precision::{verify_precise_checks, PrecisionError};
 pub use replay::{replay_trace, ReplayConfig, TraceReader, SHARDS};
 pub use stats::{CoarseTarget, Race, RaceTarget, Stats};

@@ -7,12 +7,12 @@
 //!                       [--salt K] [--out FILE] [--json]
 //! bfc check <file.bfj> [--detector bigfoot|fasttrack|redcard|slimstate|slimcard|djit]
 //!                      [--seed N] [--schedules N]
-//!                      [--replay-workers N | --pipeline]
+//!                      [--replay-workers N]
 //!                      [--record-out FILE [--compress-trace]] [--json]
 //! bfc run <file.bfj>
 //! bfc stats <file.bfj> [--json]
 //! bfc trace <file.bfj> [--seed N] [--limit N]
-//! bfc profile <file.bfj> [--detector NAME] [--pipeline]
+//! bfc profile <file.bfj> [--detector NAME]
 //!                        [--record-out FILE [--compress-trace]] [--json]
 //! bfc replay <trace> [--detector NAME] [--replay-workers N] [--json]
 //! bfc compress <trace.bftr> <out.bftc>
@@ -41,11 +41,8 @@
 //!   several random schedules) and reports any data races. With
 //!   `--replay-workers N` the run is recorded to an in-memory trace and
 //!   detection replays it through the sharded parallel engine — the
-//!   verdicts are identical to the serial detector's at any `N`. With
-//!   `--pipeline` the VM produces into a batched SPSC ring and the
-//!   detector consumes on its own thread — verdicts again identical,
-//!   byte for byte. The two flags pick different drivers and are
-//!   mutually exclusive.
+//!   verdicts are identical to the serial detector's at any `N`.
+//!   Otherwise the detector runs inline, on the VM's thread.
 //!   `--record-out FILE` additionally records the schedule's event
 //!   stream to a binary trace file: raw `BFTR`, or — with
 //!   `--compress-trace` — the grammar-compressed `BFTC` container.
@@ -95,8 +92,7 @@ use bigfoot_bfj::{
     RunOutcome, RuntimeError, SchedPolicy, Tid, Value,
 };
 use bigfoot_detectors::{
-    detect_pipelined, replay_compressed_report, replay_trace, run_pipelined, Detector,
-    DjitDetector, PipelineConfig, ProxyTable, ReplayConfig, Stats,
+    replay_compressed_report, replay_trace, Detector, DjitDetector, ProxyTable, ReplayConfig, Stats,
 };
 use bigfoot_fuzz::{run_campaign, FuzzOptions};
 use bigfoot_obs::cli::CliArgs;
@@ -161,14 +157,14 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "  bfc check <file.bfj> [--detector NAME] [--seed N] [--schedules N] \
-                 [--replay-workers N | --pipeline] \
+                 [--replay-workers N] \
                  [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
             );
             eprintln!("  bfc run <file.bfj>");
             eprintln!("  bfc stats <file.bfj> [--json]");
             eprintln!("  bfc trace <file.bfj> [--seed N] [--limit N]");
             eprintln!(
-                "  bfc profile <file.bfj> [--detector NAME] [--pipeline] \
+                "  bfc profile <file.bfj> [--detector NAME] \
                  [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
             );
             eprintln!("  bfc replay <trace.bftr|trace.bftc> [--detector NAME] [--replay-workers N] [--json]");
@@ -324,7 +320,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             "--salt",
             "--out",
         ],
-        &["--json", "--pipeline", "--compress-trace", "--incremental"],
+        &["--json", "--compress-trace", "--incremental"],
     )?;
     let cmd = args.positional(0).ok_or("missing command")?.to_owned();
     if cmd == "fuzz" {
@@ -529,8 +525,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             let seed: u64 = args.parsed("--seed")?.unwrap_or(1);
             let schedules: u64 = args.parsed("--schedules")?.unwrap_or(1);
             let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
-            let pipelined = args.has("--pipeline");
-            validate_workers(pipelined, replay_workers)?;
+            validate_workers(replay_workers)?;
             let record_out = args.value("--record-out");
             let compress_trace = args.has("--compress-trace");
             validate_recording(record_out, compress_trace, schedules)?;
@@ -567,7 +562,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                         switch_inv: 2,
                     }
                 };
-                let stats = check_once(which, &prepared, policy, replay_workers, pipelined)?;
+                let stats = check_once(which, &prepared, policy, replay_workers)?;
                 if stats.has_races() {
                     any_race = true;
                 }
@@ -599,9 +594,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 report.set("schedules", schedules);
                 if let Some(workers) = replay_workers {
                     report.set("replay_workers", workers as u64);
-                }
-                if pipelined {
-                    report.set("pipeline", true);
                 }
                 report.set("any_race", any_race);
                 report.set("runs", schedule_reports);
@@ -727,8 +719,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 ],
             )?;
             let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
-            let pipelined = args.has("--pipeline");
-            validate_workers(pipelined, replay_workers)?;
+            validate_workers(replay_workers)?;
             let record_out = args.value("--record-out");
             let compress_trace = args.has("--compress-trace");
             validate_recording(record_out, compress_trace, 1)?;
@@ -752,16 +743,11 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             // flushes its aggregated counters on drop, so the snapshot
             // below still describes the partial run. The report carries
             // the error and the exit code is non-zero.
-            let (stats, run_error) = match check_once(
-                which,
-                &prepared,
-                SchedPolicy::default(),
-                replay_workers,
-                pipelined,
-            ) {
-                Ok(stats) => (Some(stats), None),
-                Err(e) => (None, Some(e.to_string())),
-            };
+            let (stats, run_error) =
+                match check_once(which, &prepared, SchedPolicy::default(), replay_workers) {
+                    Ok(stats) => (Some(stats), None),
+                    Err(e) => (None, Some(e.to_string())),
+                };
             // Fold recorder totals (`trace.events`/`trace.dropped`) into
             // the snapshot the report is built from.
             bigfoot_obs::trace::publish_counters();
@@ -780,9 +766,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             if json {
                 let mut report = envelope("profile", &file);
                 report.set("detector", which);
-                if pipelined {
-                    report.set("pipeline", true);
-                }
                 if let Some(stats) = &stats {
                     report.set("stats", stats.to_json());
                 }
@@ -917,7 +900,7 @@ fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
         outln!("{}", out.to_string_pretty());
     } else {
         outln!(
-            "fuzzed {} case(s) over seeds {}..{} in {:.1}s{} — oracles: roundtrip {}, compiled {}, placement {}, incremental {}, replay {}, compressed {}, pipeline {}",
+            "fuzzed {} case(s) over seeds {}..{} in {:.1}s{} — oracles: roundtrip {}, compiled {}, placement {}, incremental {}, replay {}, compressed {}",
             report.cases,
             report.seed_lo,
             report.seed_hi,
@@ -933,7 +916,6 @@ fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
             report.oracle_runs[3],
             report.oracle_runs[4],
             report.oracle_runs[5],
-            report.oracle_runs[6],
         );
         for d in &report.divergences {
             outln!();
@@ -959,17 +941,12 @@ fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
     })
 }
 
-/// Driver-flag sanity checks, applied at parse time so a bad flag fails
+/// Driver-flag sanity check, applied at parse time so a bad flag fails
 /// before any work starts. Zero replay workers is a contradiction — the
-/// replay engine needs at least one worker to consume anything — and
-/// `--pipeline` (online, one consumer thread) and `--replay-workers`
-/// (record, then replay offline) pick different drivers.
-fn validate_workers(pipelined: bool, replay_workers: Option<usize>) -> Result<(), CliError> {
+/// replay engine needs at least one worker to consume anything.
+fn validate_workers(replay_workers: Option<usize>) -> Result<(), CliError> {
     if replay_workers == Some(0) {
         return Err("--replay-workers wants at least 1 worker".into());
-    }
-    if pipelined && replay_workers.is_some() {
-        return Err("--pipeline and --replay-workers are mutually exclusive".into());
     }
     Ok(())
 }
@@ -1182,15 +1159,12 @@ fn execute<S: EventSink>(
 /// fresh detector. With `replay_workers` set, the schedule is recorded to
 /// an in-memory trace and detection runs through the parallel sharded
 /// replay engine instead of inline — same verdicts, record-once/
-/// detect-many. With `pipelined` set, the VM produces into the batched
-/// SPSC ring and the detector consumes on its own thread — same
-/// verdicts, byte for byte.
+/// detect-many.
 fn check_once(
     which: &str,
     prepared: &Prepared,
     policy: SchedPolicy,
     replay_workers: Option<usize>,
-    pipelined: bool,
 ) -> Result<Stats, CliError> {
     let Prepared { lowered, proxies } = prepared;
     if let Some(workers) = replay_workers {
@@ -1208,15 +1182,6 @@ fn check_once(
             .map_err(|e| failed(format!("replay error: {e}")));
     }
     if which == "djit" {
-        if pipelined {
-            let (run, det) = run_pipelined(
-                &PipelineConfig::default(),
-                |sink| execute(lowered, policy, sink),
-                DjitDetector::new(),
-            );
-            run?;
-            return Ok(det.finish());
-        }
         let mut det = DjitDetector::new();
         execute(lowered, policy, &mut det)?;
         return Ok(det.finish());
@@ -1228,15 +1193,6 @@ fn check_once(
         "redcard" => Detector::redcard(proxies.clone()),
         _ => Detector::slimcard(proxies.clone()),
     };
-    if pipelined {
-        let (run, stats) = detect_pipelined(
-            &PipelineConfig::default(),
-            |sink| execute(lowered, policy, sink),
-            det,
-        );
-        run?;
-        return Ok(stats);
-    }
     execute(lowered, policy, &mut det)?;
     Ok(det.finish())
 }
@@ -1247,30 +1203,16 @@ mod tests {
 
     #[test]
     fn zero_workers_is_rejected_for_both_engines() {
-        assert!(validate_workers(false, Some(0))
+        assert!(validate_workers(Some(0))
             .unwrap_err()
             .to_string()
             .contains("--replay-workers wants at least 1"));
-        // The zero check fires even when the driver clash would too.
-        assert!(validate_workers(true, Some(0))
-            .unwrap_err()
-            .to_string()
-            .contains("--replay-workers wants at least 1"));
-    }
-
-    #[test]
-    fn pipeline_excludes_replay_workers() {
-        assert!(validate_workers(true, Some(2))
-            .unwrap_err()
-            .to_string()
-            .contains("mutually exclusive"));
     }
 
     #[test]
     fn valid_combinations_pass() {
-        assert!(validate_workers(false, None).is_ok());
-        assert!(validate_workers(true, None).is_ok());
-        assert!(validate_workers(false, Some(3)).is_ok());
+        assert!(validate_workers(None).is_ok());
+        assert!(validate_workers(Some(3)).is_ok());
     }
 
     #[test]

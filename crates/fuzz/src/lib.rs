@@ -12,8 +12,8 @@
 //!    symbolic bounds, fork trees, racy or race-free) plus a scheduler
 //!    policy.
 //! 2. [`run_oracles`] runs the case through the round-trip, compiled,
-//!    placement, replay, and pipeline oracles; any disagreement is a
-//!    [`Divergence`].
+//!    placement, incremental, replay, and compressed oracles; any
+//!    disagreement is a [`Divergence`].
 //! 3. [`shrink`] delta-debugs a diverging case to a minimal deterministic
 //!    reproducer, which [`run_campaign`] commits to the corpus
 //!    (`crates/fuzz/corpus/`) where `cargo test` replays it forever.
@@ -94,8 +94,8 @@ pub struct CampaignReport {
     /// Cases executed (== seeds covered).
     pub cases: u64,
     /// Times each oracle suite completed (round-trip, compiled,
-    /// placement, incremental, replay, compressed, pipeline).
-    pub oracle_runs: [u64; 7],
+    /// placement, incremental, replay, compressed).
+    pub oracle_runs: [u64; 6],
     /// Wall-clock time spent.
     pub elapsed: Duration,
     /// True when the time budget stopped the campaign early.
@@ -118,7 +118,6 @@ impl CampaignReport {
         oracles.set("incremental", self.oracle_runs[3]);
         oracles.set("replay", self.oracle_runs[4]);
         oracles.set("compressed", self.oracle_runs[5]);
-        oracles.set("pipeline", self.oracle_runs[6]);
         out.set("oracle_runs", oracles);
         out.set("elapsed_ms", self.elapsed.as_secs_f64() * 1e3);
         out.set("exhausted_budget", self.exhausted_budget);
@@ -153,7 +152,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> CampaignReport {
         seed_lo: opts.seed_lo,
         seed_hi: opts.seed_lo,
         cases: 0,
-        oracle_runs: [0; 7],
+        oracle_runs: [0; 6],
         elapsed: Duration::ZERO,
         exhausted_budget: false,
         divergences: Vec::new(),

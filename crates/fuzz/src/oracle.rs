@@ -1,6 +1,6 @@
 //! The differential oracles.
 //!
-//! Every case runs through seven independent cross-checks, each of which
+//! Every case runs through six independent cross-checks, each of which
 //! has a ground truth the others don't:
 //!
 //! * **round-trip** — the binary trace codec must be lossless: decoding
@@ -40,12 +40,6 @@
 //!   a deterministic single-method mutation (derived from the case), a
 //!   warm re-analysis replaying cached placements must be byte-identical
 //!   to a cold run of the mutated program.
-//! * **pipeline** — handing the same events across the batched SPSC ring
-//!   (producer thread → detector thread) must leave every verdict
-//!   byte-identical to serial detection, for FastTrack and DJIT+ on the
-//!   unoptimized placement and BigFoot on the optimized one. The oracle
-//!   uses a deliberately tiny batch and ring so batch boundaries and
-//!   backpressure fire on every case.
 //!
 //! All oracles are deterministic functions of `(program, policy)`, which
 //! is what lets the shrinker re-validate determinism at every step.
@@ -60,8 +54,8 @@ use bigfoot_bfj::{
     SchedPolicy, TraceWriter,
 };
 use bigfoot_detectors::{
-    detect_pipelined, replay_compressed, replay_trace, run_pipelined, verify_precise_checks,
-    Detector, DjitDetector, PipelineConfig, ReplayConfig, Stats,
+    replay_compressed, replay_trace, verify_precise_checks, Detector, DjitDetector, ReplayConfig,
+    Stats,
 };
 
 /// Step bound for generated programs (they terminate well before this;
@@ -89,9 +83,6 @@ pub enum OracleKind {
     /// Compressed-trace round trip or compressed-form detection differs
     /// from the uncompressed path.
     Compressed,
-    /// Pipelined (batched ring hand-off) verdict differs from serial
-    /// detection.
-    Pipeline,
     /// Warm incremental re-analysis (persistent placement cache) differs
     /// from a cold run.
     Incremental,
@@ -107,7 +98,6 @@ impl OracleKind {
             OracleKind::Placement => "placement",
             OracleKind::Replay => "replay",
             OracleKind::Compressed => "compressed",
-            OracleKind::Pipeline => "pipeline",
             OracleKind::Incremental => "incremental",
         }
     }
@@ -121,7 +111,6 @@ impl OracleKind {
             "placement" => OracleKind::Placement,
             "replay" => OracleKind::Replay,
             "compressed" => OracleKind::Compressed,
-            "pipeline" => OracleKind::Pipeline,
             "incremental" => OracleKind::Incremental,
             _ => return None,
         })
@@ -417,19 +406,6 @@ fn compressed_matches(
     None
 }
 
-/// Compares a pipelined verdict against the serial ground truth.
-fn pipelined_matches(label: &str, what: &str, got: &Stats, truth: &Stats) -> Option<Divergence> {
-    let got_json = got.to_json().to_string_compact();
-    let truth_json = truth.to_json().to_string_compact();
-    if got_json != truth_json {
-        return Some(Divergence::new(
-            OracleKind::Pipeline,
-            format!("{label}: {what} diverges from serial: {got_json} vs {truth_json}"),
-        ));
-    }
-    None
-}
-
 /// Runs every oracle over one case. `None` means all cross-checks agree.
 ///
 /// Deterministic in `(program, policy)`: calling this twice on the same
@@ -592,54 +568,6 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
             &bf,
         )],
     ) {
-        return Some(d);
-    }
-
-    // Pipelined hand-off must be invisible too. A three-event batch and a
-    // two-slot ring force batch boundaries, partial final batches, and
-    // producer backpressure even on small generated programs.
-    bigfoot_obs::count!("fuzz.oracle.pipeline");
-    let pcfg = PipelineConfig {
-        batch_events: 3,
-        ring_slots: 2,
-    };
-    let (_, got) = detect_pipelined(
-        &pcfg,
-        |sink| {
-            for ev in &ft_events {
-                sink.event(ev);
-            }
-        },
-        Detector::fasttrack(),
-    );
-    if let Some(d) = pipelined_matches("unoptimized", "pipelined detection", &got, &ft_truth) {
-        return Some(d);
-    }
-    let (_, got) = detect_pipelined(
-        &pcfg,
-        |sink| {
-            for ev in &bf_events {
-                sink.event(ev);
-            }
-        },
-        Detector::bigfoot(inst.proxies.clone()),
-    );
-    if let Some(d) = pipelined_matches("instrumented", "pipelined detection", &got, &bf) {
-        return Some(d);
-    }
-    // DJIT+ is its own detector, not a `Detector` configuration, so it
-    // goes through the generic `run_pipelined`.
-    let (_, got) = run_pipelined(
-        &pcfg,
-        |sink| {
-            for ev in &ft_events {
-                sink.event(ev);
-            }
-        },
-        DjitDetector::new(),
-    );
-    if let Some(d) = pipelined_matches("unoptimized", "pipelined djit", &got.finish(), &djit_truth)
-    {
         return Some(d);
     }
     None

@@ -128,16 +128,9 @@ fn unknown_and_clashing_driver_flags_are_usage_errors() {
         ),
         // The VM is the only executor; the old tier switch is gone.
         (vec!["check", racy.as_str(), "--compiled"], "--compiled"),
-        (
-            vec![
-                "check",
-                racy.as_str(),
-                "--pipeline",
-                "--replay-workers",
-                "2",
-            ],
-            "mutually exclusive",
-        ),
+        // Inline detection is the only online driver.
+        (vec!["check", racy.as_str(), "--pipeline"], "--pipeline"),
+        (vec!["profile", racy.as_str(), "--pipeline"], "--pipeline"),
     ] {
         let out = bfc(&args);
         let err = String::from_utf8_lossy(&out.stderr);

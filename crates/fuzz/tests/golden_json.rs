@@ -185,7 +185,8 @@ fn profile_json_exposes_spans_and_counters() {
     };
     assert!(total("entail.query") <= total("static.instrument"));
     // Schema v2: a `gauges` section always exists (it only has entries
-    // when a gauge fired, e.g. `pipeline.depth_max` under `--pipeline`).
+    // when a gauge fired, e.g. `trace.compression_ratio_x1000` under
+    // `--record-out FILE --compress-trace`).
     assert!(metrics.get("gauges").is_some(), "missing gauges section");
     let counters = metrics.get("counters").unwrap();
     assert!(counters.get("vm.steps").and_then(Json::as_u64).unwrap() > 0);

@@ -6,8 +6,9 @@
 //! suffix, gauges as `gauge`, and timers as `summary` metrics carrying
 //! the p50/p90/p99 quantiles interpolated from the log2 histograms plus
 //! `_sum`/`_count`. Metric names are prefixed `bigfoot_` and sanitized
-//! to `[a-zA-Z0-9_]` (dots become underscores), so `pipeline.depth_max`
-//! exports as `bigfoot_pipeline_depth_max`. Sanitization collisions
+//! to `[a-zA-Z0-9_]` (dots become underscores), so
+//! `static.incremental.skipped_methods` exports as
+//! `bigfoot_static_incremental_skipped_methods`. Sanitization collisions
 //! (`a.b` and `a_b` both land on `bigfoot_a_b`) are disambiguated with
 //! a numeric suffix so no family is ever declared twice.
 
