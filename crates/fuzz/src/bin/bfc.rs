@@ -56,9 +56,9 @@
 //!   and prints the per-phase time/count breakdown (static-analysis
 //!   spans, entailment share, shadow transitions, detector counters).
 //!   With `--record-out`/`--compress-trace` the recording happens inside
-//!   the profiled region, so the `trace.compressed_bytes`/`trace.rules`/
-//!   `trace.rule_hits` counters and the compression-ratio gauge show up
-//!   in the metrics snapshot.
+//!   the profiled region, so the `trace.compressed_bytes`/
+//!   `trace.dict_entries`/`trace.rules`/`trace.rule_hits` counters and
+//!   the compression-ratio gauge show up in the metrics snapshot.
 //! * `replay` detects races on a previously recorded trace file. The
 //!   container format is auto-detected from the magic bytes: raw `BFTR`
 //!   traces replay through the standard engine, `BFTC` containers run
@@ -729,9 +729,9 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             bigfoot_obs::set_enabled(true);
             bigfoot_obs::reset();
             // Instrument, lower and record inside the profiled region: the
-            // compressor flushes `trace.compressed_bytes`/`trace.rules`/
-            // `trace.rule_hits` and the compression-ratio gauge into this
-            // snapshot.
+            // compressor flushes `trace.compressed_bytes`/
+            // `trace.dict_entries`/`trace.rules`/`trace.rule_hits` and the
+            // compression-ratio gauge into this snapshot.
             let prepared = prepare(which, &program);
             if let Some(path) = record_out {
                 let bytes =

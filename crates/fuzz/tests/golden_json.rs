@@ -200,6 +200,35 @@ fn profile_json_exposes_spans_and_counters() {
 }
 
 #[test]
+fn profile_json_counts_the_compressed_container() {
+    let clean = write_program("profile-bftc.bfj", CLEAN);
+    let trace = std::env::temp_dir()
+        .join("bfc-golden-tests")
+        .join("profile.bftc");
+    let trace = trace.to_string_lossy().into_owned();
+    let out = bfc(&[
+        "profile",
+        &clean,
+        "--json",
+        "--record-out",
+        &trace,
+        "--compress-trace",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let counters = parse_stdout(&out)
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .cloned()
+        .expect("counters");
+    let counter = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
+    let bytes = std::fs::read(&trace).unwrap();
+    let ct = bigfoot_bfj::read_compressed(&bytes).expect("valid BFTC");
+    assert_eq!(counter("trace.dict_entries"), ct.dict.len() as u64);
+    assert_eq!(counter("trace.rules"), ct.rules.len() as u64);
+    assert_eq!(counter("trace.compressed_bytes"), bytes.len() as u64 - 5);
+}
+
+#[test]
 fn profile_human_output_reports_entailment_share() {
     let clean = write_program("profile-human.bfj", CLEAN);
     let out = bfc(&["profile", &clean]);
