@@ -10,14 +10,12 @@ Checks (all must pass):
   * at least N `thread_name` metadata tracks exist (default 2), with
     distinct tids — one per recorded thread;
   * per tid, B/E events are balanced and stack-disciplined (depth never
-    goes negative, ends at zero) — this covers every worker track in a
-    multi-worker replay, not just the producer/consumer pair;
+    goes negative, ends at zero) — on every recorded thread's track;
   * timestamps are non-negative and B/E pairs are non-inverted;
   * each `--require-counter NAME` appears as a C event with a numeric
     `args.value`;
   * each `--require-thread NAME` appears as a `thread_name` metadata
-    track (e.g. `--require-thread "replay worker 0"` pins the replay
-    engine's per-worker tracks).
+    track (e.g. `--require-thread main` pins the main thread's track).
 
 Exit code 0 on success; 1 with a diagnostic on the first failure.
 """

@@ -6,8 +6,8 @@ Usage: strip_mode_keys.py <a.json> <b.json> [label]
 The compressed-smoke CI job runs the same program under different
 execution modes (raw vs grammar-compressed trace replay) and requires
 the reports to be identical except for the keys that merely describe
-*how* the run executed (`replay_workers`, `compressed`, `trace_bytes`,
-`memo`, and the input `file` path) — races, counters, and space
+*how* the run executed (`compressed`, `trace_bytes`, `memo`, and the
+input `file` path) — races, counters, and space
 accounting must match byte for byte.
 """
 
@@ -15,7 +15,6 @@ import json
 import sys
 
 MODE_KEYS = {
-    "replay_workers",
     "compressed",
     "trace_bytes",
     "memo",

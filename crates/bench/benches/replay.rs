@@ -1,9 +1,9 @@
-//! Criterion bench: serial detection vs sharded parallel trace replay.
+//! Criterion bench: serial detection vs trace replay.
 //!
 //! Each benchmark program is recorded once; the bench then measures the
 //! pure detection stage — the serial [`Detector`] fed from the trace, and
-//! [`replay_trace`] at 2, 4, and 8 workers — over identical input bytes,
-//! so the comparison isolates detection from execution.
+//! [`replay_trace`] — over identical input bytes, so the comparison
+//! isolates detection from execution.
 
 use bigfoot::instrument;
 use bigfoot_bfj::{compile, trace::TraceWriter, CompiledVm, EventSink, SchedPolicy};
@@ -34,16 +34,10 @@ fn bench_replay(c: &mut Criterion) {
                 det.finish().shadow_ops
             })
         });
-        for workers in [2usize, 4, 8] {
-            let config = ReplayConfig::bigfoot(inst.proxies.clone(), workers);
-            group.bench_with_input(
-                BenchmarkId::new(&format!("replay-{workers}w"), name),
-                &bytes,
-                |bench, bytes| {
-                    bench.iter(|| replay_trace(bytes, &config).expect("replay").shadow_ops)
-                },
-            );
-        }
+        let config = ReplayConfig::bigfoot(inst.proxies.clone(), 1);
+        group.bench_with_input(BenchmarkId::new("replay", name), &bytes, |bench, bytes| {
+            bench.iter(|| replay_trace(bytes, &config).expect("replay").shadow_ops)
+        });
     }
     group.finish();
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! repro [table1|table2|fig2|fig8|static|ablation|replay|fuzz|perf|all]
 //!       [--scale small|full] [--reps N] [--bench NAME]
-//!       [--replay-workers N] [--budget SECS]
+//!       [--budget SECS]
 //!       [--compiled] [--compressed]
 //!       [--json] [--out FILE]
 //! ```
@@ -24,9 +24,8 @@
 //! * `static` — the §6.1 static-analysis scaling claim, including the
 //!   entailment engine's measured share of analysis time.
 //! * `replay` — record each benchmark to an in-memory trace, then compare
-//!   serial detection against the sharded parallel replay engine
-//!   (`--replay-workers N` pins one worker count; default measures
-//!   1, 2, and 4). Errors if any replay's verdicts diverge from serial.
+//!   serial detection fed by the trace decoder against `replay_trace`.
+//!   Errors if any replay's verdicts diverge from serial.
 //! * `fuzz`   — run the differential fuzzing campaign (placement,
 //!   replay, and trace-codec oracles over seeded random programs and
 //!   schedules; `--budget SECS` bounds wall-clock time). Errors if any
@@ -73,7 +72,7 @@ fn main() -> ExitCode {
             eprintln!();
             eprintln!(
                 "usage: repro [table1|table2|fig2|fig8|static|ablation|replay|fuzz|perf|all] \
-                 [--scale small|full] [--reps N] [--bench NAME] [--replay-workers N] \
+                 [--scale small|full] [--reps N] [--bench NAME] \
                  [--budget SECS] [--check BENCH.json] [--tolerance FRAC] \
                  [--compiled] [--compressed] \
                  [--trace-out FILE] [--metrics-out FILE] [--json] [--out FILE]"
@@ -91,7 +90,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--reps",
             "--bench",
             "--out",
-            "--replay-workers",
             "--budget",
             "--check",
             "--tolerance",
@@ -134,7 +132,6 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
     };
     let reps: usize = args.parsed("--reps")?.unwrap_or(3);
     let json = args.has("--json");
-    validate_workers(args.parsed("--replay-workers")?)?;
 
     // Collection feeds both the JSON reports (entailment share, §6.1) and
     // the human `static` table, so it is always on in this binary.
@@ -296,30 +293,22 @@ fn run_cmd(args: &CliArgs) -> Result<(), String> {
     }
 
     if what == "replay" {
-        let workers: Vec<usize> = match args.parsed::<usize>("--replay-workers")? {
-            Some(n) => vec![n],
-            None => vec![1, 2, 4],
-        };
         eprintln!(
-            "recording and replaying {} benchmark(s) at {scale:?} scale, workers {workers:?} …",
+            "recording and replaying {} benchmark(s) at {scale:?} scale …",
             selected.len()
         );
         let results: Vec<ReplayResult> = selected
             .iter()
             .map(|b| {
                 eprintln!("  {}", b.name);
-                measure_replay(b.name, &b.program, &workers, reps)
+                measure_replay(b.name, &b.program, reps)
             })
             .collect();
-        for r in &results {
-            for run in &r.replays {
-                if !run.matches_serial {
-                    return Err(format!(
-                        "replay verdicts diverge from serial detection on `{}` at {} worker(s)",
-                        r.name, run.workers
-                    ));
-                }
-            }
+        if let Some(r) = results.iter().find(|r| !r.matches_serial) {
+            return Err(format!(
+                "replay verdicts diverge from serial detection on `{}`",
+                r.name
+            ));
         }
         if json {
             return emit(
@@ -528,45 +517,31 @@ fn table1(results: &[BenchResult]) {
 }
 
 fn replay_table(results: &[ReplayResult]) {
-    println!("== Trace replay: serial vs sharded parallel detection (BigFoot config) ==");
+    println!("== Trace replay: serial detection vs replay_trace (BigFoot config) ==");
     println!(
-        "{:<11} {:>9} {:>9} {:>10} {:>10} | replay ms (speedup) per workers",
-        "program", "trace KB", "events", "record ms", "serial ms"
+        "{:<11} {:>9} {:>9} {:>10} {:>10} {:>10} {:>8}",
+        "program", "trace KB", "events", "record ms", "serial ms", "replay ms", "speedup"
     );
     for r in results {
-        print!(
-            "{:<11} {:>9.1} {:>9} {:>10.2} {:>10.2} |",
+        println!(
+            "{:<11} {:>9.1} {:>9} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x",
             r.name,
             r.trace_bytes as f64 / 1024.0,
             r.trace_events,
             r.record_time.as_secs_f64() * 1e3,
             r.serial_time.as_secs_f64() * 1e3,
+            r.replay_time.as_secs_f64() * 1e3,
+            r.serial_time.as_secs_f64() / r.replay_time.as_secs_f64().max(1e-9),
         );
-        for run in &r.replays {
-            print!(
-                " {}w:{:.2} ({:.2}x)",
-                run.workers,
-                run.time.as_secs_f64() * 1e3,
-                r.serial_time.as_secs_f64() / run.time.as_secs_f64().max(1e-9),
-            );
-        }
-        println!();
     }
-    if let Some(first) = results.first() {
-        print!("geomean speedup:");
-        for run in &first.replays {
-            let w = run.workers;
-            print!(
-                " {}w {:.2}x",
-                w,
-                geomean(results.iter().map(|r| {
-                    let replay = r.replays.iter().find(|x| x.workers == w).expect("worker");
-                    r.serial_time.as_secs_f64() / replay.time.as_secs_f64().max(1e-9)
-                }))
-            );
-        }
-        println!();
-    }
+    println!(
+        "geomean speedup: {:.2}x",
+        geomean(
+            results
+                .iter()
+                .map(|r| r.serial_time.as_secs_f64() / r.replay_time.as_secs_f64().max(1e-9))
+        )
+    );
     println!("all replay verdicts matched serial detection bit-for-bit.");
 }
 
@@ -714,16 +689,6 @@ fn compressed_table(results: &[bigfoot_bench::perf::CompressedBench]) {
     }
     println!();
     println!("all compressed-replay verdicts matched raw replay bit-for-bit.");
-}
-
-/// Worker-count flags must make sense before any measurement starts:
-/// zero workers is meaningless on the replay path. Mirrors `bfc`'s
-/// validation so both CLIs reject the same nonsense the same way.
-fn validate_workers(replay_workers: Option<usize>) -> Result<(), String> {
-    if replay_workers == Some(0) {
-        return Err("--replay-workers wants at least 1 worker".into());
-    }
-    Ok(())
 }
 
 fn ratio(a: f64, b: f64) -> f64 {
@@ -923,22 +888,4 @@ fn static_stats(results: &[BenchResult]) {
         );
     }
     let _ = DETECTORS;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::validate_workers;
-
-    #[test]
-    fn zero_workers_is_rejected_on_every_path() {
-        assert!(validate_workers(Some(0))
-            .unwrap_err()
-            .contains("--replay-workers wants at least 1"));
-    }
-
-    #[test]
-    fn valid_combinations_pass() {
-        assert!(validate_workers(None).is_ok());
-        assert!(validate_workers(Some(4)).is_ok());
-    }
 }

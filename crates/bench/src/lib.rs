@@ -389,18 +389,6 @@ pub fn stats_only(name: &'static str, program: &Program) -> BenchResult {
     measure_sampled(name, program, 1, Duration::ZERO)
 }
 
-/// One worker count's replay measurement.
-#[derive(Debug, Clone)]
-pub struct ReplayRun {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Median wall time of the replay detection stage.
-    pub time: Duration,
-    /// True if the replay's stats and races are bit-identical to the
-    /// serial detector's over the same trace (they must be).
-    pub matches_serial: bool,
-}
-
 /// Record-once/replay-many measurements for one benchmark under the
 /// BigFoot detector configuration.
 #[derive(Debug)]
@@ -417,15 +405,11 @@ pub struct ReplayResult {
     pub serial_time: Duration,
     /// Serial detection statistics (the reference verdicts).
     pub serial_stats: Stats,
-    /// Parallel replay runs, one per requested worker count.
-    pub replays: Vec<ReplayRun>,
-}
-
-impl ReplayResult {
-    /// True if every worker count reproduced the serial verdicts exactly.
-    pub fn all_match(&self) -> bool {
-        self.replays.iter().all(|r| r.matches_serial)
-    }
+    /// Median wall time of [`replay_trace`] over the same trace.
+    pub replay_time: Duration,
+    /// True if every replay's stats and races are bit-identical to the
+    /// serial detector's over the same trace (they must be).
+    pub matches_serial: bool,
 }
 
 /// True if two stats blocks are bit-identical (races and every counter,
@@ -435,17 +419,12 @@ pub fn stats_identical(a: &Stats, b: &Stats) -> bool {
 }
 
 /// Records one benchmark run to a trace, then measures serial detection
-/// and sharded parallel replay over it at each worker count (median of
-/// `reps`), verifying that every replay reproduces the serial verdicts.
+/// and [`replay_trace`] over it (median of `reps`), verifying that every
+/// replay reproduces the serial verdicts.
 ///
 /// Uses the BigFoot detector configuration (instrumented program +
 /// proxies), the paper's headline detector.
-pub fn measure_replay(
-    name: &'static str,
-    program: &Program,
-    workers: &[usize],
-    reps: usize,
-) -> ReplayResult {
+pub fn measure_replay(name: &'static str, program: &Program, reps: usize) -> ReplayResult {
     let inst: Instrumented = instrument(program);
     let lowered = compile(&inst.program);
 
@@ -472,26 +451,17 @@ pub fn measure_replay(
     let serial_time = serial_times[serial_times.len() / 2];
     let serial_stats = serial_stats.expect("serial stats");
 
-    let replays = workers
-        .iter()
-        .map(|&w| {
-            let config = ReplayConfig::bigfoot(inst.proxies.clone(), w);
-            let mut times = Vec::with_capacity(reps);
-            let mut matches = true;
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                let stats = replay_trace(&bytes, &config).expect("replay");
-                times.push(t0.elapsed());
-                matches &= stats_identical(&stats, &serial_stats);
-            }
-            times.sort();
-            ReplayRun {
-                workers: w,
-                time: times[times.len() / 2],
-                matches_serial: matches,
-            }
-        })
-        .collect();
+    let config = ReplayConfig::bigfoot(inst.proxies.clone(), 1);
+    let mut replay_times = Vec::with_capacity(reps);
+    let mut matches_serial = true;
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        let stats = replay_trace(&bytes, &config).expect("replay");
+        replay_times.push(t0.elapsed());
+        matches_serial &= stats_identical(&stats, &serial_stats);
+    }
+    replay_times.sort();
+    let replay_time = replay_times[replay_times.len() / 2];
 
     ReplayResult {
         name,
@@ -500,6 +470,7 @@ pub fn measure_replay(
         record_time,
         serial_time,
         serial_stats,
-        replays,
+        replay_time,
+        matches_serial,
     }
 }

@@ -389,8 +389,7 @@ impl CompressedBench {
 /// Measures trace compression and compressed-replay throughput
 /// (`repro perf --compressed`). Each configuration's program is recorded
 /// once to a raw `BFTR` trace, compressed once, and then both forms are
-/// replayed to verdicts — `workers` fixed at 1 so the serial annotation
-/// stage (where memoization acts) dominates. The numbers land in an
+/// replayed to verdicts. The numbers land in an
 /// *additive* `compressed` section that the [`check_against_baseline`]
 /// throughput gate never reads.
 pub fn measure_compressed(name: &'static str, program: &Program, reps: usize) -> CompressedBench {

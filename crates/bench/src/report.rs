@@ -274,23 +274,14 @@ pub fn ablation_json(rows: Vec<Json>, scale: &str, reps: usize) -> Json {
     env
 }
 
-/// `repro replay --json`: serial vs sharded-parallel trace replay.
+/// `repro replay --json`: serial detection vs trace replay.
 ///
 /// Deterministic content (trace shape, races, counters, the
 /// `serial_matches` verdict) lives under each benchmark's `verdicts`
 /// block; wall-clock measurements live under `timing` and the top-level
-/// `timing_summary`/`workers` keys. CI compares reports from different
-/// `--replay-workers` invocations after stripping exactly those
-/// timing-dependent keys.
+/// `timing_summary` key.
 pub fn replay_json(results: &[ReplayResult], scale: &str, reps: usize) -> Json {
     let mut env = envelope("replay", scale, reps);
-    let mut workers = Json::array();
-    if let Some(r) = results.first() {
-        for run in &r.replays {
-            workers.push(run.workers as u64);
-        }
-    }
-    env.set("workers", workers);
     let mut arr = Json::array();
     for r in results {
         let mut b = Json::object();
@@ -308,43 +299,31 @@ pub fn replay_json(results: &[ReplayResult], scale: &str, reps: usize) -> Json {
         }
         verdicts.set("races", races);
         verdicts.set("stats", stats_json(&r.serial_stats));
-        verdicts.set("serial_matches", r.all_match());
+        verdicts.set("serial_matches", r.matches_serial);
         b.set("verdicts", verdicts);
 
         let mut timing = Json::object();
         timing.set("record_ms", r.record_time.as_secs_f64() * 1e3);
         timing.set("serial_ms", r.serial_time.as_secs_f64() * 1e3);
-        let mut per = Json::object();
-        for run in &r.replays {
-            per.set(&run.workers.to_string(), run.time.as_secs_f64() * 1e3);
-        }
-        timing.set("replay_ms", per);
+        timing.set("replay_ms", r.replay_time.as_secs_f64() * 1e3);
         b.set("timing", timing);
         arr.push(b);
     }
     env.set("benchmarks", arr);
 
     let mut summary = Json::object();
-    summary.set("all_match", results.iter().all(ReplayResult::all_match));
+    summary.set("all_match", results.iter().all(|r| r.matches_serial));
     env.set("summary", summary);
 
     let mut timing_summary = Json::object();
-    if let Some(r) = results.first() {
-        for run in &r.replays {
-            let w = run.workers;
-            timing_summary.set(
-                &format!("speedup_{w}w_geomean"),
-                geomean(results.iter().map(|r| {
-                    let replay = r
-                        .replays
-                        .iter()
-                        .find(|x| x.workers == w)
-                        .expect("worker count measured");
-                    r.serial_time.as_secs_f64() / replay.time.as_secs_f64().max(1e-9)
-                })),
-            );
-        }
-    }
+    timing_summary.set(
+        "speedup_geomean",
+        geomean(
+            results
+                .iter()
+                .map(|r| r.serial_time.as_secs_f64() / r.replay_time.as_secs_f64().max(1e-9)),
+        ),
+    );
     env.set("timing_summary", timing_summary);
     env
 }

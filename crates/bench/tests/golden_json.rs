@@ -264,4 +264,10 @@ fn scale_flag_requires_its_own_value() {
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("unknown flag `--pipeline`"), "{err}");
     assert!(err.contains("usage:"), "printed no usage: {err}");
+    // Replay runs on one inline shard: the worker count is gone.
+    let out = repro(&["replay", "--replay-workers", "2"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown flag `--replay-workers`"), "{err}");
+    assert!(err.contains("usage:"), "printed no usage: {err}");
 }

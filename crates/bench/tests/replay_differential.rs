@@ -1,115 +1,148 @@
-//! Differential test: the sharded parallel replay engine must reproduce
-//! the serial detector's report **bit-for-bit** — same races in the same
-//! order, same counters, same space accounting — at every worker count.
+//! Parity test: replaying a recorded raw (`BFTR`) trace must reproduce
+//! the report of the serial detector fed the live run **bit-for-bit** —
+//! same races in the same order, same counters, same space accounting.
 //!
-//! Coverage: every suite benchmark (small scale) under the BigFoot
-//! configuration (deferred footprints + adaptive array shadows + field
-//! proxies, the hardest case for parallel determinism), plus a population
-//! of seeded random programs — racy and race-free — under the raw-access
-//! FastTrack configuration.
+//! Coverage: every suite benchmark (small scale), every fuzz-corpus
+//! program and 60 seeded random programs — racy and race-free, under
+//! randomized schedules — each under all five detector configurations
+//! of Fig. 2, with the program each detector expects (uninstrumented for
+//! FastTrack/SlimState, RedCard-instrumented for RedCard/SlimCard,
+//! BigFoot-instrumented for BigFoot).
 
-use bigfoot::instrument;
-use bigfoot_bfj::{parse_program, trace::TraceWriter, EventSink, Interp, Program, SchedPolicy};
-use bigfoot_detectors::{replay_trace, Detector, ProxyTable, ReplayConfig, Stats, TraceReader};
+use bigfoot::{instrument, redcard_instrument};
+use bigfoot_bfj::{
+    compile, parse_program, trace::TraceWriter, CompiledProgram, CompiledVm, Program, SchedPolicy,
+};
+use bigfoot_detectors::{replay_trace, Detector, ProxyTable, ReplayConfig, Stats};
 use bigfoot_workloads::{benchmarks, random_program, RandomConfig, Scale};
+use std::path::Path;
 
-fn record(program: &Program, policy: SchedPolicy) -> Vec<u8> {
-    let mut w = TraceWriter::new();
-    Interp::new(program, policy).run(&mut w).expect("run");
-    w.into_bytes()
+/// One Fig. 2 configuration: the program its detector consumes, lowered,
+/// and the detector's configuration.
+struct Fig2 {
+    name: &'static str,
+    program: CompiledProgram,
+    config: ReplayConfig,
 }
 
-fn serial(bytes: &[u8], mut det: Detector) -> Stats {
-    for ev in TraceReader::new(bytes).expect("trace header") {
-        det.event(&ev.expect("trace event"));
-    }
+/// The five configurations of Fig. 2 for `program`.
+fn fig2(program: &Program) -> Vec<Fig2> {
+    let inst = instrument(program);
+    let (rc, rc_proxies) = redcard_instrument(program);
+    let row = |name, program: &Program, config| Fig2 {
+        name,
+        program: compile(program),
+        config,
+    };
+    vec![
+        row("fasttrack", program, ReplayConfig::fasttrack(1)),
+        row("slimstate", program, ReplayConfig::slimstate(1)),
+        row("redcard", &rc, ReplayConfig::redcard(rc_proxies.clone(), 1)),
+        row("slimcard", &rc, ReplayConfig::slimcard(rc_proxies, 1)),
+        row(
+            "bigfoot",
+            &inst.program,
+            ReplayConfig::bigfoot(inst.proxies, 1),
+        ),
+    ]
+}
+
+/// The serial detector of `config`, fed the live run.
+fn live(program: &CompiledProgram, policy: SchedPolicy, config: &ReplayConfig) -> Stats {
+    let mut det = Detector::new("live", config.source, config.engine, config.proxies.clone());
+    CompiledVm::new(program, policy).run(&mut det).expect("run");
     det.finish()
 }
 
+fn record(program: &CompiledProgram, policy: SchedPolicy) -> Vec<u8> {
+    let mut w = TraceWriter::new();
+    CompiledVm::new(program, policy).run(&mut w).expect("run");
+    w.into_bytes()
+}
+
 #[track_caller]
-fn assert_identical(label: &str, workers: usize, replay: &Stats, serial: &Stats) {
-    assert_eq!(
-        replay.races, serial.races,
-        "{label}: races diverge at {workers} worker(s)"
-    );
+fn assert_identical(label: &str, replay: &Stats, live: &Stats) {
+    assert_eq!(replay.races, live.races, "{label}: races diverge");
     assert_eq!(
         replay.to_json().to_string_compact(),
-        serial.to_json().to_string_compact(),
-        "{label}: stats diverge at {workers} worker(s)"
+        live.to_json().to_string_compact(),
+        "{label}: stats diverge"
     );
+}
+
+/// Replays `c`'s recorded trace and compares it with the live run;
+/// returns the live stats.
+fn assert_parity(label: &str, c: &Fig2, policy: SchedPolicy) -> Stats {
+    let truth = live(&c.program, policy, &c.config);
+    let bytes = record(&c.program, policy);
+    let stats = replay_trace(&bytes, &c.config).expect("replay");
+    assert_identical(&format!("{label}/{}", c.name), &stats, &truth);
+    truth
+}
+
+/// The `n`-th seeded random program and its schedule: alternating racy /
+/// race-free, with varying thread counts and sizes.
+fn random_case(n: u64) -> (Program, SchedPolicy) {
+    let cfg = RandomConfig {
+        seed: n + 1,
+        size: 8 + (n as usize % 9),
+        threads: 2 + (n as usize % 3),
+        array_len: 16 + (n as usize % 17),
+        racy: n.is_multiple_of(2),
+        ..RandomConfig::default()
+    };
+    let program = parse_program(&random_program(&cfg)).expect("generated program parses");
+    let policy = SchedPolicy::Random {
+        seed: n * 31 + 7,
+        switch_inv: 2,
+    };
+    (program, policy)
 }
 
 #[test]
 fn suite_benchmarks_replay_identically_under_bigfoot() {
+    // The check-event configurations: deferred footprints, adaptive
+    // array shadows and field proxies.
     for b in benchmarks(Scale::Small) {
-        let inst = instrument(&b.program);
-        let bytes = record(&inst.program, SchedPolicy::default());
-        let reference = serial(&bytes, Detector::bigfoot(inst.proxies.clone()));
-        for workers in [1usize, 2, 4] {
-            let stats = replay_trace(
-                &bytes,
-                &ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-            )
-            .expect("replay");
-            assert_identical(b.name, workers, &stats, &reference);
+        for c in fig2(&b.program).iter().skip(2) {
+            assert_parity(b.name, c, SchedPolicy::default());
         }
     }
 }
 
 #[test]
 fn suite_benchmarks_replay_identically_under_fasttrack() {
-    // Fine-grained arrays + raw accesses: the highest item volume.
-    for b in benchmarks(Scale::Small).into_iter().take(6) {
-        let bytes = record(&b.program, SchedPolicy::default());
-        let reference = serial(&bytes, Detector::fasttrack());
-        for workers in [1usize, 4] {
-            let stats = replay_trace(&bytes, &ReplayConfig::fasttrack(workers)).expect("replay");
-            assert_identical(b.name, workers, &stats, &reference);
+    // The raw-access configurations: a check on every access.
+    for b in benchmarks(Scale::Small) {
+        for c in fig2(&b.program).iter().take(2) {
+            assert_parity(b.name, c, SchedPolicy::default());
+        }
+    }
+}
+
+#[test]
+fn corpus_programs_replay_identically() {
+    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../fuzz/corpus"));
+    let entries = bigfoot_fuzz::load_dir(dir).expect("corpus loads");
+    assert!(!entries.is_empty(), "the fuzz corpus has entries");
+    for e in entries {
+        let program = parse_program(&e.source).expect("corpus entry parses");
+        let label = e.path.display().to_string();
+        for c in fig2(&program) {
+            assert_parity(&label, &c, e.policy);
         }
     }
 }
 
 #[test]
 fn random_programs_replay_identically() {
-    // 60 seeded generator configurations: alternating racy / race-free,
-    // varying thread counts and sizes, under randomized schedules so
-    // sync-heavy interleavings are exercised too.
     let mut races_seen = 0usize;
-    for seed in 0..60u64 {
-        let cfg = RandomConfig {
-            seed: seed + 1,
-            size: 8 + (seed as usize % 9),
-            threads: 2 + (seed as usize % 3),
-            array_len: 16 + (seed as usize % 17),
-            racy: seed % 2 == 0,
-            ..RandomConfig::default()
-        };
-        let src = random_program(&cfg);
-        let program = parse_program(&src).expect("generated program parses");
-        let policy = SchedPolicy::Random {
-            seed: seed * 31 + 7,
-            switch_inv: 2,
-        };
-        let bytes = record(&program, policy);
-        let reference = serial(&bytes, Detector::fasttrack());
-        if reference.has_races() {
-            races_seen += 1;
-        }
-        for workers in [1usize, 2, 4] {
-            let stats = replay_trace(&bytes, &ReplayConfig::fasttrack(workers)).expect("replay");
-            assert_identical(&format!("random seed {seed}"), workers, &stats, &reference);
-        }
-        // The slim (footprint) engine exercises the commit path on the
-        // same trace.
-        let slim_reference = serial(&bytes, Detector::slimstate());
-        for workers in [1usize, 3] {
-            let stats = replay_trace(&bytes, &ReplayConfig::slimstate(workers)).expect("replay");
-            assert_identical(
-                &format!("random seed {seed} (slimstate)"),
-                workers,
-                &stats,
-                &slim_reference,
-            );
+    for n in 0..60u64 {
+        let (program, policy) = random_case(n);
+        for c in fig2(&program) {
+            if assert_parity(&format!("random seed {n}"), &c, policy).has_races() {
+                races_seen += 1;
+            }
         }
     }
     assert!(
@@ -122,11 +155,11 @@ fn random_programs_replay_identically() {
 fn replay_default_proxy_table_matches_serial() {
     // Identity proxies under the check-event source (RedCard-like path).
     for b in benchmarks(Scale::Small).into_iter().take(4) {
-        let inst = instrument(&b.program);
-        let bytes = record(&inst.program, SchedPolicy::default());
-        let reference = serial(&bytes, Detector::redcard(ProxyTable::identity()));
-        let stats = replay_trace(&bytes, &ReplayConfig::redcard(ProxyTable::identity(), 4))
-            .expect("replay");
-        assert_identical(b.name, 4, &stats, &reference);
+        let c = Fig2 {
+            name: "redcard-identity",
+            program: compile(&instrument(&b.program).program),
+            config: ReplayConfig::redcard(ProxyTable::identity(), 1),
+        };
+        assert_parity(b.name, &c, SchedPolicy::default());
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! The interpreter's [`Event`] stream can be captured by a [`TraceWriter`]
 //! (an [`EventSink`]) into a flat byte buffer, then replayed any number of
-//! times — by the serial [`Detector`](../../bigfoot_detectors/struct.Detector.html)
-//! or by the parallel sharded replay engine in `bigfoot-detectors` —
+//! times — by `bigfoot-detectors`' `replay_trace`, which feeds the
+//! decoded events to the same engine the serial
+//! [`Detector`](../../bigfoot_detectors/struct.Detector.html) runs —
 //! without re-running the program. Recording is cheap enough to leave on:
 //! one tag byte plus LEB128 varints per event, no allocation beyond the
 //! growing buffer.

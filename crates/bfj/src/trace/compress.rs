@@ -186,15 +186,40 @@ fn push_run(out: &mut Vec<Pair>, sym: u64, count: u64) {
     out.push((sym, count));
 }
 
+/// `next[i]`: the next position after `i` holding the symbol of position
+/// `i`, or `pairs.len()`; built in one backward pass.
+fn next_chain(pairs: &[Pair], symbols: usize) -> Vec<usize> {
+    let n = pairs.len();
+    let mut last = vec![n; symbols];
+    let mut next = vec![n; n];
+    for (i, &(sym, _)) in pairs.iter().enumerate().rev() {
+        next[i] = std::mem::replace(&mut last[sym as usize], i);
+    }
+    next
+}
+
+/// The smallest period `p` in `2..=max_p` with which the block starting
+/// at `i` repeats right after itself. Only periods whose first pair
+/// matches can repeat, so the candidates are the distances to the later
+/// occurrences of `i`'s symbol, walked nearest first along `next`; the
+/// whole block is compared only for those. `max_p` must be at most
+/// `(pairs.len() - i) / 2`.
+fn period_at(pairs: &[Pair], next: &[usize], i: usize, max_p: usize) -> Option<usize> {
+    let mut j = next[i];
+    while j - i <= max_p {
+        let p = j - i;
+        if p >= 2 && pairs[j] == pairs[i] && pairs[i + 1..j] == pairs[j + 1..j + p] {
+            return Some(p);
+        }
+        j = next[j];
+    }
+    None
+}
+
 /// One tandem-repeat collapse round: scans `pairs` left to right, finds
 /// the smallest period `p ≤ period_cap` repeating at least twice,
 /// extracts the block as a rule (deduplicated through `body_index`) and
 /// replaces the whole run with a single `(rule, k)` pair.
-///
-/// Only periods whose first pair matches can repeat, so the candidates
-/// for position `i` are the distances to the later occurrences of its
-/// symbol, walked nearest first through a `next` chain built in one
-/// backward pass. The whole block is compared only for those.
 fn tandem_round(
     pairs: &[Pair],
     rules: &mut Vec<Vec<Pair>>,
@@ -203,27 +228,11 @@ fn tandem_round(
     period_cap: usize,
 ) -> Vec<Pair> {
     let n = pairs.len();
-    // next[i]: the next position holding the symbol of position i, or n.
-    let mut last = vec![n; dict_len as usize + rules.len()];
-    let mut next = vec![n; n];
-    for (i, &(sym, _)) in pairs.iter().enumerate().rev() {
-        next[i] = std::mem::replace(&mut last[sym as usize], i);
-    }
+    let next = next_chain(pairs, dict_len as usize + rules.len());
     let mut out = Vec::with_capacity(n / 2 + 1);
     let mut i = 0;
     while i < n {
-        let max_p = period_cap.min((n - i) / 2);
-        let mut found = None;
-        let mut j = next[i];
-        while j - i <= max_p {
-            let p = j - i;
-            if p >= 2 && pairs[j] == pairs[i] && pairs[i + 1..j] == pairs[j + 1..j + p] {
-                found = Some(p);
-                break;
-            }
-            j = next[j];
-        }
-        let Some(p) = found else {
+        let Some(p) = period_at(pairs, &next, i, period_cap.min((n - i) / 2)) else {
             push_run(&mut out, pairs[i].0, pairs[i].1);
             i += 1;
             continue;
@@ -248,6 +257,34 @@ fn tandem_round(
     out
 }
 
+/// The smallest period up to [`MAX_PERIOD`] that repeats anywhere in
+/// `pairs`, or `None`. Stops at the first period within `enough`, since
+/// callers only need to know the answer beyond it.
+fn smallest_period(pairs: &[Pair], symbols: usize, enough: usize) -> Option<usize> {
+    let n = pairs.len();
+    let next = next_chain(pairs, symbols);
+    let mut best: Option<usize> = None;
+    for i in 0..n {
+        let max_p = best.map_or(MAX_PERIOD, |b| b - 1).min((n - i) / 2);
+        if let Some(p) = period_at(pairs, &next, i, max_p) {
+            if p <= enough {
+                return Some(p);
+            }
+            best = Some(p);
+        }
+    }
+    best
+}
+
+/// A built grammar.
+struct Grammar {
+    rules: Vec<Vec<Pair>>,
+    /// The top-level sequence.
+    top: Vec<Pair>,
+    /// Tandem rounds run.
+    rounds: usize,
+}
+
 /// Runs tandem rounds over the RLE-collapsed symbol sequence `pairs`
 /// until fixpoint; returns the rules and the top-level sequence.
 ///
@@ -256,19 +293,47 @@ fn tandem_round(
 /// left-to-right scan would otherwise capture a misaligned outer block
 /// (e.g. `C(AB)^8` instead of `(AB)^8 C`) and freeze the interior
 /// uncompressed.
-fn build_grammar(mut pairs: Vec<Pair>, dict_len: u64) -> (Vec<Vec<Pair>>, Vec<Pair>) {
+///
+/// A round that collapses nothing leaves the sequence as it was, so the
+/// rounds after it find nothing either until the cap reaches the
+/// smallest period that repeats. One search for that period replaces
+/// them: they count against [`MAX_ROUNDS`] but are not run, and when no
+/// period up to [`MAX_PERIOD`] repeats, the build ends.
+fn build_grammar(mut pairs: Vec<Pair>, dict_len: u64) -> Grammar {
     let mut rules: Vec<Vec<Pair>> = Vec::new();
     let mut body_index: HashMap<Vec<Pair>, u64> = HashMap::new();
     let mut period_cap = 2usize;
-    for _ in 0..MAX_ROUNDS {
+    let mut round = 0;
+    let mut rounds = 0;
+    while round < MAX_ROUNDS {
+        round += 1;
+        rounds += 1;
         let before = pairs.len();
         pairs = tandem_round(&pairs, &mut rules, &mut body_index, dict_len, period_cap);
-        if pairs.len() == before && period_cap >= MAX_PERIOD {
-            break;
+        if pairs.len() == before {
+            if period_cap >= MAX_PERIOD {
+                break;
+            }
+            let symbols = dict_len as usize + rules.len();
+            let Some(p) = smallest_period(&pairs, symbols, 2 * period_cap) else {
+                break;
+            };
+            // Skip the idle rounds whose cap is still below `p`.
+            period_cap *= 2;
+            while period_cap < p {
+                round += 1;
+                period_cap *= 2;
+            }
+            period_cap = period_cap.min(MAX_PERIOD);
+            continue;
         }
         period_cap = (period_cap * 2).min(MAX_PERIOD);
     }
-    (rules, pairs)
+    Grammar {
+        rules,
+        top: pairs,
+        rounds,
+    }
 }
 
 // ---------------- writer ----------------
@@ -344,7 +409,11 @@ impl CompressedTraceWriter {
         let dict_len = self.dict_index.len() as u64;
         // The index is done with; free it before the grammar build.
         drop(self.dict_index);
-        let (rules, pairs) = build_grammar(self.pairs, dict_len);
+        let Grammar {
+            rules,
+            top: pairs,
+            rounds,
+        } = build_grammar(self.pairs, dict_len);
 
         let mut buf = Vec::with_capacity(64 + self.dict_bytes.len() + pairs.len() * 4);
         buf.extend_from_slice(&COMPRESSED_MAGIC);
@@ -373,6 +442,7 @@ impl CompressedTraceWriter {
         bigfoot_obs::count_named("trace.compressed_bytes", payload);
         bigfoot_obs::count_named("trace.dict_entries", dict_len);
         bigfoot_obs::count_named("trace.rules", rules.len() as u64);
+        bigfoot_obs::count_named("trace.grammar_rounds", rounds as u64);
         bigfoot_obs::count_named("trace.rule_hits", rule_hits);
         // Permille so sub-10x ratios survive integer truncation.
         if let Some(ratio) = self.raw_bytes.saturating_mul(1000).checked_div(payload) {
@@ -759,9 +829,52 @@ mod tests {
             }
             tokens.push(2u64);
         }
-        let (rules, pairs) = build_grammar(rle(&tokens), 3);
-        assert!(pairs.len() <= 2, "outer loop should collapse: {pairs:?}");
-        assert!(rules.len() >= 2, "need nested rules: {rules:?}");
+        let g = build_grammar(rle(&tokens), 3);
+        assert!(g.top.len() <= 2, "outer loop should collapse: {:?}", g.top);
+        assert!(g.rules.len() >= 2, "need nested rules: {:?}", g.rules);
+    }
+
+    #[test]
+    fn a_stream_without_repeats_takes_one_round() {
+        // A square-free word over three symbols (the runs of ones
+        // between the zeros of the Thue–Morse sequence): every symbol
+        // recurs within a few positions, but no block repeats back to
+        // back. The first round finds nothing, and no larger cap could,
+        // so the build stops there instead of running the five idle
+        // rounds that grow the cap to `MAX_PERIOD`.
+        let mut tokens = Vec::new();
+        let mut ones = 0u64;
+        for i in 1u64.. {
+            if i.count_ones() % 2 == 1 {
+                ones += 1;
+            } else {
+                tokens.push(ones);
+                ones = 0;
+                if tokens.len() == 4000 {
+                    break;
+                }
+            }
+        }
+        let pairs = rle(&tokens);
+        assert_eq!(pairs.len(), tokens.len(), "no symbol repeats in place");
+        let g = build_grammar(pairs.clone(), 3);
+        assert_eq!(g.rounds, 1);
+        assert!(g.rules.is_empty());
+        assert_eq!(g.top, pairs);
+        assert_eq!((g.rules, g.top), reference_grammar(pairs, 3));
+    }
+
+    #[test]
+    fn idle_rounds_below_the_smallest_period_are_skipped() {
+        // A block of 20 distinct symbols, repeated: rounds at caps 2, 4,
+        // 8 and 16 find nothing; the round at cap 32 collapses it, and
+        // one more round confirms the fixpoint.
+        let tokens: Vec<u64> = (0..3).flat_map(|_| 0..20u64).collect();
+        let pairs = rle(&tokens);
+        let g = build_grammar(pairs.clone(), 20);
+        assert_eq!(g.rounds, 3);
+        assert_eq!(g.top, vec![(20, 3)]);
+        assert_eq!((g.rules, g.top), reference_grammar(pairs, 20));
     }
 
     /// The grammar builder with every candidate period compared in full:
@@ -831,8 +944,9 @@ mod tests {
                 loop_nest(&mut rng, 4, alphabet, &mut tokens);
             }
             let pairs = rle(&tokens);
+            let g = build_grammar(pairs.clone(), alphabet);
             assert_eq!(
-                build_grammar(pairs.clone(), alphabet),
+                (g.rules, g.top),
                 reference_grammar(pairs, alphabet),
                 "case {case}: {tokens:?}"
             );

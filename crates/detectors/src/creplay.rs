@@ -1,14 +1,14 @@
 //! Race detection directly on grammar-compressed (`BFTC`) traces.
 //!
-//! The offline replay path (`crate::replay`) runs three stages:
-//! serial clock annotation, sharded detection, deterministic merge.
-//! This module replaces stage 1's linear decode with a walk over the
+//! Raw-trace replay (`crate::replay`) decodes every event into the
+//! engine's annotator, which applies each check to one inline shard.
+//! This module drives the same annotator and shard from a walk over the
 //! compressed grammar that *memoizes* repeated rules: a loop body with
 //! no intervening synchronization is annotated a bounded number of
 //! times and its remaining repetitions are applied in O(1), so the
 //! annotation pass runs sublinearly in the expanded trace length —
 //! while the final [`Stats`] stay byte-identical to [`replay_trace`]
-//! (and hence to the serial detector) at every worker count.
+//! (and hence to the serial detector).
 //!
 //! # Why skipping repetitions is sound
 //!
@@ -17,7 +17,7 @@
 //! join, no allocations. Inside a pure run:
 //!
 //! - **Clocks are frozen.** Clocks only change at sync operations, so
-//!   every emitted item snapshots the same `Arc`'d clock.
+//!   every check in the run carries the same clock generation.
 //! - **Shadow state reaches a fixpoint after one repetition.** The
 //!   FastTrack cell ([`bigfoot_vc::VarState`]) returns a race *before*
 //!   mutating state, and its same-epoch fast paths make a second
@@ -40,25 +40,25 @@
 //!   repeats it.
 //!
 //! The probe is also what keeps varying-shape runs honest: under a fine
-//! (per-element) engine an advancing index produces different items in
+//! (per-element) engine an advancing index produces different checks in
 //! repetitions 2 and 3, the equivalence check fails, and the walker
 //! falls back to full expansion. Memoization never *changes* a verdict;
 //! it only skips work it has proven redundant.
 //!
-//! Shard-side `shadow_ops` accounting uses a measured bracket: the
-//! walker marks the third repetition with [`Item::MemoBegin`] /
-//! [`Item::MemoScale`] on exactly the shards the second repetition
-//! touched, and each shard scales the bracket's measured cost by the
-//! number of skipped repetitions.
+//! `shadow_ops` accounting uses a measured bracket: the walker reads the
+//! shard's tally before and after the third repetition and adds the
+//! difference once per skipped repetition.
 
-use crate::engine::{Annotator, ArrayEngine, CheckSource};
-use crate::replay::{detect_and_merge, queued_annotator, Item, ReplayConfig, ShardQueues};
+use crate::engine::{Act, Annotator, ArrayEngine, CheckSource, ItemSink, ShardState};
+use crate::replay::ReplayConfig;
 use crate::stats::Stats;
 use bigfoot_bfj::trace::compress::{read_compressed, CompressedTrace, DeltaState};
 use bigfoot_bfj::trace::TraceError;
-use bigfoot_bfj::{CheckTarget, ConcreteRange, Event, Loc};
+use bigfoot_bfj::{ArrId, CheckTarget, ConcreteRange, Event, Loc, ObjId};
 use bigfoot_obs::fx::FxHashMap;
-use bigfoot_vc::AccessKind;
+use bigfoot_shadow::FieldGrouping;
+use bigfoot_vc::{AccessKind, Tid};
+use std::sync::Arc;
 
 /// Minimum run length worth memoizing: three repetitions are expanded
 /// as the probe, so anything shorter gains nothing.
@@ -193,48 +193,123 @@ fn analyze(ct: &CompressedTrace, config: &ReplayConfig) -> Vec<SymInfo> {
     out
 }
 
-// ---------------- probe equivalence ----------------
+// ---------------- the inline shard and the probe log ----------------
 
-/// Item equality modulo sequence number, with clock snapshots compared
-/// by pointer (clocks are frozen inside a pure run, so the queues'
-/// snapshot cache hands out the same `Arc`; a differing pointer means a
-/// sync slipped in and memoization must not apply). Any variant other
-/// than the two check kinds is conservatively unequal.
-fn item_equiv(a: &Item, b: &Item) -> bool {
-    match (a, b) {
-        (
-            Item::FieldCheck {
-                act: a1,
-                obj: o1,
-                fields: f1,
-            },
-            Item::FieldCheck {
-                act: a2,
-                obj: o2,
-                fields: f2,
-            },
-        ) => o1 == o2 && f1 == f2 && a1.same_act(a2),
-        (
-            Item::RangeCheck {
-                act: a1,
-                arr: r1,
-                range: g1,
-            },
-            Item::RangeCheck {
-                act: a2,
-                arr: r2,
-                range: g2,
-            },
-        ) => r1 == r2 && g1 == g2 && a1.same_act(a2),
-        _ => false,
+/// One check logged during a memoization probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CheckRec {
+    t: Tid,
+    kind: AccessKind,
+    /// The acting thread's clock generation: equal generations mean the
+    /// same clock, so a sync between two repetitions makes them differ.
+    gen: u64,
+    target: RecTarget,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RecTarget {
+    /// A field check; its field list is `fields[start..end]` of the log.
+    Fields {
+        obj: ObjId,
+        start: usize,
+        end: usize,
+    },
+    /// An array range check.
+    Range { arr: ArrId, range: ConcreteRange },
+}
+
+/// The checks of one probe repetition, in the order they were applied.
+/// Two logs are equal exactly when the repetitions performed the same
+/// checks under the same clocks: the field-list offsets of equal record
+/// sequences coincide, so comparing the flat field vectors compares
+/// every list.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct CheckLog {
+    recs: Vec<CheckRec>,
+    fields: Vec<u32>,
+}
+
+/// Compressed replay's sink: the inline shard, plus the check log of a
+/// memoization probe while one is armed. A probe covers a pure run —
+/// no allocation, no sync, hence no space sample — so checks are all it
+/// can see.
+struct MemoSink {
+    shard: ShardState,
+    /// Per-thread clock generation, bumped whenever the clock changes.
+    gens: Vec<u64>,
+    log: Option<CheckLog>,
+}
+
+impl MemoSink {
+    fn gen(&self, t: Tid) -> u64 {
+        self.gens.get(t.index()).copied().unwrap_or(0)
+    }
+
+    /// Kept out of line so the plain walk pays one branch for it.
+    #[cold]
+    #[inline(never)]
+    fn log_check(&mut self, act: Act<'_>, target: impl FnOnce(&mut Vec<u32>) -> RecTarget) {
+        let gen = self.gen(act.t);
+        if let Some(log) = &mut self.log {
+            let target = target(&mut log.fields);
+            log.recs.push(CheckRec {
+                t: act.t,
+                kind: act.kind,
+                gen,
+                target,
+            });
+        }
     }
 }
 
-fn items_equiv(a: &[(usize, Item)], b: &[(usize, Item)]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|((s1, i1), (s2, i2))| s1 == s2 && item_equiv(i1, i2))
+impl ItemSink for MemoSink {
+    fn alloc_obj(&mut self, obj: ObjId, grouping: &Arc<FieldGrouping>) {
+        self.shard.alloc_obj(obj, grouping);
+    }
+
+    fn alloc_arr(&mut self, arr: ArrId, len: u64) {
+        self.shard.alloc_arr(arr, len);
+    }
+
+    #[inline]
+    fn check_fields(&mut self, act: Act<'_>, obj: ObjId, fields: &[u32], stats: &mut Stats) {
+        if self.log.is_some() {
+            self.log_check(act, |log| {
+                let start = log.len();
+                log.extend_from_slice(fields);
+                RecTarget::Fields {
+                    obj,
+                    start,
+                    end: log.len(),
+                }
+            });
+        }
+        ItemSink::check_fields(&mut self.shard, act, obj, fields, stats);
+    }
+
+    #[inline]
+    fn check_range(&mut self, act: Act<'_>, arr: ArrId, range: ConcreteRange, stats: &mut Stats) {
+        if self.log.is_some() {
+            self.log_check(act, |_| RecTarget::Range { arr, range });
+        }
+        ItemSink::check_range(&mut self.shard, act, arr, range, stats);
+    }
+
+    fn space_probe(&mut self, footprint_units: u64, stats: &mut Stats) {
+        self.shard.space_probe(footprint_units, stats);
+    }
+
+    fn invalidate(&mut self, t: Tid) {
+        let ti = t.index();
+        if self.gens.len() <= ti {
+            self.gens.resize(ti + 1, 0);
+        }
+        self.gens[ti] += 1;
+    }
+
+    fn shadow_ops(&self) -> u64 {
+        self.shard.shadow_ops
+    }
 }
 
 // ---------------- footprint growth probe ----------------
@@ -282,9 +357,8 @@ fn set_growth(
 
 // ---------------- the walker ----------------
 
-/// Scalar annotator tallies that scale linearly with skipped
-/// repetitions (everything else — shadow ops, races, space — is owned
-/// by the shards or fixed at sync points).
+/// Tallies that scale linearly with skipped repetitions (races add
+/// nothing new and space is sampled only at sync points).
 #[derive(Clone, Copy)]
 struct Scalars {
     reads: u64,
@@ -294,18 +368,20 @@ struct Scalars {
     field_checks: u64,
     footprint_ops: u64,
     events: u64,
+    shadow_ops: u64,
 }
 
 struct Walker<'a> {
     ct: &'a CompressedTrace,
     info: Vec<SymInfo>,
-    ann: Annotator<ShardQueues>,
+    ann: Annotator<MemoSink>,
     /// Per-`(thread, array)` index reconstruction, advanced directly
     /// (wrapping, exactly like per-event decode) over skipped runs.
     delta: DeltaState,
     source: CheckSource,
     /// Inside a memoization probe: nested memoization is disabled so
-    /// the three probe repetitions measure full expansions.
+    /// the three probe repetitions measure full expansions. Set for the
+    /// whole walk when memoization is off.
     probing: bool,
     report: CompressedReplayReport,
 }
@@ -320,6 +396,7 @@ impl Walker<'_> {
             field_checks: self.ann.stats.field_checks,
             footprint_ops: self.ann.stats.footprint_ops,
             events: self.ann.events,
+            shadow_ops: self.ann.sink.shard.shadow_ops,
         }
     }
 
@@ -334,6 +411,10 @@ impl Walker<'_> {
         let ev_delta = (after.events - before.events) * times;
         self.ann.events += ev_delta;
         self.report.skipped_events += ev_delta;
+        // The skipped repetitions perform exactly the measured
+        // repetition's shadow ops (and only duplicate, already
+        // deduplicated races).
+        self.ann.sink.shard.shadow_ops += (after.shadow_ops - before.shadow_ops) * times;
     }
 
     /// Clones the touched streams' footprint range-sets (reads, writes).
@@ -395,37 +476,25 @@ impl Walker<'_> {
         self.probing = true;
         self.emit_once(sym);
 
-        // Repetition 2: record emitted items and their shard mask.
-        self.ann.sink.rec = Some(Vec::new());
-        self.ann.sink.mask = 0;
+        // Repetition 2: log its checks.
+        self.ann.sink.log = Some(CheckLog::default());
         self.emit_once(sym);
-        let rec2 = self.ann.sink.rec.take().expect("recording armed");
-        let mask2 = self.ann.sink.mask;
+        let log2 = self.ann.sink.log.take().expect("log armed");
         let snap2 = self.snap(&streams);
 
-        // Repetition 3: bracket the shards repetition 2 touched, record
-        // again, and measure the scalar deltas of one repetition.
-        let mut m = mask2;
-        while m != 0 {
-            let s = m.trailing_zeros() as usize;
-            self.ann.sink.queues[s].push(Item::MemoBegin);
-            m &= m - 1;
-        }
-        self.ann.sink.rec = Some(Vec::new());
-        self.ann.sink.mask = 0;
+        // Repetition 3: log again, and measure the tallies of one
+        // repetition.
+        self.ann.sink.log = Some(CheckLog::default());
         let before = self.scalars();
         self.emit_once(sym);
         let after = self.scalars();
-        let rec3 = self.ann.sink.rec.take().expect("recording armed");
-        let mask3 = self.ann.sink.mask;
+        let log3 = self.ann.sink.log.take().expect("log armed");
         let snap3 = self.snap(&streams);
         self.probing = false;
 
         let times = count - 3;
         let growth = self.plan_growth(&streams, &snap2, &snap3, times);
-        let fixpoint = (mask2 == mask3 && items_equiv(&rec2, &rec3))
-            .then_some(growth)
-            .flatten();
+        let fixpoint = (log2 == log3).then_some(growth).flatten();
         if let Some(growth) = fixpoint {
             self.scale_scalars(before, after, times);
             for (i, &((t, arr), si)) in streams.iter().enumerate() {
@@ -450,16 +519,9 @@ impl Walker<'_> {
                 self.delta
                     .advance(t, arr, si.net.wrapping_mul(times as i64));
             }
-            let mut m = mask2;
-            while m != 0 {
-                let s = m.trailing_zeros() as usize;
-                self.ann.sink.queues[s].push(Item::MemoScale { times });
-                m &= m - 1;
-            }
             self.report.memo_runs += 1;
         } else {
-            // Not provably redundant: expand the tail. The unmatched
-            // MemoBegin markers only re-arm shard marks — harmless.
+            // Not provably redundant: expand the tail.
             self.report.memo_fallbacks += 1;
             for _ in 0..times {
                 self.emit_once(sym);
@@ -499,9 +561,9 @@ impl Walker<'_> {
     }
 }
 
-/// Replays a grammar-compressed (`BFTC`) trace through the sharded
-/// detection pipeline, memoizing repeated pure rules, and returns both
-/// the stats and the memoization telemetry.
+/// Replays a grammar-compressed (`BFTC`) trace on one inline shard,
+/// memoizing repeated pure rules, and returns both the stats and the
+/// memoization telemetry.
 ///
 /// See [`replay_compressed`] for the plain-stats entry point and the
 /// soundness discussion in the module docs.
@@ -509,39 +571,51 @@ pub fn replay_compressed_report(
     bytes: &[u8],
     config: &ReplayConfig,
 ) -> Result<(Stats, CompressedReplayReport), TraceError> {
+    walk_compressed(bytes, config, true)
+}
+
+/// The grammar walk behind [`replay_compressed_report`]; with `memoize`
+/// off every repetition is expanded.
+fn walk_compressed(
+    bytes: &[u8],
+    config: &ReplayConfig,
+    memoize: bool,
+) -> Result<(Stats, CompressedReplayReport), TraceError> {
     let ct = read_compressed(bytes)?;
     let info = analyze(&ct, config);
+    let sink = MemoSink {
+        shard: ShardState::new(config.engine),
+        gens: Vec::new(),
+        log: None,
+    };
     let mut walker = Walker {
         ct: &ct,
         info,
-        ann: queued_annotator(config),
+        ann: config.annotator(sink),
         delta: DeltaState::default(),
         source: config.source,
-        probing: false,
+        probing: !memoize,
         report: CompressedReplayReport {
             total_events: ct.total_events,
             ..CompressedReplayReport::default()
         },
     };
-    {
+    let stats = {
         let _span = bigfoot_obs::span!("creplay.annotate");
         walker.walk_top();
-        walker.ann.finalize();
-    }
+        walker.ann.finish()
+    };
     let report = walker.report;
     bigfoot_obs::count_named("replay.memo.runs", report.memo_runs);
     bigfoot_obs::count_named("replay.memo.fallbacks", report.memo_fallbacks);
     bigfoot_obs::count_named("replay.memo.skipped_events", report.skipped_events);
     bigfoot_obs::trace_counter!("replay.memo.skipped_events", report.skipped_events);
-    Ok((
-        detect_and_merge(walker.ann, config.engine, config.workers),
-        report,
-    ))
+    Ok((stats, report))
 }
 
 /// Replays a grammar-compressed (`BFTC`) trace and returns [`Stats`]
 /// byte-identical to [`replay_trace`](crate::replay_trace) over the
-/// equivalent uncompressed trace — at any worker count — while annotating
+/// equivalent uncompressed trace, while annotating
 /// repeated loop bodies in O(1) per repetition where provably redundant.
 ///
 /// # Errors
@@ -569,7 +643,7 @@ pub fn replay_compressed_report(
 /// let raw = w.into_bytes();
 /// let packed = compress::compress(&raw)?;
 ///
-/// let config = ReplayConfig::slimstate(2);
+/// let config = ReplayConfig::slimstate(1);
 /// let from_compressed = replay_compressed(&packed, &config)?;
 /// let from_raw = replay_trace(&raw, &config)?;
 /// assert_eq!(
@@ -608,31 +682,31 @@ mod tests {
         det.finish()
     }
 
-    fn all_configs(workers: usize) -> Vec<(&'static str, ReplayConfig, Detector)> {
+    fn all_configs() -> Vec<(&'static str, ReplayConfig, Detector)> {
         vec![
             (
                 "fasttrack",
-                ReplayConfig::fasttrack(workers),
+                ReplayConfig::fasttrack(1),
                 Detector::fasttrack(),
             ),
             (
                 "redcard",
-                ReplayConfig::redcard(ProxyTable::identity(), workers),
+                ReplayConfig::redcard(ProxyTable::identity(), 1),
                 Detector::redcard(ProxyTable::identity()),
             ),
             (
                 "slimstate",
-                ReplayConfig::slimstate(workers),
+                ReplayConfig::slimstate(1),
                 Detector::slimstate(),
             ),
             (
                 "slimcard",
-                ReplayConfig::slimcard(ProxyTable::identity(), workers),
+                ReplayConfig::slimcard(ProxyTable::identity(), 1),
                 Detector::slimcard(ProxyTable::identity()),
             ),
             (
                 "bigfoot",
-                ReplayConfig::bigfoot(ProxyTable::identity(), workers),
+                ReplayConfig::bigfoot(ProxyTable::identity(), 1),
                 Detector::bigfoot(ProxyTable::identity()),
             ),
         ]
@@ -641,23 +715,21 @@ mod tests {
     fn assert_matches_everywhere(src: &str) {
         let raw = record(src);
         let packed = compress(&raw).expect("compress");
-        for workers in [1, 4] {
-            for (name, config, det) in all_configs(workers) {
-                let serial = serial_stats(&raw, det);
-                let from_raw = replay_trace(&raw, &config).expect("replay");
-                let from_packed = replay_compressed(&packed, &config).expect("creplay");
-                assert_eq!(
-                    from_packed.to_json().to_string_compact(),
-                    from_raw.to_json().to_string_compact(),
-                    "{name} w={workers}: compressed vs raw replay"
-                );
-                assert_eq!(
-                    from_packed.to_json().to_string_compact(),
-                    serial.to_json().to_string_compact(),
-                    "{name} w={workers}: compressed vs serial"
-                );
-                assert_eq!(from_packed.races, serial.races, "{name} w={workers}");
-            }
+        for (name, config, det) in all_configs() {
+            let serial = serial_stats(&raw, det);
+            let from_raw = replay_trace(&raw, &config).expect("replay");
+            let from_packed = replay_compressed(&packed, &config).expect("creplay");
+            assert_eq!(
+                from_packed.to_json().to_string_compact(),
+                from_raw.to_json().to_string_compact(),
+                "{name}: compressed vs raw replay"
+            );
+            assert_eq!(
+                from_packed.to_json().to_string_compact(),
+                serial.to_json().to_string_compact(),
+                "{name}: compressed vs serial"
+            );
+            assert_eq!(from_packed.races, serial.races, "{name}");
         }
     }
 
@@ -729,6 +801,37 @@ mod tests {
         assert_eq!(
             stats.to_json().to_string_compact(),
             serial.to_json().to_string_compact()
+        );
+    }
+
+    #[test]
+    fn memoized_runs_account_like_full_expansion() {
+        // Two threads sweep the same array: the sweeps memoize, and the
+        // committed footprints race.
+        let src = "
+            class W { meth fill(a, v) {
+                for (i = 0; i < a.length; i = i + 1) { a[i] = v; }
+                return 0; } }
+            main {
+                w = new W;
+                a = new_array(200);
+                fork t1 = w.fill(a, 1);
+                fork t2 = w.fill(a, 2);
+                join(t1); join(t2);
+            }";
+        let packed = compress(&record(src)).expect("compress");
+        let config = ReplayConfig::slimstate(1);
+        let (memo, report) = walk_compressed(&packed, &config, true).expect("creplay");
+        let (full, full_report) = walk_compressed(&packed, &config, false).expect("creplay");
+        assert!(report.skipped_events > 0, "{report:?}");
+        assert_eq!(full_report.skipped_events, 0, "{full_report:?}");
+        assert!(memo.has_races());
+        assert_eq!(memo.shadow_ops, full.shadow_ops);
+        assert_eq!(memo.races, full.races);
+        assert_eq!(memo.shadow_space_peak, full.shadow_space_peak);
+        assert_eq!(
+            memo.to_json().to_string_compact(),
+            full.to_json().to_string_compact()
         );
     }
 

@@ -3,7 +3,9 @@
 //! [`Detector`] is the online face of the engine in `crate::engine`: the
 //! annotator applies every check to a single [`ShardState`] over all ids
 //! the moment the event arrives, so races are reported in trace order
-//! with no queue, no sequence merge and no per-check copy.
+//! with no queue and no per-check copy. Raw-trace replay
+//! ([`replay_trace`](crate::replay_trace)) is this detector fed by the
+//! trace decoder.
 
 use crate::engine::{Annotator, ArrayEngine, CheckSource, ProxyTable, ShardState};
 use crate::replay::ReplayConfig;
@@ -50,12 +52,12 @@ impl Detector {
     ) -> Detector {
         Detector {
             name: name.into(),
-            ann: Annotator::new(source, engine, proxies, ShardState::new(engine, 1)),
+            ann: Annotator::new(source, engine, proxies, ShardState::new(engine)),
         }
     }
 
     /// A preset row of Fig. 2, defined once by [`ReplayConfig`]'s
-    /// constructors (`workers` plays no part in serial detection).
+    /// constructors.
     fn preset(name: &str, config: ReplayConfig) -> Detector {
         Detector::new(name, config.source, config.engine, config.proxies)
     }
@@ -95,12 +97,7 @@ impl Detector {
     /// Finalizes the run (commits any remaining footprints, records final
     /// space) and returns the statistics.
     pub fn finish(mut self) -> Stats {
-        self.ann.finalize();
-        let mut stats = std::mem::take(&mut self.ann.stats);
-        stats.shadow_ops += self.ann.sink.shadow_ops;
-        bigfoot_vc::path_stats::flush();
-        stats.publish();
-        stats
+        self.ann.finish()
     }
 }
 

@@ -23,13 +23,13 @@
 //!   sample — into one sink call carrying borrowed data.
 //! - [`ShardState`] owns the shadow stores and performs those operations.
 //!
-//! Two transports sit behind the seam. The serial
-//! [`Detector`](crate::Detector) drives one `ShardState` over every id as
-//! its sink, so each check is applied the moment it is annotated and its
-//! races go straight into [`Stats`]. Replay (`crate::replay`) queues owned
-//! items into [`SHARDS`](crate::SHARDS) per-shard queues instead, numbered
-//! in the order the annotator emits them, runs one `ShardState` per
-//! shard, and merges the races back by those numbers.
+//! There is one transport: every driver applies each operation to a
+//! single `ShardState` over every id the moment it is annotated, so races
+//! go straight into [`Stats`] in trace order. The serial
+//! [`Detector`](crate::Detector) and raw-trace replay
+//! ([`replay_trace`](crate::replay_trace)) use `ShardState` itself as the
+//! sink; compressed replay (`crate::creplay`) wraps it in a sink that also
+//! logs the checks of a memoization probe.
 
 use crate::stats::{Race, RaceTarget, Stats};
 use crate::sync::SyncClocks;
@@ -104,10 +104,7 @@ struct ObjEntry {
     shadow: ObjectShadow,
 }
 
-/// The shadow stores and the operations on them. With stride 1 it covers
-/// every id (the serial detector); with stride [`SHARDS`](crate::SHARDS)
-/// it covers the ids `s, s + SHARDS, …` of one replay shard, and its
-/// strided slabs stay dense.
+/// The shadow stores and the operations on them, over every id.
 #[derive(Debug)]
 pub(crate) struct ShardState {
     engine: ArrayEngine,
@@ -121,12 +118,12 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new(engine: ArrayEngine, stride: u32) -> ShardState {
+    pub(crate) fn new(engine: ArrayEngine) -> ShardState {
         ShardState {
             engine,
-            objects: Slab::with_stride(stride),
-            arrays_fine: Slab::with_stride(stride),
-            arrays_adaptive: Slab::with_stride(stride),
+            objects: Slab::new(),
+            arrays_fine: Slab::new(),
+            arrays_adaptive: Slab::new(),
             group_scratch: Vec::new(),
             shadow_ops: 0,
         }
@@ -238,7 +235,7 @@ impl ShardState {
         }
     }
 
-    /// Shadow space held by this shard, in clock-entry units.
+    /// Shadow space held by the stores, in clock-entry units.
     pub(crate) fn space(&self) -> u64 {
         let mut units: u64 = 0;
         for o in self.objects.values() {
@@ -255,8 +252,7 @@ impl ShardState {
 }
 
 /// Where the annotator's shadow operations go. Everything is borrowed,
-/// so a sink that applies operations at once copies nothing; a sink that
-/// queues them makes its own owned copies.
+/// so a sink that applies operations at once copies nothing.
 pub(crate) trait ItemSink {
     fn alloc_obj(&mut self, obj: ObjId, grouping: &Arc<FieldGrouping>);
     fn alloc_arr(&mut self, arr: ArrId, len: u64);
@@ -267,6 +263,8 @@ pub(crate) trait ItemSink {
     fn space_probe(&mut self, footprint_units: u64, stats: &mut Stats);
     /// Thread `t`'s clock just changed.
     fn invalidate(&mut self, t: Tid);
+    /// Shadow-location operations performed so far.
+    fn shadow_ops(&self) -> u64;
 }
 
 /// The inline transport: one shard over every id, each operation applied
@@ -298,6 +296,10 @@ impl ItemSink for ShardState {
 
     #[inline]
     fn invalidate(&mut self, _t: Tid) {}
+
+    fn shadow_ops(&self) -> u64 {
+        self.shadow_ops
+    }
 }
 
 /// The serial clock-annotation pass: runs sync events against
@@ -492,10 +494,9 @@ impl<S: ItemSink> Annotator<S> {
         }
     }
 
-    // Always inlined into each transport's event loop (the serial
-    // detector's `event`, replay's decode loop, the grammar walker): out
-    // of line, the call per event cost replay a few percent of its
-    // annotation time.
+    // Always inlined into each event loop (the serial detector's `event`,
+    // replay's decode loop, the grammar walker): out of line, the call per
+    // event cost replay a few percent of its annotation time.
     #[inline(always)]
     pub(crate) fn ingest(&mut self, ev: &Event) {
         self.events += 1;
@@ -581,5 +582,17 @@ impl<S: ItemSink> Annotator<S> {
         self.probe_space();
         self.stats.sync_ops = self.clocks.sync_ops();
         bigfoot_obs::count_named("det.events", self.events);
+    }
+
+    /// Finalizes the run and returns the completed statistics: the
+    /// annotator's tallies plus the sink's shadow ops, published. Also
+    /// publishes this thread's FastTrack path tallies.
+    pub(crate) fn finish(&mut self) -> Stats {
+        self.finalize();
+        let mut stats = std::mem::take(&mut self.stats);
+        stats.shadow_ops += self.sink.shadow_ops();
+        bigfoot_vc::path_stats::flush();
+        stats.publish();
+        stats
     }
 }

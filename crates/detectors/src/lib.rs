@@ -8,11 +8,11 @@
 //!
 //! The engine is written once: an annotator that runs the clocks and
 //! footprints in trace order, and shard state that owns the shadow
-//! memory. Two transports connect them. [`Detector`] applies each check
-//! inline, the moment its event arrives; [`replay_trace`] and
-//! [`replay_compressed`] queue the checks per shard, detect the shards in
-//! parallel and merge the races back into trace order — with the same
-//! report either way.
+//! memory. Every driver applies each check to one shard inline, the
+//! moment it is annotated: [`Detector`] on a live run's events,
+//! [`replay_trace`] on a decoded trace, and [`replay_compressed`] on a
+//! walk over a compressed trace's grammar — with the same report either
+//! way.
 
 mod creplay;
 mod detector;
@@ -28,6 +28,6 @@ pub use detector::Detector;
 pub use djit::{DjitDetector, DjitState};
 pub use engine::{ArrayEngine, CheckSource, ProxyTable};
 pub use precision::{verify_precise_checks, PrecisionError};
-pub use replay::{replay_trace, ReplayConfig, TraceReader, SHARDS};
+pub use replay::{replay_trace, ReplayConfig, TraceReader};
 pub use stats::{CoarseTarget, Race, RaceTarget, Stats};
 pub use sync::SyncClocks;

@@ -7,14 +7,13 @@
 //!                       [--salt K] [--out FILE] [--json]
 //! bfc check <file.bfj> [--detector bigfoot|fasttrack|redcard|slimstate|slimcard|djit]
 //!                      [--seed N] [--schedules N]
-//!                      [--replay-workers N]
 //!                      [--record-out FILE [--compress-trace]] [--json]
 //! bfc run <file.bfj>
 //! bfc stats <file.bfj> [--json]
 //! bfc trace <file.bfj> [--seed N] [--limit N]
 //! bfc profile <file.bfj> [--detector NAME]
 //!                        [--record-out FILE [--compress-trace]] [--json]
-//! bfc replay <trace> [--detector NAME] [--replay-workers N] [--json]
+//! bfc replay <trace> [--detector NAME] [--json]
 //! bfc compress <trace.bftr> <out.bftc>
 //! bfc decompress <trace.bftc> <out.bftr>
 //! bfc fuzz [--seed-range A..B] [--budget SECS] [--corpus DIR] [--json]
@@ -38,11 +37,8 @@
 //!   on `bigfoot-bfj`'s `CompiledVm`. `check` and `profile` instrument
 //!   and lower once per invocation, whatever the number of schedules.
 //! * `check` executes the program under a detector (optionally across
-//!   several random schedules) and reports any data races. With
-//!   `--replay-workers N` the run is recorded to an in-memory trace and
-//!   detection replays it through the sharded parallel engine — the
-//!   verdicts are identical to the serial detector's at any `N`.
-//!   Otherwise the detector runs inline, on the VM's thread.
+//!   several random schedules) and reports any data races. The detector
+//!   runs inline, on the VM's thread.
 //!   `--record-out FILE` additionally records the schedule's event
 //!   stream to a binary trace file: raw `BFTR`, or — with
 //!   `--compress-trace` — the grammar-compressed `BFTC` container.
@@ -61,7 +57,7 @@
 //!   the compression-ratio gauge show up in the metrics snapshot.
 //! * `replay` detects races on a previously recorded trace file. The
 //!   container format is auto-detected from the magic bytes: raw `BFTR`
-//!   traces replay through the standard engine, `BFTC` containers run
+//!   traces are decoded event by event, `BFTC` containers run
 //!   the memoizing compressed-replay engine directly on the grammar —
 //!   verdicts are byte-identical either way. Field-proxy groupings are
 //!   not part of the trace, so replay uses the identity table; record
@@ -73,7 +69,7 @@
 //!   range becomes a random program + schedule cross-checked between the
 //!   unoptimized and BigFoot-optimized placements, the compiled VM and
 //!   the reference interpreter, cold and warm incremental re-analysis,
-//!   serial and sharded replay, and the trace codec round-trip.
+//!   live detection and trace replay, and the trace codec round-trip.
 //!   Divergences are shrunk to
 //!   minimal reproducers and written to the corpus directory; the exit
 //!   code is non-zero if any were found.
@@ -157,7 +153,6 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "  bfc check <file.bfj> [--detector NAME] [--seed N] [--schedules N] \
-                 [--replay-workers N] \
                  [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
             );
             eprintln!("  bfc run <file.bfj>");
@@ -167,7 +162,7 @@ fn main() -> ExitCode {
                 "  bfc profile <file.bfj> [--detector NAME] \
                  [--record-out FILE [--compress-trace]] [--trace-out FILE] [--json]"
             );
-            eprintln!("  bfc replay <trace.bftr|trace.bftc> [--detector NAME] [--replay-workers N] [--json]");
+            eprintln!("  bfc replay <trace.bftr|trace.bftc> [--detector NAME] [--json]");
             eprintln!("  bfc compress <trace.bftr> <out.bftc>");
             eprintln!("  bfc decompress <trace.bftc> <out.bftr>");
             eprintln!("  bfc fuzz [--seed-range A..B] [--budget SECS] [--corpus DIR] [--json]");
@@ -308,7 +303,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             "--seed",
             "--schedules",
             "--limit",
-            "--replay-workers",
             "--seed-range",
             "--budget",
             "--corpus",
@@ -524,8 +518,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             )?;
             let seed: u64 = args.parsed("--seed")?.unwrap_or(1);
             let schedules: u64 = args.parsed("--schedules")?.unwrap_or(1);
-            let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
-            validate_workers(replay_workers)?;
             let record_out = args.value("--record-out");
             let compress_trace = args.has("--compress-trace");
             validate_recording(record_out, compress_trace, schedules)?;
@@ -562,7 +554,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                         switch_inv: 2,
                     }
                 };
-                let stats = check_once(which, &prepared, policy, replay_workers)?;
+                let stats = check_once(which, &prepared, policy)?;
                 if stats.has_races() {
                     any_race = true;
                 }
@@ -592,9 +584,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                 report.set("detector", which);
                 report.set("seed", seed);
                 report.set("schedules", schedules);
-                if let Some(workers) = replay_workers {
-                    report.set("replay_workers", workers as u64);
-                }
                 report.set("any_race", any_race);
                 report.set("runs", schedule_reports);
                 outln!("{}", report.to_string_pretty());
@@ -718,8 +707,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
                     "djit",
                 ],
             )?;
-            let replay_workers: Option<usize> = args.parsed("--replay-workers")?;
-            validate_workers(replay_workers)?;
             let record_out = args.value("--record-out");
             let compress_trace = args.has("--compress-trace");
             validate_recording(record_out, compress_trace, 1)?;
@@ -743,11 +730,10 @@ fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
             // flushes its aggregated counters on drop, so the snapshot
             // below still describes the partial run. The report carries
             // the error and the exit code is non-zero.
-            let (stats, run_error) =
-                match check_once(which, &prepared, SchedPolicy::default(), replay_workers) {
-                    Ok(stats) => (Some(stats), None),
-                    Err(e) => (None, Some(e.to_string())),
-                };
+            let (stats, run_error) = match check_once(which, &prepared, SchedPolicy::default()) {
+                Ok(stats) => (Some(stats), None),
+                Err(e) => (None, Some(e.to_string())),
+            };
             // Fold recorder totals (`trace.events`/`trace.dropped`) into
             // the snapshot the report is built from.
             bigfoot_obs::trace::publish_counters();
@@ -941,18 +927,8 @@ fn fuzz_cmd(args: &CliArgs) -> Result<ExitCode, CliError> {
     })
 }
 
-/// Driver-flag sanity check, applied at parse time so a bad flag fails
-/// before any work starts. Zero replay workers is a contradiction — the
-/// replay engine needs at least one worker to consume anything.
-fn validate_workers(replay_workers: Option<usize>) -> Result<(), CliError> {
-    if replay_workers == Some(0) {
-        return Err("--replay-workers wants at least 1 worker".into());
-    }
-    Ok(())
-}
-
-/// Recording-flag sanity checks, applied at parse time like
-/// [`validate_workers`]. `--compress-trace` only selects the container
+/// Recording-flag sanity checks, applied at parse time so a bad flag
+/// fails before any work starts. `--compress-trace` only selects the container
 /// `--record-out` writes, so on its own it is a contradiction; and a
 /// recording covers exactly one schedule, so a multi-schedule sweep has
 /// no single event stream to write.
@@ -1033,25 +1009,21 @@ fn trace_file_cmd(cmd: &str, args: &CliArgs) -> Result<ExitCode, CliError> {
 
 /// `bfc replay`: race detection on a recorded trace file. `BFTC`
 /// containers run the memoizing compressed-replay engine directly on
-/// the grammar; raw `BFTR` traces go through the standard replay path —
-/// verdicts are byte-identical either way.
+/// the grammar; raw `BFTR` traces are decoded event by event — verdicts
+/// are byte-identical either way.
 fn replay_file_cmd(input: &str, bytes: &[u8], args: &CliArgs) -> Result<ExitCode, CliError> {
     let which = args.one_of(
         "--detector",
         &["bigfoot", "fasttrack", "redcard", "slimstate", "slimcard"],
     )?;
-    let workers: usize = args.parsed("--replay-workers")?.unwrap_or(1);
-    if workers == 0 {
-        return Err("--replay-workers wants at least 1 worker".into());
-    }
     // Proxy groupings are a static-analysis artifact, not part of the
     // trace; the identity table keeps field checks ungrouped.
     let config = match which {
-        "bigfoot" => ReplayConfig::bigfoot(ProxyTable::identity(), workers),
-        "fasttrack" => ReplayConfig::fasttrack(workers),
-        "slimstate" => ReplayConfig::slimstate(workers),
-        "redcard" => ReplayConfig::redcard(ProxyTable::identity(), workers),
-        _ => ReplayConfig::slimcard(ProxyTable::identity(), workers),
+        "bigfoot" => ReplayConfig::bigfoot(ProxyTable::identity(), 1),
+        "fasttrack" => ReplayConfig::fasttrack(1),
+        "slimstate" => ReplayConfig::slimstate(1),
+        "redcard" => ReplayConfig::redcard(ProxyTable::identity(), 1),
+        _ => ReplayConfig::slimcard(ProxyTable::identity(), 1),
     };
     let compressed = is_compressed(bytes);
     let (stats, memo) = if compressed {
@@ -1065,7 +1037,6 @@ fn replay_file_cmd(input: &str, bytes: &[u8], args: &CliArgs) -> Result<ExitCode
     if args.has("--json") {
         let mut report = envelope("replay", input);
         report.set("detector", which);
-        report.set("replay_workers", workers as u64);
         report.set("compressed", compressed);
         report.set("trace_bytes", bytes.len() as u64);
         if let Some(m) = memo {
@@ -1082,10 +1053,9 @@ fn replay_file_cmd(input: &str, bytes: &[u8], args: &CliArgs) -> Result<ExitCode
         outln!("{}", report.to_string_pretty());
     } else {
         outln!(
-            "{input}: {} trace, {} bytes, detector {which}, {} worker(s)",
+            "{input}: {} trace, {} bytes, detector {which}",
             if compressed { "BFTC" } else { "BFTR" },
-            bytes.len(),
-            workers
+            bytes.len()
         );
         if let Some(m) = memo {
             outln!(
@@ -1156,31 +1126,9 @@ fn execute<S: EventSink>(
 }
 
 /// Runs one schedule under the named detector configuration, with a
-/// fresh detector. With `replay_workers` set, the schedule is recorded to
-/// an in-memory trace and detection runs through the parallel sharded
-/// replay engine instead of inline — same verdicts, record-once/
-/// detect-many.
-fn check_once(
-    which: &str,
-    prepared: &Prepared,
-    policy: SchedPolicy,
-    replay_workers: Option<usize>,
-) -> Result<Stats, CliError> {
+/// fresh detector running inline on the VM's thread.
+fn check_once(which: &str, prepared: &Prepared, policy: SchedPolicy) -> Result<Stats, CliError> {
     let Prepared { lowered, proxies } = prepared;
-    if let Some(workers) = replay_workers {
-        let config = match which {
-            "bigfoot" => ReplayConfig::bigfoot(proxies.clone(), workers),
-            "fasttrack" => ReplayConfig::fasttrack(workers),
-            "slimstate" => ReplayConfig::slimstate(workers),
-            "redcard" => ReplayConfig::redcard(proxies.clone(), workers),
-            "slimcard" => ReplayConfig::slimcard(proxies.clone(), workers),
-            _ => return Err("--replay-workers is not supported for --detector djit".into()),
-        };
-        let mut w = TraceWriter::new();
-        execute(lowered, policy, &mut w)?;
-        return replay_trace(&w.into_bytes(), &config)
-            .map_err(|e| failed(format!("replay error: {e}")));
-    }
     if which == "djit" {
         let mut det = DjitDetector::new();
         execute(lowered, policy, &mut det)?;
@@ -1199,21 +1147,7 @@ fn check_once(
 
 #[cfg(test)]
 mod tests {
-    use super::{validate_recording, validate_workers};
-
-    #[test]
-    fn zero_workers_is_rejected_for_both_engines() {
-        assert!(validate_workers(Some(0))
-            .unwrap_err()
-            .to_string()
-            .contains("--replay-workers wants at least 1"));
-    }
-
-    #[test]
-    fn valid_combinations_pass() {
-        assert!(validate_workers(None).is_ok());
-        assert!(validate_workers(Some(3)).is_ok());
-    }
+    use super::validate_recording;
 
     #[test]
     fn compress_trace_without_record_out_is_rejected() {

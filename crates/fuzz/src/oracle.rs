@@ -23,18 +23,17 @@
 //!   verdict may legitimately differ between schedules. FastTrack, the
 //!   ground truth here, is itself held to the independent DJIT+ detector:
 //!   same racy locations on the unoptimized trace.
-//! * **replay** — the sharded parallel replay engine must be bit-identical
-//!   to serial detection at every worker count, for both the unoptimized
-//!   and the optimized placement. Both run the same engine (annotator and
-//!   shard state); what this checks is the queued transport — owned
-//!   items, per-shard queues and the `seq` merge — against applying each
-//!   check inline.
+//! * **replay** — replaying the recorded trace must be bit-identical to
+//!   serial detection over the live run's events, for both the
+//!   unoptimized and the optimized placement. Both run the same engine
+//!   (annotator and inline shard); what this checks is the trace decoder
+//!   feeding it.
 //! * **compressed** — the grammar-compressed trace layer must be
 //!   invisible: the `BFTC` container must round-trip to the exact `BFTR`
 //!   bytes, and detection directly on the compressed form (with rule
 //!   memoization) must be byte-identical to serial detection, for both
-//!   placements at every worker count. Like replay, it checks the
-//!   queued transport and the `seq` merge against inline application.
+//!   placements. It checks the grammar walk and its memoized
+//!   extrapolation against applying every event.
 //! * **incremental** — the persistent placement cache must be invisible:
 //!   a cold incremental run must equal direct instrumentation, and after
 //!   a deterministic single-method mutation (derived from the case), a
@@ -61,10 +60,6 @@ use bigfoot_detectors::{
 /// Step bound for generated programs (they terminate well before this;
 /// the bound turns a generator bug into an error instead of a hang).
 const MAX_STEPS: u64 = 50_000_000;
-
-/// Worker counts the replay oracle exercises (one even divisor of the
-/// shard count, one that is not).
-const REPLAY_WORKERS: [usize; 2] = [2, 5];
 
 /// Which oracle observed a divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,7 +294,6 @@ fn replay_matches(
     label: &str,
     bytes: &[u8],
     config: &ReplayConfig,
-    workers: usize,
     truth: &Stats,
 ) -> Option<Divergence> {
     let got = match replay_trace(bytes, config) {
@@ -307,7 +301,7 @@ fn replay_matches(
         Err(e) => {
             return Some(Divergence::new(
                 OracleKind::Replay,
-                format!("{label}: replay at {workers} worker(s) failed: {e}"),
+                format!("{label}: replay failed: {e}"),
             ))
         }
     };
@@ -315,7 +309,7 @@ fn replay_matches(
         return Some(Divergence::new(
             OracleKind::Replay,
             format!(
-                "{label}: replay at {workers} worker(s) reports races {:?}, serial {:?}",
+                "{label}: replay reports races {:?}, serial {:?}",
                 got.races, truth.races
             ),
         ));
@@ -325,9 +319,7 @@ fn replay_matches(
     if got_json != truth_json {
         return Some(Divergence::new(
             OracleKind::Replay,
-            format!(
-                "{label}: replay at {workers} worker(s) stats diverge: {got_json} vs {truth_json}"
-            ),
+            format!("{label}: replay stats diverge: {got_json} vs {truth_json}"),
         ));
     }
     None
@@ -376,31 +368,25 @@ fn compressed_matches(
         }
     }
     for (name, config, truth) in configs {
-        for workers in REPLAY_WORKERS {
-            let mut config = config.clone();
-            config.workers = workers;
-            let got = match replay_compressed(&packed, &config) {
-                Ok(s) => s,
-                Err(e) => {
-                    return Some(Divergence::new(
-                        OracleKind::Compressed,
-                        format!(
-                            "{label}: compressed {name} replay at {workers} worker(s) failed: {e}"
-                        ),
-                    ))
-                }
-            };
-            let got_json = got.to_json().to_string_compact();
-            let truth_json = truth.to_json().to_string_compact();
-            if got.races != truth.races || got_json != truth_json {
+        let got = match replay_compressed(&packed, config) {
+            Ok(s) => s,
+            Err(e) => {
                 return Some(Divergence::new(
                     OracleKind::Compressed,
-                    format!(
-                        "{label}: compressed {name} detection at {workers} worker(s) \
-                         diverges from serial: {got_json} vs {truth_json}"
-                    ),
-                ));
+                    format!("{label}: compressed {name} replay failed: {e}"),
+                ))
             }
+        };
+        let got_json = got.to_json().to_string_compact();
+        let truth_json = truth.to_json().to_string_compact();
+        if got.races != truth.races || got_json != truth_json {
+            return Some(Divergence::new(
+                OracleKind::Compressed,
+                format!(
+                    "{label}: compressed {name} detection diverges from serial: \
+                     {got_json} vs {truth_json}"
+                ),
+            ));
         }
     }
     None
@@ -522,25 +508,21 @@ pub fn run_oracles(program: &Program, policy: SchedPolicy) -> Option<Divergence>
     }
 
     bigfoot_obs::count!("fuzz.oracle.replay");
-    for workers in REPLAY_WORKERS {
-        if let Some(d) = replay_matches(
-            "unoptimized",
-            &ft_bytes,
-            &ReplayConfig::fasttrack(workers),
-            workers,
-            &ft_truth,
-        ) {
-            return Some(d);
-        }
-        if let Some(d) = replay_matches(
-            "instrumented",
-            &bf_bytes,
-            &ReplayConfig::bigfoot(inst.proxies.clone(), workers),
-            workers,
-            &bf,
-        ) {
-            return Some(d);
-        }
+    if let Some(d) = replay_matches(
+        "unoptimized",
+        &ft_bytes,
+        &ReplayConfig::fasttrack(1),
+        &ft_truth,
+    ) {
+        return Some(d);
+    }
+    if let Some(d) = replay_matches(
+        "instrumented",
+        &bf_bytes,
+        &ReplayConfig::bigfoot(inst.proxies.clone(), 1),
+        &bf,
+    ) {
+        return Some(d);
     }
 
     // Detection straight off the grammar-compressed container must be

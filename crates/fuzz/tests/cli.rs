@@ -131,6 +131,19 @@ fn unknown_and_clashing_driver_flags_are_usage_errors() {
         // Inline detection is the only online driver.
         (vec!["check", racy.as_str(), "--pipeline"], "--pipeline"),
         (vec!["profile", racy.as_str(), "--pipeline"], "--pipeline"),
+        // Replay runs on one inline shard: the worker count is gone.
+        (
+            vec!["check", racy.as_str(), "--replay-workers", "2"],
+            "--replay-workers",
+        ),
+        (
+            vec!["profile", racy.as_str(), "--replay-workers", "2"],
+            "--replay-workers",
+        ),
+        (
+            vec!["replay", racy.as_str(), "--replay-workers", "2"],
+            "--replay-workers",
+        ),
     ] {
         let out = bfc(&args);
         let err = String::from_utf8_lossy(&out.stderr);

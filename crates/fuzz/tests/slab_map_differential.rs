@@ -20,8 +20,8 @@ use bigfoot_workloads::{benchmarks, Scale};
 const MAX_STEPS: u64 = 50_000_000;
 const FUZZ_SEEDS: std::ops::RangeInclusive<u64> = 1..=20;
 
-/// Runs all five detector configurations serially and through the sharded
-/// replay engine at 1 and 4 workers, returning `(label, observation)`
+/// Runs all five detector configurations serially and through trace
+/// replay, returning `(label, observation)`
 /// pairs. The observation is the compact stats JSON plus the full
 /// deduplicated race list — everything a run can externally report.
 fn observe_all(bytes: &[u8], events: &[Event], proxies: &ProxyTable) -> Vec<(String, String)> {
@@ -47,25 +47,23 @@ fn observe_all(bytes: &[u8], events: &[Event], proxies: &ProxyTable) -> Vec<(Str
             ),
         ));
     }
-    for workers in [1, 4] {
-        let configs: Vec<(&str, ReplayConfig)> = vec![
-            ("FT", ReplayConfig::fasttrack(workers)),
-            ("RC", ReplayConfig::redcard(proxies.clone(), workers)),
-            ("SS", ReplayConfig::slimstate(workers)),
-            ("SC", ReplayConfig::slimcard(proxies.clone(), workers)),
-            ("BF", ReplayConfig::bigfoot(proxies.clone(), workers)),
-        ];
-        for (name, config) in configs {
-            let stats = replay_trace(bytes, &config).expect("replay");
-            out.push((
-                format!("replay{workers}/{name}"),
-                format!(
-                    "{} races={:?}",
-                    stats.to_json().to_string_compact(),
-                    stats.races
-                ),
-            ));
-        }
+    let configs: Vec<(&str, ReplayConfig)> = vec![
+        ("FT", ReplayConfig::fasttrack(1)),
+        ("RC", ReplayConfig::redcard(proxies.clone(), 1)),
+        ("SS", ReplayConfig::slimstate(1)),
+        ("SC", ReplayConfig::slimcard(proxies.clone(), 1)),
+        ("BF", ReplayConfig::bigfoot(proxies.clone(), 1)),
+    ];
+    for (name, config) in configs {
+        let stats = replay_trace(bytes, &config).expect("replay");
+        out.push((
+            format!("replay/{name}"),
+            format!(
+                "{} races={:?}",
+                stats.to_json().to_string_compact(),
+                stats.races
+            ),
+        ));
     }
     out
 }

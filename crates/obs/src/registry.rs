@@ -126,15 +126,15 @@ impl LazyTimer {
     }
 }
 
-/// Bumps a counter whose name is computed at run time (e.g. the replay
-/// engine's per-shard `replay.shard07.races` metrics, where the shard
-/// index is not a compile-time literal).
+/// Bumps a counter whose name is computed at run time (e.g. a detector's
+/// `det.events` total, flushed once per run, or a metric whose name is
+/// not a compile-time literal).
 ///
 /// The name is interned into the registry on first use; later bumps of the
 /// same name find the existing cell. Like the [`count!`](crate::count)
 /// macro this is a no-op while collection is disabled, but the enabled
 /// path takes the registry lock, so keep it off per-event hot paths —
-/// batch into one call per shard/stage.
+/// batch into one call per run or stage.
 pub fn count_named(name: &str, n: u64) {
     if !crate::enabled() {
         return;

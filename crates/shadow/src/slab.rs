@@ -8,11 +8,6 @@
 //! ids, e.g. from hand-built traces) into a hash map, so behaviour never
 //! depends on the key distribution.
 //!
-//! The replay engine shards ids by `id % SHARDS`; within shard `s` the
-//! surviving ids are `s, s + SHARDS, s + 2·SHARDS, …`. Constructing the
-//! shard's slab with [`Slab::with_stride`]`(SHARDS)` indexes by
-//! `id / SHARDS`, which is dense again — no per-shard memory blow-up.
-//!
 //! For differential testing, [`set_force_map_store`] routes **all** new
 //! inserts of every slab through the spill map, turning the store back
 //! into the pre-slab hash-map implementation. The A/B harness in
@@ -77,7 +72,6 @@ impl SlabKey for u32 {
 pub struct Slab<K: SlabKey, T> {
     slots: Vec<Option<T>>,
     spill: FxHashMap<K, T>,
-    shift: u32,
     len: usize,
     _key: PhantomData<K>,
 }
@@ -89,22 +83,11 @@ impl<K: SlabKey, T> Default for Slab<K, T> {
 }
 
 impl<K: SlabKey, T> Slab<K, T> {
-    /// A slab indexing directly by id (the serial detector).
+    /// An empty slab, indexing directly by id.
     pub fn new() -> Slab<K, T> {
-        Slab::with_stride(1)
-    }
-
-    /// A slab for keys sharing a residue class modulo `stride` (a replay
-    /// shard): indexes by `id / stride`. `stride` must be a power of two.
-    pub fn with_stride(stride: u32) -> Slab<K, T> {
-        assert!(
-            stride.is_power_of_two(),
-            "slab stride must be a power of two"
-        );
         Slab {
             slots: Vec::new(),
             spill: FxHashMap::default(),
-            shift: stride.trailing_zeros(),
             len: 0,
             _key: PhantomData,
         }
@@ -112,7 +95,7 @@ impl<K: SlabKey, T> Slab<K, T> {
 
     #[inline]
     fn idx(&self, k: K) -> usize {
-        (k.raw() >> self.shift) as usize
+        k.raw() as usize
     }
 
     /// Number of stored values.
@@ -214,20 +197,6 @@ mod tests {
         s.insert(7, "again".into());
         assert_eq!(s.len(), 100, "replacement does not grow len");
         assert_eq!(s.get(7).map(String::as_str), Some("again"));
-    }
-
-    #[test]
-    fn strided_keys_stay_dense() {
-        let _serial = serial();
-        let mut s: Slab<u32, u64> = Slab::with_stride(64);
-        for k in (3..6403u32).step_by(64) {
-            s.insert(k, k as u64);
-        }
-        assert_eq!(s.len(), 100);
-        assert_eq!(s.get(3 + 64 * 50), Some(&((3 + 64 * 50) as u64)));
-        // Dense region covers them all: nothing spilled.
-        assert!(s.spill.is_empty());
-        assert_eq!(s.slots.iter().filter(|x| x.is_some()).count(), 100);
     }
 
     #[test]

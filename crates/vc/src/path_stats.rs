@@ -6,8 +6,8 @@
 //! measurable there. Instead, the paths bump plain thread-local cells and
 //! [`flush`] publishes the accumulated tallies to the observability
 //! registry under the same counter names as before
-//! (`vc.read.fast_path`, …). Detectors flush at finalization; the replay
-//! engine flushes per shard on its worker threads.
+//! (`vc.read.fast_path`, …). Detectors, raw replay and compressed replay
+//! flush when they finish.
 //!
 //! Tallies accumulated while collection is disabled are dropped at flush
 //! time (matching `count!`, which drops them at the increment).
