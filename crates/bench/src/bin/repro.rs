@@ -889,3 +889,19 @@ fn static_stats(results: &[BenchResult]) {
     }
     let _ = DETECTORS;
 }
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    #[test]
+    fn zero_workers_is_rejected_on_every_path() {
+        // Replay has no worker count any more; asking for zero workers is
+        // an unknown flag, rejected before any measurement starts.
+        for what in ["replay", "perf", "all"] {
+            let args = [what, "--replay-workers", "0"];
+            let err = run(args.iter().map(|a| a.to_string()).collect()).unwrap_err();
+            assert!(err.contains("unknown flag `--replay-workers`"), "{what}: {err}");
+        }
+    }
+}

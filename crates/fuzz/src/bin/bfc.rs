@@ -1147,7 +1147,21 @@ fn check_once(which: &str, prepared: &Prepared, policy: SchedPolicy) -> Result<S
 
 #[cfg(test)]
 mod tests {
-    use super::validate_recording;
+    use super::{run, validate_recording};
+
+    #[test]
+    fn zero_workers_is_rejected_for_both_engines() {
+        // Replay always runs on one inline shard; a worker count, zero
+        // included, is an unknown flag on every command that once took it,
+        // rejected at parse time before any file is read.
+        for cmd in ["check", "profile", "replay"] {
+            let args = [cmd, "missing.bfj", "--replay-workers", "0"];
+            let err = run(args.iter().map(|a| a.to_string()).collect())
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("unknown flag `--replay-workers`"), "{cmd}: {err}");
+        }
+    }
 
     #[test]
     fn compress_trace_without_record_out_is_rejected() {
