@@ -901,7 +901,10 @@ mod tests {
         for what in ["replay", "perf", "all"] {
             let args = [what, "--replay-workers", "0"];
             let err = run(args.iter().map(|a| a.to_string()).collect()).unwrap_err();
-            assert!(err.contains("unknown flag `--replay-workers`"), "{what}: {err}");
+            assert!(
+                err.contains("unknown flag `--replay-workers`"),
+                "{what}: {err}"
+            );
         }
     }
 }

@@ -18,12 +18,18 @@
 //! ```
 //!
 //! Unsigned fields are LEB128 varints; signed array indices/bounds are
-//! zigzag-encoded first. The decoder entry points ([`read_header`],
-//! [`read_event`]) live here next to the encoder so the two cannot drift;
-//! the replay engine's `TraceReader` in `bigfoot-detectors` wraps them
-//! into an iterator.
+//! zigzag-encoded first. The decoder lives here next to the encoder so the
+//! two cannot drift. There is one: [`Decoder`] decodes each tag in one
+//! routine and dispatches the event straight into an [`EventSink`]'s typed
+//! hooks — an access to `access`, a check to `check` with its paths
+//! borrowed from reused scratch, anything else to `event` — so replay
+//! builds no owned [`Event`] per event. [`decode_into`] runs it over a
+//! whole trace; [`read_event`] is the same decoder into a one-event
+//! capturing sink, for callers that keep the events (the replay engine's
+//! `TraceReader`, the compressed container's dictionary, the fuzz
+//! round-trip oracle).
 
-use crate::event::{ArrId, CheckRef, CheckTarget, ConcreteRange, Event, EventSink, Loc, ObjId};
+use crate::event::{ArrId, CheckRef, ConcreteRange, Event, EventSink, Loc, ObjId};
 use crate::interp::MAX_ARRAY_LEN;
 use bigfoot_vc::{AccessKind, Tid};
 
@@ -230,14 +236,25 @@ pub(crate) fn i64_len(v: i64) -> usize {
     (64 - (z | 1).leading_zeros() as usize).div_ceil(7)
 }
 
+#[inline(always)]
 pub(crate) fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+    // Thread ids, small field indices and index deltas are mostly below
+    // 128, so most varints of a trace are one byte.
+    if let Some(&byte) = bytes.get(*pos) {
+        if byte & 0x80 == 0 {
+            *pos += 1;
+            return Ok(u64::from(byte));
+        }
+    }
+    get_u64_long(bytes, pos)
+}
+
+/// [`get_u64`] for a varint of more than one byte (or none at all).
+fn get_u64_long(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        let byte = *bytes
-            .get(*pos)
-            .ok_or(TraceError::Truncated { offset: *pos })?;
-        *pos += 1;
+        let byte = get_byte(bytes, pos)?;
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
@@ -249,10 +266,22 @@ pub(crate) fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> 
     }
 }
 
+/// The byte at `*pos`, advancing past it.
+#[inline(always)]
+fn get_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, TraceError> {
+    let byte = *bytes
+        .get(*pos)
+        .ok_or(TraceError::Truncated { offset: *pos })?;
+    *pos += 1;
+    Ok(byte)
+}
+
+#[inline(always)]
 pub(crate) fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, TraceError> {
     Ok(get_u64(bytes, pos)? as u32)
 }
 
+#[inline(always)]
 pub(crate) fn get_i64(bytes: &[u8], pos: &mut usize) -> Result<i64, TraceError> {
     let z = get_u64(bytes, pos)?;
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
@@ -266,11 +295,7 @@ fn put_kind(buf: &mut Vec<u8>, kind: AccessKind) {
 }
 
 fn get_kind(bytes: &[u8], pos: &mut usize) -> Result<AccessKind, TraceError> {
-    let byte = *bytes
-        .get(*pos)
-        .ok_or(TraceError::Truncated { offset: *pos })?;
-    *pos += 1;
-    match byte {
+    match get_byte(bytes, pos)? {
         0 => Ok(AccessKind::Read),
         1 => Ok(AccessKind::Write),
         tag => Err(TraceError::BadTag {
@@ -436,75 +461,49 @@ pub fn read_header(bytes: &[u8]) -> Result<usize, TraceError> {
     Ok(TRACE_MAGIC.len() + 1)
 }
 
-/// Decodes the event at `*pos`, advancing `*pos` past it. Returns
-/// `Ok(None)` at a clean end of buffer.
-pub fn read_event(bytes: &[u8], pos: &mut usize) -> Result<Option<Event>, TraceError> {
-    let Some(&tag) = bytes.get(*pos) else {
-        return Ok(None);
-    };
-    let tag_offset = *pos;
-    *pos += 1;
-    let ev = match tag {
-        TAG_ALLOC_OBJ => Event::AllocObj {
-            t: Tid(get_u32(bytes, pos)?),
-            obj: ObjId(get_u32(bytes, pos)?),
-            class: get_u32(bytes, pos)?,
-            fields: get_u32(bytes, pos)?,
-        },
-        TAG_ALLOC_ARR => {
-            let t = Tid(get_u32(bytes, pos)?);
-            let arr = ArrId(get_u32(bytes, pos)?);
-            let len = get_u64(bytes, pos)?;
-            if len > MAX_ARRAY_LEN as u64 {
-                return Err(TraceError::OversizedArray { offset: *pos, len });
-            }
-            Event::AllocArr { t, arr, len }
-        }
-        TAG_ACCESS => {
-            let t = Tid(get_u32(bytes, pos)?);
-            let kind = get_kind(bytes, pos)?;
-            let subtag = *bytes
-                .get(*pos)
-                .ok_or(TraceError::Truncated { offset: *pos })?;
-            *pos += 1;
-            let loc = match subtag {
-                0 => Loc::Field(ObjId(get_u32(bytes, pos)?), get_u32(bytes, pos)?),
-                1 => Loc::Elem(ArrId(get_u32(bytes, pos)?), get_i64(bytes, pos)?),
-                tag => {
-                    return Err(TraceError::BadTag {
-                        offset: *pos - 1,
-                        tag,
-                    })
-                }
-            };
-            Event::Access { t, kind, loc }
-        }
-        TAG_CHECK => {
-            let t = Tid(get_u32(bytes, pos)?);
-            let n = get_u64(bytes, pos)? as usize;
-            // The length words are untrusted input: a corrupt trace can
-            // claim billions of paths. Every path costs at least one
-            // byte, so capping the pre-allocation at the bytes actually
-            // remaining keeps a bogus length from allocating gigabytes
-            // before the loop below hits `Truncated`.
-            let mut paths = Vec::with_capacity(n.min(bytes.len().saturating_sub(*pos)));
-            for _ in 0..n {
+/// The BFTR event decoder: one decoding routine per tag, which hands each
+/// event to an [`EventSink`]'s typed hooks.
+///
+/// An access goes to [`access`](EventSink::access) and a check to
+/// [`check`](EventSink::check), its paths borrowed from scratch the
+/// decoder keeps, so decoding a check allocates nothing once that scratch
+/// has grown to fit. Every other event is built on the stack and goes to
+/// [`event`](EventSink::event). [`decode_into`] runs the decoder over a
+/// whole trace; [`Decoder::read_event`] and [`read_event`] are its
+/// owned-event face, for callers that keep the events.
+#[derive(Debug, Clone, Default)]
+pub struct Decoder {
+    /// The field indices of the check being decoded, path after path.
+    fields: Vec<u32>,
+    /// Where each field path's indices end in `fields`.
+    ends: Vec<usize>,
+    /// The paths of the check being decoded. Empty between events: it
+    /// only carries its allocation from one check to the next.
+    paths: Vec<(AccessKind, CheckRef<'static>)>,
+}
+
+impl Decoder {
+    /// Decodes the event at `*pos` into `sink`, advancing `*pos` past it.
+    /// Returns `Ok(false)` at a clean end of buffer.
+    #[inline(always)]
+    fn decode_event<S: EventSink>(
+        &mut self,
+        bytes: &[u8],
+        pos: &mut usize,
+        sink: &mut S,
+    ) -> Result<bool, TraceError> {
+        let Some(&tag) = bytes.get(*pos) else {
+            return Ok(false);
+        };
+        let tag_offset = *pos;
+        *pos += 1;
+        let ev = match tag {
+            TAG_ACCESS => {
+                let t = Tid(get_u32(bytes, pos)?);
                 let kind = get_kind(bytes, pos)?;
-                let subtag = *bytes
-                    .get(*pos)
-                    .ok_or(TraceError::Truncated { offset: *pos })?;
-                *pos += 1;
-                let target = match subtag {
-                    0 => {
-                        let obj = ObjId(get_u32(bytes, pos)?);
-                        let k = get_u64(bytes, pos)? as usize;
-                        let mut idxs = Vec::with_capacity(k.min(bytes.len().saturating_sub(*pos)));
-                        for _ in 0..k {
-                            idxs.push(get_u32(bytes, pos)?);
-                        }
-                        CheckTarget::Fields(obj, idxs)
-                    }
-                    1 => CheckTarget::Range(ArrId(get_u32(bytes, pos)?), get_range(bytes, pos)?),
+                let loc = match get_byte(bytes, pos)? {
+                    0 => Loc::Field(ObjId(get_u32(bytes, pos)?), get_u32(bytes, pos)?),
+                    1 => Loc::Elem(ArrId(get_u32(bytes, pos)?), get_i64(bytes, pos)?),
                     tag => {
                         return Err(TraceError::BadTag {
                             offset: *pos - 1,
@@ -512,47 +511,205 @@ pub fn read_event(bytes: &[u8], pos: &mut usize) -> Result<Option<Event>, TraceE
                         })
                     }
                 };
-                paths.push((kind, target));
+                sink.access(t, kind, loc);
+                return Ok(true);
             }
-            Event::Check { t, paths }
+            TAG_CHECK => {
+                self.decode_check(bytes, pos, sink)?;
+                return Ok(true);
+            }
+            TAG_ALLOC_OBJ => Event::AllocObj {
+                t: Tid(get_u32(bytes, pos)?),
+                obj: ObjId(get_u32(bytes, pos)?),
+                class: get_u32(bytes, pos)?,
+                fields: get_u32(bytes, pos)?,
+            },
+            TAG_ALLOC_ARR => {
+                let t = Tid(get_u32(bytes, pos)?);
+                let arr = ArrId(get_u32(bytes, pos)?);
+                let len = get_u64(bytes, pos)?;
+                if len > MAX_ARRAY_LEN as u64 {
+                    return Err(TraceError::OversizedArray { offset: *pos, len });
+                }
+                Event::AllocArr { t, arr, len }
+            }
+            TAG_VOLATILE_READ => Event::VolatileRead {
+                t: Tid(get_u32(bytes, pos)?),
+                obj: ObjId(get_u32(bytes, pos)?),
+                field: get_u32(bytes, pos)?,
+            },
+            TAG_VOLATILE_WRITE => Event::VolatileWrite {
+                t: Tid(get_u32(bytes, pos)?),
+                obj: ObjId(get_u32(bytes, pos)?),
+                field: get_u32(bytes, pos)?,
+            },
+            TAG_ACQUIRE => Event::Acquire {
+                t: Tid(get_u32(bytes, pos)?),
+                lock: ObjId(get_u32(bytes, pos)?),
+            },
+            TAG_RELEASE => Event::Release {
+                t: Tid(get_u32(bytes, pos)?),
+                lock: ObjId(get_u32(bytes, pos)?),
+            },
+            TAG_FORK => Event::Fork {
+                parent: Tid(get_u32(bytes, pos)?),
+                child: Tid(get_u32(bytes, pos)?),
+            },
+            TAG_JOIN => Event::Join {
+                parent: Tid(get_u32(bytes, pos)?),
+                child: Tid(get_u32(bytes, pos)?),
+            },
+            TAG_THREAD_EXIT => Event::ThreadExit {
+                t: Tid(get_u32(bytes, pos)?),
+            },
+            tag => {
+                return Err(TraceError::BadTag {
+                    offset: tag_offset,
+                    tag,
+                })
+            }
+        };
+        sink.event(&ev);
+        Ok(true)
+    }
+
+    /// Decodes a check's payload (after its tag) into `sink.check`.
+    #[inline]
+    fn decode_check<S: EventSink>(
+        &mut self,
+        bytes: &[u8],
+        pos: &mut usize,
+        sink: &mut S,
+    ) -> Result<(), TraceError> {
+        let t = Tid(get_u32(bytes, pos)?);
+        // The length words are untrusted input: a corrupt trace can claim
+        // billions of paths or fields. Nothing is reserved for them; the
+        // scratch grows one decoded item at a time, and every item costs at
+        // least one byte, so a bogus length hits `Truncated` first.
+        let n = get_u64(bytes, pos)?;
+        self.fields.clear();
+        self.ends.clear();
+        let mut paths = recycle(std::mem::take(&mut self.paths));
+        for _ in 0..n {
+            let kind = get_kind(bytes, pos)?;
+            let target = match get_byte(bytes, pos)? {
+                0 => {
+                    let obj = ObjId(get_u32(bytes, pos)?);
+                    let k = get_u64(bytes, pos)?;
+                    for _ in 0..k {
+                        self.fields.push(get_u32(bytes, pos)?);
+                    }
+                    self.ends.push(self.fields.len());
+                    // Pointed at its indices below, once `fields` stops
+                    // growing.
+                    CheckRef::Fields(obj, &[])
+                }
+                1 => CheckRef::Range(ArrId(get_u32(bytes, pos)?), get_range(bytes, pos)?),
+                tag => {
+                    return Err(TraceError::BadTag {
+                        offset: *pos - 1,
+                        tag,
+                    })
+                }
+            };
+            paths.push((kind, target));
         }
-        TAG_VOLATILE_READ => Event::VolatileRead {
-            t: Tid(get_u32(bytes, pos)?),
-            obj: ObjId(get_u32(bytes, pos)?),
-            field: get_u32(bytes, pos)?,
-        },
-        TAG_VOLATILE_WRITE => Event::VolatileWrite {
-            t: Tid(get_u32(bytes, pos)?),
-            obj: ObjId(get_u32(bytes, pos)?),
-            field: get_u32(bytes, pos)?,
-        },
-        TAG_ACQUIRE => Event::Acquire {
-            t: Tid(get_u32(bytes, pos)?),
-            lock: ObjId(get_u32(bytes, pos)?),
-        },
-        TAG_RELEASE => Event::Release {
-            t: Tid(get_u32(bytes, pos)?),
-            lock: ObjId(get_u32(bytes, pos)?),
-        },
-        TAG_FORK => Event::Fork {
-            parent: Tid(get_u32(bytes, pos)?),
-            child: Tid(get_u32(bytes, pos)?),
-        },
-        TAG_JOIN => Event::Join {
-            parent: Tid(get_u32(bytes, pos)?),
-            child: Tid(get_u32(bytes, pos)?),
-        },
-        TAG_THREAD_EXIT => Event::ThreadExit {
-            t: Tid(get_u32(bytes, pos)?),
-        },
-        tag => {
-            return Err(TraceError::BadTag {
-                offset: tag_offset,
-                tag,
-            })
+        let (mut start, mut ends) = (0, self.ends.iter());
+        for (_, path) in &mut paths {
+            if let CheckRef::Fields(_, idxs) = path {
+                let end = *ends.next().expect("one end per field path");
+                *idxs = &self.fields[start..end];
+                start = end;
+            }
         }
-    };
-    Ok(Some(ev))
+        sink.check(t, &paths);
+        self.paths = recycle(paths);
+        Ok(())
+    }
+
+    /// Decodes the event at `*pos` into an owned [`Event`], advancing
+    /// `*pos` past it. Returns `Ok(None)` at a clean end of buffer.
+    #[inline]
+    pub fn read_event(
+        &mut self,
+        bytes: &[u8],
+        pos: &mut usize,
+    ) -> Result<Option<Event>, TraceError> {
+        let mut one = Capture(None);
+        self.decode_event(bytes, pos, &mut one)?;
+        Ok(one.0)
+    }
+}
+
+/// `paths`, emptied and re-typed to borrow for another lifetime. Both
+/// element types have one layout, so the collect reuses the allocation
+/// in place: the check scratch keeps its capacity from check to check.
+fn recycle<'b>(mut paths: Vec<(AccessKind, CheckRef<'_>)>) -> Vec<(AccessKind, CheckRef<'b>)> {
+    paths.clear();
+    paths
+        .into_iter()
+        .map(|_| -> (AccessKind, CheckRef<'b>) { unreachable!("the paths were cleared") })
+        .collect()
+}
+
+/// The sink behind the owned-event face: keeps the one event it is handed.
+struct Capture(Option<Event>);
+
+impl EventSink for Capture {
+    fn event(&mut self, ev: &Event) {
+        self.0 = Some(ev.clone());
+    }
+
+    fn access(&mut self, t: Tid, kind: AccessKind, loc: Loc) {
+        self.0 = Some(Event::Access { t, kind, loc });
+    }
+
+    fn check(&mut self, t: Tid, paths: &[(AccessKind, CheckRef<'_>)]) {
+        let paths = paths.iter().map(|&(k, p)| (k, p.to_target())).collect();
+        self.0 = Some(Event::Check { t, paths });
+    }
+}
+
+/// Decodes the event at `*pos`, advancing `*pos` past it. Returns
+/// `Ok(None)` at a clean end of buffer.
+///
+/// A fresh [`Decoder`] per call: a caller that reads many events keeps
+/// one and calls [`Decoder::read_event`], so checks reuse its scratch.
+pub fn read_event(bytes: &[u8], pos: &mut usize) -> Result<Option<Event>, TraceError> {
+    Decoder::default().read_event(bytes, pos)
+}
+
+/// Decodes the whole trace `bytes` (header included) into `sink`, through
+/// its typed hooks, and returns the number of events decoded.
+///
+/// # Errors
+///
+/// Returns [`TraceError`] at the first malformed byte; the events before
+/// it have reached `sink`.
+///
+/// # Examples
+///
+/// ```
+/// use bigfoot_bfj::{compile, parse_program, trace, CompiledVm, RecordingSink, SchedPolicy};
+///
+/// let p = parse_program("main { a = new_array(4); a[0] = 1; }")?;
+/// let mut w = trace::TraceWriter::new();
+/// CompiledVm::new(&compile(&p), SchedPolicy::default()).run(&mut w)?;
+/// let bytes = w.into_bytes();
+/// let mut rec = RecordingSink::default();
+/// let n = trace::decode_into(&bytes, &mut rec)?;
+/// assert_eq!(n, rec.events.len() as u64);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[inline]
+pub fn decode_into<S: EventSink>(bytes: &[u8], sink: &mut S) -> Result<u64, TraceError> {
+    let mut pos = read_header(bytes)?;
+    let mut decoder = Decoder::default();
+    let mut events = 0;
+    while decoder.decode_event(bytes, &mut pos, sink)? {
+        events += 1;
+    }
+    Ok(events)
 }
 
 /// An [`EventSink`] that serializes the stream into a trace buffer.
@@ -688,6 +845,7 @@ impl EventSink for TraceWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CheckTarget;
     use crate::{parse_program, Interp, RecordingSink, SchedPolicy};
 
     fn decode_all(bytes: &[u8]) -> Vec<Event> {
@@ -843,6 +1001,110 @@ mod tests {
             .run(&mut w)
             .expect("run");
         assert_eq!(decode_all(&w.into_bytes()), rec.events);
+    }
+
+    /// Decodes `bytes` through the typed face into a [`RecordingSink`]
+    /// and through the owned face into another, and returns both streams.
+    fn both_faces(bytes: &[u8]) -> (Vec<Event>, Vec<Event>) {
+        let mut typed = RecordingSink::default();
+        let n = decode_into(bytes, &mut typed).expect("typed decode");
+        assert_eq!(n, typed.events.len() as u64);
+        let mut owned = RecordingSink::default();
+        for ev in decode_all(bytes) {
+            owned.event(&ev);
+        }
+        (typed.events, owned.events)
+    }
+
+    #[test]
+    fn typed_and_owned_faces_decode_the_same_events() {
+        let fields = |obj, idxs: &[u32]| CheckTarget::Fields(ObjId(obj), idxs.to_vec());
+        let range =
+            |arr, lo, hi, step| CheckTarget::Range(ArrId(arr), ConcreteRange { lo, hi, step });
+        let (r, w) = (AccessKind::Read, AccessKind::Write);
+        let mut events = vec![
+            Event::AllocArr {
+                t: Tid(0),
+                arr: ArrId(1),
+                len: 64,
+            },
+            Event::Check {
+                t: Tid(0),
+                paths: vec![
+                    (w, fields(3, &[0, 1, 2])),
+                    (r, range(1, 0, 64, 1)),
+                    (r, fields(4, &[])),
+                    (w, range(1, -9, 60, 7)),
+                    (r, fields(5, &[300, 7])),
+                ],
+            },
+            // Zero paths, after a check that grew the scratch.
+            Event::Check {
+                t: Tid(1),
+                paths: vec![],
+            },
+            Event::Check {
+                t: Tid(2),
+                paths: vec![(w, fields(6, &[]))],
+            },
+            Event::Check {
+                t: Tid(1),
+                paths: vec![(r, range(1, i64::MIN, i64::MAX, i64::MAX))],
+            },
+        ];
+        for i in [i64::MIN, i64::MAX, -1, 0, 63, 64, 1 << 40] {
+            events.push(Event::Access {
+                t: Tid(3),
+                kind: w,
+                loc: Loc::Elem(ArrId(1), i),
+            });
+        }
+        events.push(Event::Access {
+            t: Tid(3),
+            kind: r,
+            loc: Loc::Field(ObjId(u32::MAX), u32::MAX),
+        });
+        events.push(Event::ThreadExit { t: Tid(3) });
+        let mut w = TraceWriter::new();
+        for ev in &events {
+            w.event(ev);
+        }
+        let (typed, owned) = both_faces(&w.into_bytes());
+        assert_eq!(typed, events);
+        assert_eq!(owned, events);
+
+        // And a recorded run, whose checks come from the executor's hook.
+        let p = parse_program(
+            "class P { field x; field y; field z; }
+             class W { meth fill(p, a, n) {
+                 for (i = 0; i < n; i = i + 1) { a[i] = i; p.x = i; p.z = i; }
+                 check(w: p.x/z, r: p.y, w: a[0..n:2], w: a[1..n:2]);
+                 return 0; } }
+             main {
+                 p = new P; q = new P;
+                 a = new_array(16); b = new_array(16);
+                 w = new W;
+                 fork t1 = w.fill(p, a, 16);
+                 fork t2 = w.fill(q, b, 16);
+                 join(t1); join(t2);
+             }",
+        )
+        .expect("parse");
+        let mut rec = RecordingSink::default();
+        Interp::new(&p, SchedPolicy::default())
+            .run(&mut rec)
+            .expect("run");
+        let mut w = TraceWriter::new();
+        Interp::new(&p, SchedPolicy::default())
+            .run(&mut w)
+            .expect("run");
+        let (typed, owned) = both_faces(&w.into_bytes());
+        assert!(rec
+            .events
+            .iter()
+            .any(|ev| matches!(ev, Event::Check { paths, .. } if paths.len() > 1)));
+        assert_eq!(typed, rec.events);
+        assert_eq!(owned, rec.events);
     }
 
     #[test]

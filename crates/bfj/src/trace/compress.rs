@@ -25,8 +25,11 @@
 //! workspace's `FxHasher` leaves the low hash bits, which pick the
 //! bucket, blind to the high bytes of each word, and check-heavy traces
 //! (fop: 81,937 distinct events in 98,313) then piled their keys into a
-//! few hundred buckets. The symbol is RLE-merged into the pair list as it
-//! arrives. A tandem round needs `pairs[i + p] == pairs[i]` for a period
+//! few hundred buckets. The dictionary keeps no key of its own: each
+//! entry is a range of the container's dictionary section, found through
+//! its hash, so a new entry allocates nothing. The symbol is RLE-merged
+//! into the pair list as it arrives. A tandem round needs
+//! `pairs[i + p] == pairs[i]` for a period
 //! `p` to repeat, so it tries only the distances to the next occurrences
 //! of position `i`'s symbol, nearest first, and compares the whole block
 //! only for those: the same smallest-`p` choice as trying every `p`,
@@ -55,13 +58,15 @@
 //! exact by tests and the fuzz oracle.
 
 use super::{
-    encode_access, encode_check, encode_event, get_u64, i64_len, put_u64, read_event, read_header,
+    decode_into, encode_access, encode_check, encode_event, get_u64, i64_len, put_u64, Decoder,
     TraceError, TRACE_MAGIC, TRACE_VERSION,
 };
 use crate::event::{CheckRef, Event, EventSink, Loc};
 use bigfoot_obs::fx::FxHashMap;
 use bigfoot_vc::{AccessKind, Tid};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// File magic for compressed trace containers.
 pub const COMPRESSED_MAGIC: [u8; 4] = *b"BFTC";
@@ -110,33 +115,16 @@ impl DeltaState {
         d
     }
 
-    /// Rewrites a delta-form event back into absolute-index form.
-    pub fn decode(&mut self, ev: &Event) -> Event {
-        match ev {
-            Event::Access {
-                t,
-                kind,
-                loc: Loc::Elem(arr, d),
-            } => {
-                let slot = self.last.entry((t.0, arr.0)).or_insert(0);
-                let i = slot.wrapping_add(*d);
-                *slot = i;
-                Event::Access {
-                    t: *t,
-                    kind: *kind,
-                    loc: Loc::Elem(*arr, i),
-                }
-            }
-            _ => ev.clone(),
-        }
-    }
-
-    /// Advances the `(thread, array)` stream position by `delta` without
-    /// materializing events — used by the memoized compressed-replay
-    /// walker when it skips whole rule repetitions.
-    pub fn advance(&mut self, t: u32, arr: u32, delta: i64) {
+    /// Advances the `(thread, array)` stream position by `delta` and
+    /// returns the new position. For the delta form of an access of
+    /// `arr[i]` by thread `t` that position is `i`, the absolute index;
+    /// the memoized compressed-replay walker also advances a stream by a
+    /// whole skipped run at once.
+    #[inline]
+    pub fn advance(&mut self, t: u32, arr: u32, delta: i64) -> i64 {
         let slot = self.last.entry((t, arr)).or_insert(0);
         *slot = slot.wrapping_add(delta);
+        *slot
     }
 }
 
@@ -350,12 +338,20 @@ pub struct CompressedTraceWriter {
     /// The container's dictionary section: the encoding of each distinct
     /// delta-form event, in first-seen order.
     dict_bytes: Vec<u8>,
-    /// Each dictionary entry's encoding and symbol. The keys are event
-    /// encodings, which may come from a trace file, so the map keeps the
-    /// standard library's keyed hasher: it spreads byte keys and resists
-    /// crafted collisions. `FxHasher` put fop's 81,937 keys into 223 of
-    /// 131,072 buckets (see `bigfoot_obs::fx`).
-    dict_index: HashMap<Vec<u8>, u64>,
+    /// Where each dictionary entry's encoding ends in `dict_bytes`; entry
+    /// `k` is `dict_bytes[ends[k - 1]..ends[k]]`, so an entry costs no
+    /// allocation of its own.
+    ends: Vec<usize>,
+    /// The keyed hash of event encodings. The encodings may come from a
+    /// trace file, so this is the standard library's SipHash: it spreads
+    /// byte keys and resists crafted collisions. `FxHasher` put fop's
+    /// 81,937 keys into 223 of 131,072 buckets (see `bigfoot_obs::fx`).
+    hasher: RandomState,
+    /// Each dictionary entry's symbol, under its encoding's keyed hash.
+    /// Two encodings with one hash take consecutive slots (see
+    /// [`CompressedTraceWriter::intern`]). The slots are SipHash values,
+    /// so the map's own hash, `FxHasher` on one word, keeps their spread.
+    dict_index: FxHashMap<u64, u64>,
     /// The symbol stream, RLE-collapsed as it arrives.
     pairs: Vec<Pair>,
     scratch: Vec<u8>,
@@ -391,13 +387,27 @@ impl CompressedTraceWriter {
     fn intern(&mut self, raw_len: usize) {
         self.events += 1;
         self.raw_bytes += raw_len as u64;
-        let sym = match self.dict_index.get(self.scratch.as_slice()) {
-            Some(&sym) => sym,
-            None => {
-                let sym = self.dict_index.len() as u64;
-                self.dict_bytes.extend_from_slice(&self.scratch);
-                self.dict_index.insert(self.scratch.clone(), sym);
-                sym
+        let key = self.scratch.as_slice();
+        // Probe from the key's hash; a slot holding another encoding (a
+        // 64-bit hash collision) passes the probe on to the next slot.
+        let mut slot = self.hasher.hash_one(key);
+        let sym = loop {
+            match self.dict_index.entry(slot) {
+                Entry::Occupied(e) => {
+                    let sym = *e.get() as usize;
+                    let start = if sym == 0 { 0 } else { self.ends[sym - 1] };
+                    if self.dict_bytes[start..self.ends[sym]] == *key {
+                        break sym as u64;
+                    }
+                    slot = slot.wrapping_add(1);
+                }
+                Entry::Vacant(e) => {
+                    let sym = self.ends.len() as u64;
+                    self.dict_bytes.extend_from_slice(key);
+                    self.ends.push(self.dict_bytes.len());
+                    e.insert(sym);
+                    break sym;
+                }
             }
         };
         push_run(&mut self.pairs, sym, 1);
@@ -406,9 +416,10 @@ impl CompressedTraceWriter {
     /// Builds the grammar and serializes the container, flushing the
     /// `trace.*` compression counters.
     pub fn into_bytes(self) -> Vec<u8> {
-        let dict_len = self.dict_index.len() as u64;
+        let dict_len = self.ends.len() as u64;
         // The index is done with; free it before the grammar build.
         drop(self.dict_index);
+        drop(self.ends);
         let Grammar {
             rules,
             top: pairs,
@@ -552,8 +563,9 @@ pub fn read_compressed(bytes: &[u8]) -> Result<CompressedTrace, TraceError> {
 
     let dict_len = get_u64(bytes, &mut pos)? as usize;
     let mut dict = Vec::with_capacity(dict_len.min(bytes.len().saturating_sub(pos) + 1));
+    let mut decoder = Decoder::default();
     for _ in 0..dict_len {
-        match read_event(bytes, &mut pos)? {
+        match decoder.read_event(bytes, &mut pos)? {
             Some(ev) => dict.push(ev),
             None => return Err(TraceError::Truncated { offset: pos }),
         }
@@ -641,8 +653,15 @@ fn expand<S: EventSink>(
     } else {
         let template = &ct.dict[sym as usize];
         for _ in 0..count {
-            let ev = delta.decode(template);
-            sink.event(&ev);
+            // Only an element access differs from its delta form.
+            match *template {
+                Event::Access {
+                    t,
+                    kind,
+                    loc: Loc::Elem(arr, d),
+                } => sink.access(t, kind, Loc::Elem(arr, delta.advance(t.0, arr.0, d))),
+                _ => sink.event(template),
+            }
             *emitted += 1;
         }
     }
@@ -655,11 +674,8 @@ pub fn compress(raw: &[u8]) -> Result<Vec<u8>, TraceError> {
         // error instead of a confusing BadMagic from the BFTR header.
         return Err(TraceError::BadMagic);
     }
-    let mut pos = read_header(raw)?;
     let mut w = CompressedTraceWriter::new();
-    while let Some(ev) = read_event(raw, &mut pos)? {
-        w.event(&ev);
-    }
+    decode_into(raw, &mut w)?;
     Ok(w.into_bytes())
 }
 
@@ -690,7 +706,6 @@ mod tests {
     use crate::sched::Rng;
     use crate::trace::TraceWriter;
     use crate::{parse_program, Interp, SchedPolicy};
-    use std::hash::BuildHasher;
 
     fn record(src: &str) -> (Vec<u8>, Vec<Event>) {
         let p = parse_program(src).expect("parse");
@@ -794,19 +809,15 @@ mod tests {
         let mut enc = DeltaState::default();
         let mut dec = DeltaState::default();
         for ev in &evs {
-            let d = match *ev {
-                Event::Access {
-                    t,
-                    kind,
-                    loc: Loc::Elem(arr, i),
-                } => Event::Access {
-                    t,
-                    kind,
-                    loc: Loc::Elem(arr, enc.delta(t.0, arr.0, i)),
-                },
-                ref other => other.clone(),
-            };
-            assert_eq!(&dec.decode(&d), ev);
+            if let Event::Access {
+                t,
+                loc: Loc::Elem(arr, i),
+                ..
+            } = *ev
+            {
+                let d = enc.delta(t.0, arr.0, i);
+                assert_eq!(dec.advance(t.0, arr.0, d), i, "{ev:?}");
+            }
         }
     }
 
@@ -962,7 +973,7 @@ mod tests {
         let keys = 60_000u32;
         let mask = u64::from(keys).next_power_of_two() - 1;
         let writer = CompressedTraceWriter::new();
-        let build = writer.dict_index.hasher();
+        let build = &writer.hasher;
         let mut buckets = std::collections::HashSet::new();
         let mut key = Vec::new();
         for o in 0..keys {
@@ -985,6 +996,37 @@ mod tests {
             buckets.len(),
             mask + 1
         );
+    }
+
+    #[test]
+    fn a_hash_collision_probes_on_to_the_next_slot() {
+        // Forge two encodings with one 64-bit hash: file `b`'s symbol
+        // under `a`'s slot too. `a` must still get a symbol of its own,
+        // found again past `b`, and `b` must stay itself.
+        let a = Event::Release {
+            t: Tid(0),
+            lock: ObjId(1),
+        };
+        let b = Event::Acquire {
+            t: Tid(0),
+            lock: ObjId(1),
+        };
+        let mut w = CompressedTraceWriter::new();
+        w.event(&b);
+        let mut key = Vec::new();
+        encode_event(&mut key, &a);
+        let slot = w.hasher.hash_one(key.as_slice());
+        w.dict_index.insert(slot, 0);
+        for ev in [&a, &a, &b] {
+            w.event(ev);
+        }
+        assert_eq!(w.pairs, vec![(0, 1), (1, 2), (0, 1)]);
+        assert_eq!(w.dict_index.get(&slot.wrapping_add(1)), Some(&1));
+        let mut raw = TraceWriter::new();
+        for ev in [&b, &a, &a, &b] {
+            raw.event(ev);
+        }
+        assert_eq!(decompress(&w.into_bytes()), Ok(raw.into_bytes()));
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! exit), then gets systematically damaged: truncated at every byte
 //! boundary, mutated at every byte position, and spliced with
 //! hand-crafted corrupt payloads (oversized LEB128 varints, unknown
-//! tags, absurd claimed lengths).
+//! tags, absurd claimed lengths). Every damaged trace goes through both
+//! faces of the one decoder, the typed `decode_into` and the owned-event
+//! `read_event`, which must agree.
 
-use bigfoot_bfj::trace::{read_event, read_header};
+use bigfoot_bfj::trace::{decode_into, read_event, read_header};
 use bigfoot_bfj::{
-    parse_program, Interp, SchedPolicy, TraceError, TraceWriter, MAX_ARRAY_LEN, TRACE_MAGIC,
+    parse_program, Interp, RecordingSink, SchedPolicy, TraceError, TraceWriter, MAX_ARRAY_LEN,
+    TRACE_MAGIC,
 };
 
 /// Records one run that exercises every event tag in the codec.
@@ -50,13 +53,25 @@ fn recorded_trace() -> Vec<u8> {
 /// Decodes every event in `bytes`, returning how many decoded before a
 /// clean end (`Ok`) or a typed error (`Err`). Panics and hangs are the
 /// failures this harness exists to rule out.
+///
+/// Both faces of the decoder run: the typed `decode_into` and the
+/// owned-event `read_event` loop. They must hand over the same events and
+/// end the same way — the same count, or the same error at the same
+/// offset.
 fn decode_all(bytes: &[u8]) -> Result<usize, TraceError> {
-    let mut pos = read_header(bytes)?;
-    let mut n = 0;
-    while read_event(bytes, &mut pos)?.is_some() {
-        n += 1;
-    }
-    Ok(n)
+    let mut owned = Vec::new();
+    let owned_end = (|| {
+        let mut pos = read_header(bytes)?;
+        while let Some(ev) = read_event(bytes, &mut pos)? {
+            owned.push(ev);
+        }
+        Ok(owned.len())
+    })();
+    let mut typed = RecordingSink::default();
+    let typed_end = decode_into(bytes, &mut typed).map(|n| n as usize);
+    assert_eq!(typed_end, owned_end, "the two faces end differently");
+    assert_eq!(typed.events, owned, "the two faces decode different events");
+    owned_end
 }
 
 #[test]

@@ -1,9 +1,13 @@
 //! Race detection directly on grammar-compressed (`BFTC`) traces.
 //!
-//! Raw-trace replay (`crate::replay`) decodes every event into the
-//! engine's annotator, which applies each check to one inline shard.
-//! This module drives the same annotator and shard from a walk over the
-//! compressed grammar that *memoizes* repeated rules: a loop body with
+//! Raw-trace replay (`crate::replay`) decodes every event straight into
+//! the typed hooks of the serial detector, whose annotator applies each
+//! check to one inline shard. This module drives the same annotator and
+//! shard from a walk over the compressed grammar. A dictionary entry is
+//! expanded without a copy: a delta-form element access resolves its
+//! absolute index in [`DeltaState`] and goes to the annotator's access
+//! hook, and every other entry is ingested by reference. The walk
+//! *memoizes* repeated rules: a loop body with
 //! no intervening synchronization is annotated a bounded number of
 //! times and its remaining repetitions are applied in O(1), so the
 //! annotation pass runs sublinearly in the expanded trace length —
@@ -459,8 +463,22 @@ impl Walker<'_> {
                 self.walk(s, c);
             }
         } else {
-            let ev = self.delta.decode(&ct.dict[sym as usize]);
-            self.ann.ingest(&ev);
+            // Only an element access differs from its delta form: it goes
+            // to the access hook with its absolute index, and every other
+            // entry is ingested by reference.
+            let ev = &ct.dict[sym as usize];
+            if let Event::Access {
+                t,
+                kind,
+                loc: Loc::Elem(arr, d),
+            } = *ev
+            {
+                let i = self.delta.advance(t.0, arr.0, d);
+                self.ann.events += 1;
+                self.ann.access(t, kind, Loc::Elem(arr, i));
+            } else {
+                self.ann.ingest(ev);
+            }
         }
     }
 

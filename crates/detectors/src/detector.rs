@@ -99,6 +99,12 @@ impl Detector {
     pub fn finish(mut self) -> Stats {
         self.ann.finish()
     }
+
+    /// Drops the detector without publishing anything, as if it had
+    /// never run: replay of a malformed trace reports only the error.
+    pub(crate) fn discard(mut self) {
+        self.ann.finished = true;
+    }
 }
 
 impl Drop for Detector {

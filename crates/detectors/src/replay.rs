@@ -1,16 +1,20 @@
 //! Raw-trace (`BFTR`) replay.
 //!
-//! [`replay_trace`] decodes a *recorded* trace (see `bigfoot_bfj::trace`)
-//! event by event and feeds each one to the engine's annotator
-//! (`crate::engine`) driving one inline [`ShardState`], exactly as the
-//! serial [`Detector`](crate::Detector) does for a live run: every check
-//! is applied the moment it is annotated, and its races go straight into
-//! [`Stats`] in trace order. The report is therefore byte-identical to
-//! the serial detector's over the same event stream.
+//! [`replay_trace`] is the serial [`Detector`] fed by the trace decoder:
+//! `bigfoot_bfj::trace::decode_into` decodes each event straight into the
+//! detector's typed hooks — an access into `access`, a check into `check`
+//! with its paths borrowed from the decoder's scratch, anything else into
+//! `event` — so no owned [`Event`] is built per event. The engine's
+//! annotator (`crate::engine`) drives one inline shard, exactly as for a
+//! live run: every check is applied the moment it is annotated, and its
+//! races go straight into [`Stats`] in trace order. The report is
+//! therefore byte-identical to the serial detector's over the same event
+//! stream.
 
-use crate::engine::{Annotator, ArrayEngine, CheckSource, ItemSink, ProxyTable, ShardState};
+use crate::engine::{Annotator, ArrayEngine, CheckSource, ItemSink, ProxyTable};
 use crate::stats::Stats;
-use bigfoot_bfj::trace::{read_event, read_header, TraceError};
+use crate::Detector;
+use bigfoot_bfj::trace::{decode_into, read_header, Decoder, TraceError};
 use bigfoot_bfj::Event;
 
 /// Streaming decoder over a serialized trace buffer.
@@ -33,21 +37,27 @@ use bigfoot_bfj::Event;
 pub struct TraceReader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    decoder: Decoder,
 }
 
 impl<'a> TraceReader<'a> {
     /// Validates the header and positions the reader at the first event.
     pub fn new(bytes: &'a [u8]) -> Result<TraceReader<'a>, TraceError> {
         let pos = read_header(bytes)?;
-        Ok(TraceReader { bytes, pos })
+        Ok(TraceReader {
+            bytes,
+            pos,
+            decoder: Decoder::default(),
+        })
     }
 }
 
 impl Iterator for TraceReader<'_> {
     type Item = Result<Event, TraceError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        match read_event(self.bytes, &mut self.pos) {
+        match self.decoder.read_event(self.bytes, &mut self.pos) {
             Ok(Some(ev)) => Some(Ok(ev)),
             Ok(None) => None,
             Err(e) => {
@@ -170,13 +180,20 @@ impl ReplayConfig {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn replay_trace(bytes: &[u8], config: &ReplayConfig) -> Result<Stats, TraceError> {
-    let mut annotator = config.annotator(ShardState::new(config.engine));
+    let mut det = Detector::new(
+        "replay",
+        config.source,
+        config.engine,
+        config.proxies.clone(),
+    );
     let _span = bigfoot_obs::span!("replay.annotate");
-    let mut pos = read_header(bytes)?;
-    while let Some(ev) = read_event(bytes, &mut pos)? {
-        annotator.ingest(&ev);
+    match decode_into(bytes, &mut det) {
+        Ok(_) => Ok(det.finish()),
+        Err(e) => {
+            det.discard();
+            Err(e)
+        }
     }
-    Ok(annotator.finish())
 }
 
 #[cfg(test)]

@@ -11,14 +11,16 @@
 //! the same rule: an instrumented loop program run on `CompiledVm` into
 //! `Detector::bigfoot` must allocate as much at 10·N iterations as at N,
 //! so an executed check, its accesses and its syncs allocate nothing.
+//! Replay of the same program's recorded trace meets the same rule: the
+//! decoder builds no owned event and reuses its check scratch.
 //! Lives in its own integration binary because the allocator is
 //! process-global.
 
 use bigfoot_bfj::{
     compile, parse_program, ArrId, CheckTarget, CompiledVm, ConcreteRange, Event, EventSink, Loc,
-    ObjId, SchedPolicy,
+    ObjId, SchedPolicy, TraceWriter,
 };
-use bigfoot_detectors::{Detector, ProxyTable};
+use bigfoot_detectors::{replay_trace, Detector, ProxyTable, ReplayConfig};
 use bigfoot_shadow::FieldGrouping;
 use bigfoot_vc::{AccessKind, Tid};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -278,4 +280,45 @@ fn vm_checks_into_bigfoot_allocate_nothing_per_iteration() {
         large, small,
         "allocations grew with the iteration count: {small} at N, {large} at 10N"
     );
+}
+
+/// The instrumented `n`-iteration loop program, recorded on `CompiledVm`.
+fn recorded_loop(n: u32) -> Vec<u8> {
+    let program = compile(&parse_program(&loop_program(n)).expect("parse"));
+    let mut w = TraceWriter::new();
+    CompiledVm::new(&program, SchedPolicy::default())
+        .run(&mut w)
+        .expect("run");
+    w.into_bytes()
+}
+
+#[test]
+fn replayed_checks_allocate_nothing_per_iteration() {
+    // The decoder hands each check to the detector with its paths
+    // borrowed from reused scratch, so replay is held to the live rule.
+    const N: u32 = 50;
+    let (small, large) = (recorded_loop(N), recorded_loop(10 * N));
+    for (name, config) in [
+        ("BigFoot", ReplayConfig::bigfoot(ProxyTable::identity(), 1)),
+        ("FastTrack", ReplayConfig::fasttrack(1)),
+    ] {
+        let replay = |bytes: &[u8]| {
+            let (allocations, stats) =
+                allocations_during(|| replay_trace(bytes, &config).expect("replay"));
+            assert!(!stats.has_races(), "{name}: {:?}", stats.races);
+            (allocations, stats.checks)
+        };
+        // Warm-up: one-time registrations (obs counters, thread-locals).
+        replay(&small);
+        let (at_n, n_checks) = replay(&small);
+        let (at_10n, checks_10n) = replay(&large);
+        assert!(
+            checks_10n >= 10 * n_checks - 40,
+            "{name}: the checks run per iteration: {n_checks} at N, {checks_10n} at 10N"
+        );
+        assert_eq!(
+            at_10n, at_n,
+            "{name}: replay allocations grew with the iteration count: {at_n} at N, {at_10n} at 10N"
+        );
+    }
 }

@@ -1159,7 +1159,10 @@ mod tests {
             let err = run(args.iter().map(|a| a.to_string()).collect())
                 .unwrap_err()
                 .to_string();
-            assert!(err.contains("unknown flag `--replay-workers`"), "{cmd}: {err}");
+            assert!(
+                err.contains("unknown flag `--replay-workers`"),
+                "{cmd}: {err}"
+            );
         }
     }
 
