@@ -26,8 +26,9 @@
 //! builds no owned [`Event`] per event. [`decode_into`] runs it over a
 //! whole trace; [`read_event`] is the same decoder into a one-event
 //! capturing sink, for callers that keep the events (the replay engine's
-//! `TraceReader`, the compressed container's dictionary, the fuzz
-//! round-trip oracle).
+//! `TraceReader`, the fuzz round-trip oracle). The compressed container's
+//! dictionary keeps no events: each use of an entry decodes its bytes
+//! through the typed face.
 
 use crate::event::{ArrId, CheckRef, ConcreteRange, Event, EventSink, Loc, ObjId};
 use crate::interp::MAX_ARRAY_LEN;

@@ -48,20 +48,31 @@
 //! Symbols `0..dict_len` are dictionary entries; symbol `dict_len + i`
 //! is rule `i`. A rule may reference only dictionary entries and
 //! *earlier* rules, so every accepted grammar is acyclic by
-//! construction. The decoder validates counts, symbol references,
-//! expansion size and nesting depth up front ([`read_compressed`]), so
-//! expansion ([`decompress_to`]) cannot run away on crafted input.
+//! construction.
+//!
+//! Reading a container builds no owned [`Event`]. [`read_grammar`] keeps
+//! the dictionary as the container's bytes: a [`Grammar`] holds where
+//! each entry ends, the rule bodies, and each rule's expansion size and
+//! nesting depth. Each use of an entry decodes it through the one typed
+//! [`Decoder`] into a sink ([`Grammar::decode_entry`]), and [`Absolute`]
+//! restores an element access's index on the way. The top-level sequence
+//! is not stored: [`Grammar::walk_top`] reads it from the bytes and hands
+//! on each pair as it is read. Counts, symbol references, expansion size
+//! and nesting depth are validated as each part is read, with the same
+//! errors in the same order whoever reads it. [`read_compressed`] runs the
+//! whole validation up front, so expansion ([`decompress_to`]) cannot run
+//! away on crafted input.
 //!
 //! Compressed detection in `bigfoot-detectors` walks this grammar
-//! directly (memoizing pure rules) instead of expanding it; the
-//! byte-stream round trip ([`compress`] / [`decompress`]) is pinned
-//! exact by tests and the fuzz oracle.
+//! directly (summing count-only symbols, memoizing pure rules) instead
+//! of expanding it; the byte-stream round trip ([`compress`] /
+//! [`decompress`]) is pinned exact by tests and the fuzz oracle.
 
 use super::{
     decode_into, encode_access, encode_check, encode_event, get_u64, i64_len, put_u64, Decoder,
     TraceError, TRACE_MAGIC, TRACE_VERSION,
 };
-use crate::event::{CheckRef, Event, EventSink, Loc};
+use crate::event::{CheckRef, Event, EventSink, Loc, NullSink};
 use bigfoot_obs::fx::FxHashMap;
 use bigfoot_vc::{AccessKind, Tid};
 use std::collections::hash_map::{Entry, RandomState};
@@ -128,34 +139,176 @@ impl DeltaState {
     }
 }
 
+/// The dictionary and rules of a container, over its bytes: everything a
+/// walk needs before the top-level sequence, which [`Grammar::walk_top`]
+/// reads from the bytes.
+///
+/// Invariants established by [`read_grammar`]: every dictionary entry
+/// decodes; every rule references only dictionary entries and earlier
+/// rules, with counts ≥ 1, an expansion ≤ [`MAX_EXPANSION`] and nesting
+/// ≤ [`MAX_RULE_DEPTH`]. A dictionary entry is kept as its byte range, so
+/// the grammar holds no owned [`Event`]: each use decodes the entry
+/// through the one [`Decoder`] ([`Grammar::decode_entry`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Grammar<'a> {
+    bytes: &'a [u8],
+    /// Where the first dictionary entry starts.
+    dict_start: usize,
+    /// Where each dictionary entry's encoding ends in `bytes`; entry `k`
+    /// starts where entry `k - 1` ends.
+    dict_ends: Vec<usize>,
+    /// Every rule body, rule after rule.
+    rule_pairs: Vec<Pair>,
+    /// Per rule: where its body ends in `rule_pairs`, its expansion size
+    /// and its nesting depth.
+    rules: Vec<RuleInfo>,
+    /// Where the top-level sequence starts (its pair count).
+    top_at: usize,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RuleInfo {
+    end: usize,
+    size: u64,
+    depth: u32,
+}
+
 /// A parsed, fully validated compressed trace.
 ///
 /// Invariants established by [`read_compressed`] (and by construction in
-/// the writer): every symbol reference points at a dictionary entry or
-/// an earlier rule; every count is ≥ 1; the expansion totals
-/// [`CompressedTrace::total_events`] ≤ [`MAX_EXPANSION`]; rule nesting
-/// is ≤ [`MAX_RULE_DEPTH`].
+/// the writer): those of [`Grammar`], and a top-level sequence whose
+/// symbols are defined, whose counts are ≥ 1 and whose expansion totals
+/// [`CompressedTrace::total_events`] ≤ [`MAX_EXPANSION`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedTrace {
-    /// Distinct delta-form events, indexed by symbol id.
-    pub dict: Vec<Event>,
-    /// Grammar rules; rule `i` is symbol `dict.len() + i`.
-    pub rules: Vec<Vec<Pair>>,
-    /// The top-level run sequence.
-    pub top: Vec<Pair>,
+pub struct CompressedTrace<'a> {
+    /// The dictionary and the rules.
+    pub grammar: Grammar<'a>,
     /// Total number of events the container expands to.
     pub total_events: u64,
 }
 
-impl CompressedTrace {
+impl<'a> Grammar<'a> {
+    /// Number of dictionary entries: symbols `0..dict_len()`.
+    pub fn dict_len(&self) -> usize {
+        self.dict_ends.len()
+    }
+
+    /// Number of rules: rule `i` is symbol `dict_len() + i`.
+    pub fn rule_count(&self) -> usize {
+        self.rules.len()
+    }
+
     /// True if `sym` names a rule (as opposed to a dictionary entry).
     pub fn is_rule(&self, sym: u64) -> bool {
-        sym >= self.dict.len() as u64
+        sym >= self.dict_ends.len() as u64
     }
 
     /// The body of rule symbol `sym` (panics if `sym` is a terminal).
     pub fn rule_body(&self, sym: u64) -> &[Pair] {
-        &self.rules[(sym - self.dict.len() as u64) as usize]
+        let i = (sym - self.dict_ends.len() as u64) as usize;
+        let start = if i == 0 { 0 } else { self.rules[i - 1].end };
+        &self.rule_pairs[start..self.rules[i].end]
+    }
+
+    /// Decodes dictionary entry `sym` into `sink` through `decoder`. An
+    /// element access arrives in delta form; [`Absolute`] restores its
+    /// index. Panics if `sym` is a rule.
+    #[inline]
+    pub fn decode_entry<S: EventSink>(&self, sym: u64, decoder: &mut Decoder, sink: &mut S) {
+        let k = sym as usize;
+        let mut pos = if k == 0 {
+            self.dict_start
+        } else {
+            self.dict_ends[k - 1]
+        };
+        let decoded = decoder.decode_event(self.bytes, &mut pos, sink);
+        // The entry decoded when the grammar was read, and decoding is a
+        // function of the bytes.
+        debug_assert_eq!((decoded, pos), (Ok(true), self.dict_ends[k]));
+    }
+
+    /// The expansion size and nesting depth of symbol `sym`.
+    #[inline]
+    fn extent(&self, sym: u64) -> (u64, u32) {
+        match sym.checked_sub(self.dict_ends.len() as u64) {
+            None => (1, 0),
+            Some(i) => {
+                let r = self.rules[i as usize];
+                (r.size, r.depth)
+            }
+        }
+    }
+
+    /// Reads the top-level sequence from the bytes and hands each pair to
+    /// `visit` as it is read: the one reader of the top-level sequence,
+    /// behind [`read_compressed`], [`decompress_to`] and compressed replay.
+    /// Returns the number of events the sequence expands to.
+    ///
+    /// Each pair gets the checks [`read_compressed`] applies: a defined
+    /// symbol, a count ≥ 1, nesting ≤ [`MAX_RULE_DEPTH`] and a running
+    /// expansion ≤ [`MAX_EXPANSION`]. After the last pair the claimed
+    /// total must equal the expansion and no byte may follow. On an error
+    /// `visit` has seen the pairs before it. A pair that fails the size or
+    /// nesting check is not visited, but the error waits until the rest of
+    /// the sequence is read, so that it is the one a whole-body validation
+    /// finds.
+    #[inline]
+    pub fn walk_top(&self, mut visit: impl FnMut(u64, u64)) -> Result<u64, TraceError> {
+        let bytes = self.bytes;
+        let mut pos = self.top_at;
+        let pairs = get_u64(bytes, &mut pos)?;
+        let defined = (self.dict_len() + self.rule_count()) as u64;
+        let mut expanded: u128 = 0;
+        for read in 1..=pairs {
+            let (sym, count) = read_pair(bytes, &mut pos, TOP, defined)?;
+            let (size, depth) = self.extent(sym);
+            let sized = add_expansion(&mut expanded, size, count).and_then(|()| {
+                if depth >= MAX_RULE_DEPTH {
+                    return Err(TraceError::RuleTooDeep { rule: TOP });
+                }
+                Ok(())
+            });
+            if let Err(err) = sized {
+                return Err(self.rest_error(err, pos, pairs - read, expanded));
+            }
+            visit(sym, count);
+        }
+        let actual = expanded as u64;
+        let claimed = get_u64(bytes, &mut pos)?;
+        if claimed != actual {
+            return Err(TraceError::ExpansionMismatch { claimed, actual });
+        }
+        if pos != bytes.len() {
+            return Err(TraceError::TrailingBytes { offset: pos });
+        }
+        Ok(actual)
+    }
+
+    /// The error of a top-level sequence whose pair failed with `err`,
+    /// with `left` pairs still to read at `pos`: a rule body is read whole
+    /// before it is sized, so a malformed pair further on is the error
+    /// instead, and so is an oversized expansion after a nesting error.
+    #[cold]
+    fn rest_error(
+        &self,
+        mut err: TraceError,
+        mut pos: usize,
+        left: u64,
+        mut expanded: u128,
+    ) -> TraceError {
+        let defined = (self.dict_len() + self.rule_count()) as u64;
+        for _ in 0..left {
+            let (sym, count) = match read_pair(self.bytes, &mut pos, TOP, defined) {
+                Ok(pair) => pair,
+                Err(e) => return e,
+            };
+            if let TraceError::RuleTooDeep { .. } = err {
+                if let Err(e) = add_expansion(&mut expanded, self.extent(sym).0, count) {
+                    err = e;
+                }
+            }
+        }
+        err
     }
 }
 
@@ -264,8 +417,8 @@ fn smallest_period(pairs: &[Pair], symbols: usize, enough: usize) -> Option<usiz
     best
 }
 
-/// A built grammar.
-struct Grammar {
+/// A grammar as the builder makes it.
+struct BuiltGrammar {
     rules: Vec<Vec<Pair>>,
     /// The top-level sequence.
     top: Vec<Pair>,
@@ -287,7 +440,7 @@ struct Grammar {
 /// smallest period that repeats. One search for that period replaces
 /// them: they count against [`MAX_ROUNDS`] but are not run, and when no
 /// period up to [`MAX_PERIOD`] repeats, the build ends.
-fn build_grammar(mut pairs: Vec<Pair>, dict_len: u64) -> Grammar {
+fn build_grammar(mut pairs: Vec<Pair>, dict_len: u64) -> BuiltGrammar {
     let mut rules: Vec<Vec<Pair>> = Vec::new();
     let mut body_index: HashMap<Vec<Pair>, u64> = HashMap::new();
     let mut period_cap = 2usize;
@@ -317,7 +470,7 @@ fn build_grammar(mut pairs: Vec<Pair>, dict_len: u64) -> Grammar {
         }
         period_cap = (period_cap * 2).min(MAX_PERIOD);
     }
-    Grammar {
+    BuiltGrammar {
         rules,
         top: pairs,
         rounds,
@@ -420,7 +573,7 @@ impl CompressedTraceWriter {
         // The index is done with; free it before the grammar build.
         drop(self.dict_index);
         drop(self.ends);
-        let Grammar {
+        let BuiltGrammar {
             rules,
             top: pairs,
             rounds,
@@ -525,31 +678,104 @@ pub fn read_compressed_header(bytes: &[u8]) -> Result<usize, TraceError> {
     Ok(COMPRESSED_MAGIC.len() + 1)
 }
 
-/// Reads one `(npairs, pair*)` body, validating counts and symbol
-/// references against the symbols defined so far.
-fn read_body(
+/// Reads one `(sym, count)` pair of rule `rule` (`u64::MAX` for the
+/// top-level sequence), checking that the symbol is among the
+/// `defined_syms` defined so far and that the count is at least 1.
+#[inline(always)]
+fn read_pair(
     bytes: &[u8],
     pos: &mut usize,
     rule: u64,
     defined_syms: u64,
-) -> Result<Vec<Pair>, TraceError> {
-    let n = get_u64(bytes, pos)? as usize;
-    // Length words are untrusted: cap pre-allocation at what the
-    // remaining bytes could possibly hold (≥ 2 bytes per pair).
-    let mut body = Vec::with_capacity(n.min(bytes.len().saturating_sub(*pos) / 2 + 1));
-    for _ in 0..n {
-        let sym = get_u64(bytes, pos)?;
-        let count = get_u64(bytes, pos)?;
-        if sym >= defined_syms {
-            return Err(TraceError::BadRuleRef { rule, sym });
-        }
-        if count == 0 {
-            return Err(TraceError::BadCount { rule });
-        }
-        body.push((sym, count));
+) -> Result<Pair, TraceError> {
+    let sym = get_u64(bytes, pos)?;
+    let count = get_u64(bytes, pos)?;
+    if sym >= defined_syms {
+        return Err(TraceError::BadRuleRef { rule, sym });
     }
-    Ok(body)
+    if count == 0 {
+        return Err(TraceError::BadCount { rule });
+    }
+    Ok((sym, count))
 }
+
+/// Adds `count` repetitions of a symbol of size `size` to the running
+/// expansion `total`, which may not pass [`MAX_EXPANSION`].
+#[inline(always)]
+fn add_expansion(total: &mut u128, size: u64, count: u64) -> Result<(), TraceError> {
+    *total += size as u128 * count as u128;
+    if *total > MAX_EXPANSION as u128 {
+        return Err(TraceError::OversizedExpansion {
+            claimed: (*total).min(u64::MAX as u128) as u64,
+        });
+    }
+    Ok(())
+}
+
+/// Parses and validates a container's dictionary and rules, handing each
+/// dictionary entry, in delta form, to `dict_sink` as it is decoded.
+/// The top-level sequence is left to [`Grammar::walk_top`], which
+/// validates it as it reads it.
+pub fn read_grammar<'a, S: EventSink>(
+    bytes: &'a [u8],
+    dict_sink: &mut S,
+) -> Result<Grammar<'a>, TraceError> {
+    let mut pos = read_compressed_header(bytes)?;
+
+    let dict_len = get_u64(bytes, &mut pos)? as usize;
+    let dict_start = pos;
+    // Length words are untrusted: cap pre-allocation at what the
+    // remaining bytes could possibly hold (≥ 1 byte per entry).
+    let mut dict_ends = Vec::with_capacity(dict_len.min(bytes.len() - pos));
+    let mut decoder = Decoder::default();
+    for _ in 0..dict_len {
+        if !decoder.decode_event(bytes, &mut pos, dict_sink)? {
+            return Err(TraceError::Truncated { offset: pos });
+        }
+        dict_ends.push(pos);
+    }
+
+    let rule_count = get_u64(bytes, &mut pos)? as usize;
+    let mut grammar = Grammar {
+        bytes,
+        dict_start,
+        dict_ends,
+        rule_pairs: Vec::new(),
+        // ≥ 1 byte per rule.
+        rules: Vec::with_capacity(rule_count.min(bytes.len() - pos)),
+        top_at: 0,
+    };
+    for i in 0..rule_count {
+        let rule = i as u64;
+        let defined = (dict_len + i) as u64;
+        let start = grammar.rule_pairs.len();
+        let n = get_u64(bytes, &mut pos)?;
+        for _ in 0..n {
+            let pair = read_pair(bytes, &mut pos, rule, defined)?;
+            grammar.rule_pairs.push(pair);
+        }
+        let mut size: u128 = 0;
+        let mut depth: u32 = 0;
+        for &(sym, count) in &grammar.rule_pairs[start..] {
+            let (s, d) = grammar.extent(sym);
+            add_expansion(&mut size, s, count)?;
+            depth = depth.max(d + 1);
+        }
+        if depth > MAX_RULE_DEPTH {
+            return Err(TraceError::RuleTooDeep { rule });
+        }
+        grammar.rules.push(RuleInfo {
+            end: grammar.rule_pairs.len(),
+            size: size as u64,
+            depth,
+        });
+    }
+    grammar.top_at = pos;
+    Ok(grammar)
+}
+
+/// The rule number that errors give the top-level sequence.
+const TOP: u64 = u64::MAX;
 
 /// Parses and fully validates a `BFTC` container.
 ///
@@ -558,111 +784,92 @@ fn read_body(
 /// expansion size = `total_events` ≤ [`MAX_EXPANSION`], and no trailing
 /// bytes. Corrupt input gets a typed [`TraceError`], never a panic or
 /// unbounded allocation.
-pub fn read_compressed(bytes: &[u8]) -> Result<CompressedTrace, TraceError> {
-    let mut pos = read_compressed_header(bytes)?;
-
-    let dict_len = get_u64(bytes, &mut pos)? as usize;
-    let mut dict = Vec::with_capacity(dict_len.min(bytes.len().saturating_sub(pos) + 1));
-    let mut decoder = Decoder::default();
-    for _ in 0..dict_len {
-        match decoder.read_event(bytes, &mut pos)? {
-            Some(ev) => dict.push(ev),
-            None => return Err(TraceError::Truncated { offset: pos }),
-        }
-    }
-
-    let rule_count = get_u64(bytes, &mut pos)? as usize;
-    let mut rules = Vec::with_capacity(rule_count.min(bytes.len().saturating_sub(pos) + 1));
-    // sizes[sym] / depth[sym] for every defined symbol; terminals are
-    // size 1, depth 0.
-    let mut sizes: Vec<u64> = vec![1; dict.len()];
-    let mut depths: Vec<u32> = vec![0; dict.len()];
-    let expand_of = |body: &[Pair], rule: u64, sizes: &[u64], depths: &[u32]| {
-        let mut size: u128 = 0;
-        let mut depth: u32 = 0;
-        for &(sym, count) in body {
-            size += sizes[sym as usize] as u128 * count as u128;
-            depth = depth.max(depths[sym as usize] + 1);
-            if size > MAX_EXPANSION as u128 {
-                return Err(TraceError::OversizedExpansion {
-                    claimed: size.min(u64::MAX as u128) as u64,
-                });
-            }
-        }
-        if depth > MAX_RULE_DEPTH {
-            return Err(TraceError::RuleTooDeep { rule });
-        }
-        Ok((size as u64, depth))
-    };
-    for i in 0..rule_count {
-        let rule = i as u64;
-        let body = read_body(bytes, &mut pos, rule, (dict.len() + i) as u64)?;
-        let (size, depth) = expand_of(&body, rule, &sizes, &depths)?;
-        sizes.push(size);
-        depths.push(depth);
-        rules.push(body);
-    }
-
-    let top = read_body(bytes, &mut pos, u64::MAX, (dict.len() + rules.len()) as u64)?;
-    let (actual, _) = expand_of(&top, u64::MAX, &sizes, &depths)?;
-
-    let claimed = get_u64(bytes, &mut pos)?;
-    if claimed != actual {
-        return Err(TraceError::ExpansionMismatch { claimed, actual });
-    }
-    if pos != bytes.len() {
-        return Err(TraceError::TrailingBytes { offset: pos });
-    }
+pub fn read_compressed(bytes: &[u8]) -> Result<CompressedTrace<'_>, TraceError> {
+    let grammar = read_grammar(bytes, &mut NullSink)?;
+    let total_events = grammar.walk_top(|_, _| {})?;
     Ok(CompressedTrace {
-        dict,
-        rules,
-        top,
-        total_events: actual,
+        grammar,
+        total_events,
     })
 }
 
-/// Replays a compressed container into any [`EventSink`], undoing the
-/// delta transform. Returns the number of events emitted.
-pub fn decompress_to<S: EventSink>(bytes: &[u8], sink: &mut S) -> Result<u64, TraceError> {
-    let ct = read_compressed(bytes)?;
-    let mut delta = DeltaState::default();
-    let mut emitted = 0u64;
-    for &(sym, count) in &ct.top {
-        expand(&ct, sym, count, &mut delta, sink, &mut emitted);
-    }
-    debug_assert_eq!(emitted, ct.total_events);
-    Ok(emitted)
+/// An [`EventSink`] adapter that restores the absolute index of each
+/// delta-form element access, tracking the streams in `delta`, and hands
+/// every event on to `sink`: what a walk over a [`Grammar`] puts between
+/// [`Grammar::decode_entry`] and the consumer of the expanded trace.
+#[derive(Debug)]
+pub struct Absolute<'s, S> {
+    /// The per-`(thread, array)` stream positions.
+    pub delta: &'s mut DeltaState,
+    /// The consumer.
+    pub sink: &'s mut S,
 }
 
-/// Expands one `(sym, count)` run into `sink`. Recursion depth is the
-/// rule nesting depth, ≤ [`MAX_RULE_DEPTH`] by validation.
-fn expand<S: EventSink>(
-    ct: &CompressedTrace,
-    sym: u64,
-    count: u64,
-    delta: &mut DeltaState,
-    sink: &mut S,
-    emitted: &mut u64,
-) {
-    if ct.is_rule(sym) {
+impl<S: EventSink> EventSink for Absolute<'_, S> {
+    #[inline]
+    fn event(&mut self, ev: &Event) {
+        self.sink.event(ev);
+    }
+
+    #[inline]
+    fn access(&mut self, t: Tid, kind: AccessKind, loc: Loc) {
+        let loc = match loc {
+            Loc::Elem(arr, d) => Loc::Elem(arr, self.delta.advance(t.0, arr.0, d)),
+            field => field,
+        };
+        self.sink.access(t, kind, loc);
+    }
+
+    #[inline]
+    fn check(&mut self, t: Tid, paths: &[(AccessKind, CheckRef<'_>)]) {
+        self.sink.check(t, paths);
+    }
+}
+
+/// Replays a compressed container into any [`EventSink`], undoing the
+/// delta transform. Returns the number of events emitted. The container
+/// is validated first, so on an error nothing reaches `sink`.
+pub fn decompress_to<S: EventSink>(bytes: &[u8], sink: &mut S) -> Result<u64, TraceError> {
+    let ct = read_compressed(bytes)?;
+    let mut x = Expansion {
+        grammar: &ct.grammar,
+        decoder: Decoder::default(),
+        delta: DeltaState::default(),
+        emitted: 0,
+    };
+    // Validated above, so the pairs read again without an error.
+    ct.grammar
+        .walk_top(|sym, count| x.expand(sym, count, sink))?;
+    debug_assert_eq!(x.emitted, ct.total_events);
+    Ok(x.emitted)
+}
+
+/// The plain expansion of a grammar into a sink.
+struct Expansion<'g, 'a> {
+    grammar: &'g Grammar<'a>,
+    decoder: Decoder,
+    delta: DeltaState,
+    emitted: u64,
+}
+
+impl Expansion<'_, '_> {
+    /// Expands one `(sym, count)` run into `sink`. Recursion depth is the
+    /// rule nesting depth, ≤ [`MAX_RULE_DEPTH`] by validation.
+    fn expand<S: EventSink>(&mut self, sym: u64, count: u64, sink: &mut S) {
+        let g = self.grammar;
         for _ in 0..count {
-            for &(s, c) in ct.rule_body(sym) {
-                expand(ct, s, c, delta, sink, emitted);
+            if g.is_rule(sym) {
+                for &(s, c) in g.rule_body(sym) {
+                    self.expand(s, c, sink);
+                }
+            } else {
+                let mut abs = Absolute {
+                    delta: &mut self.delta,
+                    sink,
+                };
+                g.decode_entry(sym, &mut self.decoder, &mut abs);
+                self.emitted += 1;
             }
-        }
-    } else {
-        let template = &ct.dict[sym as usize];
-        for _ in 0..count {
-            // Only an element access differs from its delta form.
-            match *template {
-                Event::Access {
-                    t,
-                    kind,
-                    loc: Loc::Elem(arr, d),
-                } => sink.access(t, kind, Loc::Elem(arr, delta.advance(t.0, arr.0, d))),
-                _ => sink.event(template),
-            }
-            *emitted += 1;
         }
     }
 }
@@ -752,7 +959,10 @@ mod tests {
             compressed.len()
         );
         let ct = read_compressed(&compressed).expect("parse");
-        assert!(!ct.rules.is_empty(), "loop body should become a rule");
+        assert!(
+            ct.grammar.rule_count() > 0,
+            "loop body should become a rule"
+        );
     }
 
     #[test]

@@ -400,6 +400,41 @@ mod compressed {
     }
 
     #[test]
+    fn a_top_level_error_is_the_first_whole_sequence_error() {
+        // The top-level sequence is read whole before it is sized: a bad
+        // reference after an oversized pair is the error…
+        let bytes = container(&[], &[(0, 1 << 41), (7, 1)], 1);
+        assert_eq!(
+            read_compressed(&bytes),
+            Err(TraceError::BadRuleRef {
+                rule: u64::MAX,
+                sym: 7
+            })
+        );
+        // …as is a cut after it…
+        let bytes = container(&[], &[(0, 1 << 41), (0, 1)], 1);
+        assert!(matches!(
+            read_compressed(&bytes[..bytes.len() - 2]),
+            Err(TraceError::Truncated { .. })
+        ));
+        // …and an oversized expansion after a pair nested too deep.
+        let mut rules: Vec<Vec<(u64, u64)>> = vec![vec![(0, 1)]];
+        for i in 1..64u64 {
+            rules.push(vec![(i, 1)]);
+        }
+        let bytes = container(&rules, &[(64, 1), (0, 1 << 41)], 1);
+        assert!(matches!(
+            read_compressed(&bytes),
+            Err(TraceError::OversizedExpansion { .. })
+        ));
+        let bytes = container(&rules, &[(64, 1), (0, 1)], 2);
+        assert_eq!(
+            read_compressed(&bytes),
+            Err(TraceError::RuleTooDeep { rule: u64::MAX })
+        );
+    }
+
+    #[test]
     fn wrong_expansion_total_is_rejected() {
         let bytes = container(&[vec![(0, 4)]], &[(1, 2)], 9);
         assert_eq!(

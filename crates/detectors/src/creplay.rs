@@ -3,16 +3,32 @@
 //! Raw-trace replay (`crate::replay`) decodes every event straight into
 //! the typed hooks of the serial detector, whose annotator applies each
 //! check to one inline shard. This module drives the same annotator and
-//! shard from a walk over the compressed grammar. A dictionary entry is
-//! expanded without a copy: a delta-form element access resolves its
-//! absolute index in [`DeltaState`] and goes to the annotator's access
-//! hook, and every other entry is ingested by reference. The walk
-//! *memoizes* repeated rules: a loop body with
-//! no intervening synchronization is annotated a bounded number of
-//! times and its remaining repetitions are applied in O(1), so the
-//! annotation pass runs sublinearly in the expanded trace length —
+//! shard from a walk over the compressed grammar, and spends work only
+//! where the configuration does:
+//!
+//! - **Count-only symbols are summed.** A detector that takes its checks
+//!   from instrumentation (BigFoot, RedCard, SlimCard) only counts a raw
+//!   access, and one that checks raw accesses (FastTrack, SlimState) only
+//!   counts a `check` event. A symbol whose whole expansion is such events
+//!   carries the `(events, reads, writes)` tallies of one expansion, and a
+//!   run of it adds `count ×` those tallies in O(1): at any count, inside a
+//!   memoization probe too, and without decoding an entry.
+//! - **Pure runs are memoized.** A loop body with no intervening
+//!   synchronization is annotated a bounded number of times and its
+//!   remaining repetitions are applied in O(1).
+//! - **Nothing is materialized.** The dictionary stays the container's
+//!   bytes ([`Grammar`]): an entry the walk does expand is decoded through
+//!   the one typed [`Decoder`] into the annotator's hooks, a delta-form
+//!   element access getting its absolute index from [`DeltaState`] on the
+//!   way ([`Absolute`]). The top-level sequence is walked as it is read
+//!   from the bytes ([`Grammar::walk_top`]), so no pair list is built.
+//!
+//! So the annotation pass runs sublinearly in the expanded trace length,
 //! while the final [`Stats`] stay byte-identical to [`replay_trace`]
-//! (and hence to the serial detector).
+//! (and hence to the serial detector). A container found malformed
+//! part-way through the walk is an error, with the error
+//! [`read_compressed`](bigfoot_bfj::read_compressed) gives, and the
+//! partial run is dropped unpublished.
 //!
 //! # Why skipping repetitions is sound
 //!
@@ -52,16 +68,29 @@
 //! `shadow_ops` accounting uses a measured bracket: the walker reads the
 //! shard's tally before and after the third repetition and adds the
 //! difference once per skipped repetition.
+//!
+//! Summing a count-only symbol needs no probe. The annotator's hook for
+//! such an event changes its counters and nothing else: under
+//! instrumentation checks a raw access adds one to `events` and to
+//! `reads` or `writes`, and under raw-access checks a `check` event adds
+//! one to `events`. No clock, shadow cell, footprint or race report reads
+//! those counters, so `count` repetitions add exactly `count ×` one
+//! expansion's tallies wherever they fall, with or without sync around
+//! them. The delta streams of summed raw accesses are not advanced; under
+//! instrumentation checks no raw index reaches the shadow (check events
+//! carry absolute ranges), so nothing reads them. Every symbol's expansion
+//! and the container's are validated ≤ 2^40 events, so every product and
+//! sum stays in `u64`.
 
 use crate::engine::{Act, Annotator, ArrayEngine, CheckSource, ItemSink, ShardState};
 use crate::replay::ReplayConfig;
 use crate::stats::Stats;
-use bigfoot_bfj::trace::compress::{read_compressed, CompressedTrace, DeltaState};
-use bigfoot_bfj::trace::TraceError;
-use bigfoot_bfj::{ArrId, CheckTarget, ConcreteRange, Event, Loc, ObjId};
-use bigfoot_obs::fx::FxHashMap;
+use bigfoot_bfj::trace::compress::{read_grammar, Absolute, DeltaState, Grammar, Pair};
+use bigfoot_bfj::trace::{Decoder, TraceError};
+use bigfoot_bfj::{ArrId, CheckRef, ConcreteRange, Event, EventSink, Loc, ObjId};
 use bigfoot_shadow::FieldGrouping;
 use bigfoot_vc::{AccessKind, Tid};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Minimum run length worth memoizing: three repetitions are expanded
@@ -83,6 +112,9 @@ pub struct CompressedReplayReport {
 
 // ---------------- per-symbol static analysis ----------------
 
+/// A `(thread, array)` delta stream.
+type StreamKey = (u32, u32);
+
 /// Per-`(thread, array)` stream summary of one symbol's expansion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StreamInfo {
@@ -96,105 +128,203 @@ struct StreamInfo {
     writes: bool,
 }
 
+/// What one expansion of a count-only symbol adds to the tallies.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    events: u64,
+    reads: u64,
+    writes: u64,
+}
+
+impl Tally {
+    /// `self += times × other`. A rule's tallies are at most its
+    /// expansion size, validated ≤ 2^40, so this cannot overflow.
+    fn add(&mut self, other: Tally, times: u64) {
+        self.events += other.events * times;
+        self.reads += other.reads * times;
+        self.writes += other.writes * times;
+    }
+}
+
 /// What the walker needs to know about a symbol before running it.
-#[derive(Debug, Clone, Default)]
-struct SymInfo {
-    /// Pure (only `Access`/`Check` events) and its stream deltas fit in
-    /// `i64` — the preconditions for attempting memoization.
-    memoable: bool,
-    /// Touched streams, sorted by key for deterministic iteration.
-    streams: Vec<((u32, u32), StreamInfo)>,
+#[derive(Debug, Clone, Copy)]
+enum SymInfo {
+    /// The configuration only counts its whole expansion: raw accesses
+    /// when checks come from instrumentation, checks when they come from
+    /// raw accesses. A run of it is summed as `count × tally`.
+    Counted(Tally),
+    /// Pure (only `Access`/`Check` events), touches shadow state, and its
+    /// stream deltas fit in `i64`: a memoization candidate. Its touched
+    /// streams are `streams[start..end]` of the [`Analysis`].
+    Pure { start: usize, end: usize },
+    /// Anything else: always expanded.
+    Expanded,
 }
 
-fn finish_info(memoable: bool, streams: FxHashMap<(u32, u32), StreamInfo>) -> SymInfo {
-    if !memoable {
-        return SymInfo {
-            memoable,
+/// The per-symbol analysis: classifies each dictionary entry as the
+/// container's dictionary is read (it is the dictionary's sink), then each
+/// rule from its body. Rules reference only earlier symbols, so one
+/// forward pass suffices. Every symbol's streams share one arena.
+struct Analysis {
+    source: CheckSource,
+    /// Raw element accesses push footprints: raw accesses are checked,
+    /// under the footprint engine (the fine engine applies items instead,
+    /// which the probe compares directly).
+    raw_fp: bool,
+    /// Check ranges push footprints: instrumentation checks, under the
+    /// footprint engine.
+    chk_fp: bool,
+    info: Vec<SymInfo>,
+    streams: Vec<(StreamKey, StreamInfo)>,
+    /// A rule's child streams, scaled by their counts, before merging.
+    scratch: Vec<(StreamKey, i128, bool, bool)>,
+}
+
+impl Analysis {
+    fn new(config: &ReplayConfig) -> Analysis {
+        let footprint = config.engine == ArrayEngine::Footprint;
+        Analysis {
+            source: config.source,
+            raw_fp: footprint && config.source == CheckSource::RawAccesses,
+            chk_fp: footprint && config.source == CheckSource::CheckEvents,
+            info: Vec::new(),
             streams: Vec::new(),
-        };
+            scratch: Vec::new(),
+        }
     }
-    let mut streams: Vec<_> = streams.into_iter().collect();
-    streams.sort_unstable_by_key(|(k, _)| *k);
-    SymInfo { memoable, streams }
-}
 
-/// Computes purity, net stream deltas, and footprint-touch flags for
-/// every symbol. Rules reference only earlier symbols, so one forward
-/// pass suffices.
-fn analyze(ct: &CompressedTrace, config: &ReplayConfig) -> Vec<SymInfo> {
-    // Which event kind actually pushes footprints under this config:
-    // raw accesses do iff the source is RawAccesses, check ranges do
-    // iff the source is CheckEvents — and either only under the
-    // Footprint engine (the fine engine emits items instead, which the
-    // probe compares directly).
-    let raw_fp =
-        config.source == CheckSource::RawAccesses && config.engine == ArrayEngine::Footprint;
-    let chk_fp =
-        config.source == CheckSource::CheckEvents && config.engine == ArrayEngine::Footprint;
-    let mut out: Vec<SymInfo> = Vec::with_capacity(ct.dict.len() + ct.rules.len());
-    for ev in &ct.dict {
-        let mut streams: FxHashMap<(u32, u32), StreamInfo> = FxHashMap::default();
-        let memoable = match ev {
-            Event::Access { t, kind, loc } => {
-                if let Loc::Elem(arr, d) = loc {
-                    let si = streams.entry((t.0, arr.0)).or_default();
-                    si.net = *d;
-                    if raw_fp {
-                        match kind {
-                            AccessKind::Read => si.reads = true,
-                            AccessKind::Write => si.writes = true,
-                        }
-                    }
-                }
-                true
-            }
-            Event::Check { t, paths } => {
-                for (kind, target) in paths {
-                    if let CheckTarget::Range(arr, r) = target {
-                        let si = streams.entry((t.0, arr.0)).or_default();
-                        if chk_fp && !r.is_empty() {
-                            match kind {
-                                AccessKind::Read => si.reads = true,
-                                AccessKind::Write => si.writes = true,
-                            }
-                        }
-                    }
-                }
-                true
-            }
-            _ => false,
-        };
-        out.push(finish_info(memoable, streams));
+    /// Classifies every rule of `g`, after its dictionary.
+    fn add_rules(&mut self, g: &Grammar<'_>) {
+        self.info.reserve_exact(g.rule_count());
+        for i in 0..g.rule_count() {
+            let info = self.rule_info(g.rule_body((g.dict_len() + i) as u64));
+            self.info.push(info);
+        }
     }
-    for body in &ct.rules {
-        let mut streams: FxHashMap<(u32, u32), StreamInfo> = FxHashMap::default();
-        let mut memoable = true;
+
+    fn rule_info(&mut self, body: &[Pair]) -> SymInfo {
+        let mut tally = Some(Tally::default());
+        self.scratch.clear();
         for &(sym, count) in body {
-            let child = &out[sym as usize];
-            if !child.memoable {
-                memoable = false;
-                break;
-            }
-            for &(key, csi) in &child.streams {
-                let si = streams.entry(key).or_default();
-                match csi
-                    .net
-                    .checked_mul(count as i64)
-                    .and_then(|x| si.net.checked_add(x))
-                {
-                    Some(v) => si.net = v,
-                    None => memoable = false,
+            match self.info[sym as usize] {
+                SymInfo::Counted(t) => {
+                    if let Some(acc) = &mut tally {
+                        acc.add(t, count);
+                    }
                 }
-                si.reads |= csi.reads;
-                si.writes |= csi.writes;
-            }
-            if !memoable {
-                break;
+                SymInfo::Pure { start, end } => {
+                    tally = None;
+                    for &(key, si) in &self.streams[start..end] {
+                        let net = i128::from(si.net) * i128::from(count);
+                        self.scratch.push((key, net, si.reads, si.writes));
+                    }
+                }
+                SymInfo::Expanded => return SymInfo::Expanded,
             }
         }
-        out.push(finish_info(memoable, streams));
+        if let Some(tally) = tally {
+            return SymInfo::Counted(tally);
+        }
+        // Merge the children's streams by key.
+        self.scratch.sort_unstable_by_key(|e| e.0);
+        let start = self.streams.len();
+        let mut rest = &self.scratch[..];
+        while let Some(&(key, ..)) = rest.first() {
+            let n = rest.iter().take_while(|e| e.0 == key).count();
+            let mut net: Option<i128> = Some(0);
+            let mut si = StreamInfo::default();
+            for &(_, d, reads, writes) in &rest[..n] {
+                net = net.and_then(|x| x.checked_add(d));
+                si.reads |= reads;
+                si.writes |= writes;
+            }
+            match net.and_then(|x| i64::try_from(x).ok()) {
+                Some(net) => self.streams.push((key, StreamInfo { net, ..si })),
+                None => {
+                    self.streams.truncate(start);
+                    return SymInfo::Expanded;
+                }
+            }
+            rest = &rest[n..];
+        }
+        SymInfo::Pure {
+            start,
+            end: self.streams.len(),
+        }
     }
-    out
+
+    /// Adds to the streams of the entry being classified (from `start`).
+    fn touch(&mut self, start: usize, key: StreamKey, net: i64, kind: Option<AccessKind>) {
+        let si = match self.streams[start..].iter_mut().find(|(k, _)| *k == key) {
+            Some((_, si)) => si,
+            None => {
+                self.streams.push((key, StreamInfo::default()));
+                &mut self.streams.last_mut().expect("just pushed").1
+            }
+        };
+        si.net = net;
+        match kind {
+            Some(AccessKind::Read) => si.reads = true,
+            Some(AccessKind::Write) => si.writes = true,
+            None => {}
+        }
+    }
+
+    fn pure_from(&self, start: usize) -> SymInfo {
+        SymInfo::Pure {
+            start,
+            end: self.streams.len(),
+        }
+    }
+}
+
+/// The dictionary's sink: one classification per entry, in delta form.
+impl EventSink for Analysis {
+    fn event(&mut self, _ev: &Event) {
+        // Allocation or synchronization.
+        self.info.push(SymInfo::Expanded);
+    }
+
+    fn access(&mut self, t: Tid, kind: AccessKind, loc: Loc) {
+        if self.source == CheckSource::CheckEvents {
+            let read = u64::from(kind == AccessKind::Read);
+            self.info.push(SymInfo::Counted(Tally {
+                events: 1,
+                reads: read,
+                writes: 1 - read,
+            }));
+            return;
+        }
+        let start = self.streams.len();
+        if let Loc::Elem(arr, d) = loc {
+            let pushes = self.raw_fp.then_some(kind);
+            self.touch(start, (t.0, arr.0), d, pushes);
+        }
+        self.info.push(self.pure_from(start));
+    }
+
+    fn check(&mut self, t: Tid, paths: &[(AccessKind, CheckRef<'_>)]) {
+        if self.source == CheckSource::RawAccesses {
+            self.info.push(SymInfo::Counted(Tally {
+                events: 1,
+                ..Tally::default()
+            }));
+            return;
+        }
+        // Only a range that reaches a footprint matters to the probe;
+        // check ranges are absolute, so their streams have no net delta.
+        let start = self.streams.len();
+        if self.chk_fp {
+            for &(kind, path) in paths {
+                if let CheckRef::Range(arr, r) = path {
+                    if !r.is_empty() {
+                        self.touch(start, (t.0, arr.0), 0, Some(kind));
+                    }
+                }
+            }
+        }
+        self.info.push(self.pure_from(start));
+    }
 }
 
 // ---------------- the inline shard and the probe log ----------------
@@ -375,22 +505,28 @@ struct Scalars {
     shadow_ops: u64,
 }
 
-struct Walker<'a> {
-    ct: &'a CompressedTrace,
+struct Walker<'g, 'a> {
+    grammar: &'g Grammar<'a>,
     info: Vec<SymInfo>,
+    streams: Vec<(StreamKey, StreamInfo)>,
     ann: Annotator<MemoSink>,
+    decoder: Decoder,
     /// Per-`(thread, array)` index reconstruction, advanced directly
-    /// (wrapping, exactly like per-event decode) over skipped runs.
+    /// (wrapping, exactly like per-event decode) over skipped runs. Only
+    /// an expanded raw access consults it: when checks come from
+    /// instrumentation, raw accesses are summed and it stays empty.
     delta: DeltaState,
     source: CheckSource,
+    /// Sum count-only symbols and memoize pure runs; off, every
+    /// repetition is expanded.
+    memoize: bool,
     /// Inside a memoization probe: nested memoization is disabled so
-    /// the three probe repetitions measure full expansions. Set for the
-    /// whole walk when memoization is off.
+    /// the three probe repetitions measure full expansions.
     probing: bool,
     report: CompressedReplayReport,
 }
 
-impl Walker<'_> {
+impl Walker<'_, '_> {
     fn scalars(&self) -> Scalars {
         Scalars {
             reads: self.ann.stats.reads,
@@ -422,8 +558,8 @@ impl Walker<'_> {
     }
 
     /// Clones the touched streams' footprint range-sets (reads, writes).
-    fn snap(&self, streams: &[((u32, u32), StreamInfo)]) -> Vec<SetSnap> {
-        streams
+    fn snap(&self, streams: Range<usize>) -> Vec<SetSnap> {
+        self.streams[streams]
             .iter()
             .map(|&((t, arr), _)| {
                 self.ann
@@ -436,49 +572,48 @@ impl Walker<'_> {
             .collect()
     }
 
-    fn walk_top(&mut self) {
-        let ct = self.ct;
-        for &(sym, count) in &ct.top {
-            self.walk(sym, count);
-        }
-    }
-
+    #[inline]
     fn walk(&mut self, sym: u64, count: u64) {
-        if !self.probing && count >= MIN_MEMO_REPS && self.info[sym as usize].memoable {
-            self.run_memoized(sym, count);
-        } else {
-            for _ in 0..count {
-                self.emit_once(sym);
+        match self.info[sym as usize] {
+            SymInfo::Counted(tally) if self.memoize => {
+                // Summed in O(1), like a skipped repetition.
+                let events = tally.events * count;
+                self.ann.events += events;
+                self.ann.stats.reads += tally.reads * count;
+                self.ann.stats.writes += tally.writes * count;
+                self.report.skipped_events += events;
+            }
+            SymInfo::Pure { start, end }
+                if self.memoize && !self.probing && count >= MIN_MEMO_REPS =>
+            {
+                self.run_memoized(sym, count, start..end);
+            }
+            _ => {
+                for _ in 0..count {
+                    self.emit_once(sym);
+                }
             }
         }
     }
 
     /// Expands one repetition of `sym` into the annotator. Rule bodies
     /// recurse through [`Walker::walk`], so nested runs may themselves
-    /// memoize (unless a probe is in progress).
+    /// be summed or memoized (unless a probe is in progress).
     fn emit_once(&mut self, sym: u64) {
-        let ct = self.ct;
-        if ct.is_rule(sym) {
-            for &(s, c) in ct.rule_body(sym) {
+        let g = self.grammar;
+        if g.is_rule(sym) {
+            for &(s, c) in g.rule_body(sym) {
                 self.walk(s, c);
             }
         } else {
-            // Only an element access differs from its delta form: it goes
-            // to the access hook with its absolute index, and every other
-            // entry is ingested by reference.
-            let ev = &ct.dict[sym as usize];
-            if let Event::Access {
-                t,
-                kind,
-                loc: Loc::Elem(arr, d),
-            } = *ev
-            {
-                let i = self.delta.advance(t.0, arr.0, d);
-                self.ann.events += 1;
-                self.ann.access(t, kind, Loc::Elem(arr, i));
-            } else {
-                self.ann.ingest(ev);
-            }
+            // The entry is decoded from the container's bytes straight
+            // into the annotator's typed hooks; an element access gets its
+            // absolute index on the way.
+            let mut abs = Absolute {
+                delta: &mut self.delta,
+                sink: &mut self.ann,
+            };
+            g.decode_entry(sym, &mut self.decoder, &mut abs);
         }
     }
 
@@ -486,10 +621,8 @@ impl Walker<'_> {
     /// shadow/footprint fixpoint, 2–3 as the equivalence + growth
     /// probe), then account the remaining `count - 3` repetitions in
     /// O(1) if the probe proves them redundant, falling back to full
-    /// expansion otherwise.
-    fn run_memoized(&mut self, sym: u64, count: u64) {
-        let streams = self.info[sym as usize].streams.clone();
-
+    /// expansion otherwise. `streams` indexes the symbol's streams.
+    fn run_memoized(&mut self, sym: u64, count: u64, streams: Range<usize>) {
         // Repetition 1: plain expansion (establishes the fixpoint).
         self.probing = true;
         self.emit_once(sym);
@@ -498,7 +631,7 @@ impl Walker<'_> {
         self.ann.sink.log = Some(CheckLog::default());
         self.emit_once(sym);
         let log2 = self.ann.sink.log.take().expect("log armed");
-        let snap2 = self.snap(&streams);
+        let snap2 = self.snap(streams.clone());
 
         // Repetition 3: log again, and measure the tallies of one
         // repetition.
@@ -507,15 +640,15 @@ impl Walker<'_> {
         self.emit_once(sym);
         let after = self.scalars();
         let log3 = self.ann.sink.log.take().expect("log armed");
-        let snap3 = self.snap(&streams);
+        let snap3 = self.snap(streams.clone());
         self.probing = false;
 
         let times = count - 3;
-        let growth = self.plan_growth(&streams, &snap2, &snap3, times);
+        let growth = self.plan_growth(streams.clone(), &snap2, &snap3, times);
         let fixpoint = (log2 == log3).then_some(growth).flatten();
         if let Some(growth) = fixpoint {
             self.scale_scalars(before, after, times);
-            for (i, &((t, arr), si)) in streams.iter().enumerate() {
+            for (i, &((t, arr), si)) in self.streams[streams].iter().enumerate() {
                 let (grow_r, grow_w) = growth[i];
                 if grow_r > 0 || grow_w > 0 {
                     let fp = self
@@ -534,8 +667,10 @@ impl Walker<'_> {
                 }
                 // Keep the delta streams where full expansion would have
                 // left them (wrapping, exactly like per-event decode).
-                self.delta
-                    .advance(t, arr, si.net.wrapping_mul(times as i64));
+                if si.net != 0 {
+                    self.delta
+                        .advance(t, arr, si.net.wrapping_mul(times as i64));
+                }
             }
             self.report.memo_runs += 1;
         } else {
@@ -552,13 +687,13 @@ impl Walker<'_> {
     /// apply, or `None` if any stream is not extrapolable.
     fn plan_growth(
         &self,
-        streams: &[((u32, u32), StreamInfo)],
+        streams: Range<usize>,
         snap2: &[SetSnap],
         snap3: &[SetSnap],
         times: u64,
     ) -> Option<Vec<(i64, i64)>> {
         let mut out = Vec::with_capacity(streams.len());
-        for (i, &(_, si)) in streams.iter().enumerate() {
+        for (i, &(_, si)) in self.streams[streams].iter().enumerate() {
             // Only singleton pushes from raw accesses shift with the
             // stream delta; instrumentation check ranges are absolute,
             // so their pushes repeat exactly and predict zero growth.
@@ -594,36 +729,44 @@ pub fn replay_compressed_report(
 
 /// The grammar walk behind [`replay_compressed_report`]; with `memoize`
 /// off every repetition is expanded.
+///
+/// The top-level sequence is walked as it is read from the bytes. A
+/// container found malformed part-way is an error and the partial run is
+/// dropped unpublished, like [`replay_trace`](crate::replay_trace)'s.
 fn walk_compressed(
     bytes: &[u8],
     config: &ReplayConfig,
     memoize: bool,
 ) -> Result<(Stats, CompressedReplayReport), TraceError> {
-    let ct = read_compressed(bytes)?;
-    let info = analyze(&ct, config);
+    let mut analysis = Analysis::new(config);
+    let grammar = read_grammar(bytes, &mut analysis)?;
+    analysis.add_rules(&grammar);
     let sink = MemoSink {
         shard: ShardState::new(config.engine),
         gens: Vec::new(),
         log: None,
     };
     let mut walker = Walker {
-        ct: &ct,
-        info,
+        grammar: &grammar,
+        info: analysis.info,
+        streams: analysis.streams,
         ann: config.annotator(sink),
+        decoder: Decoder::default(),
         delta: DeltaState::default(),
         source: config.source,
-        probing: !memoize,
-        report: CompressedReplayReport {
-            total_events: ct.total_events,
-            ..CompressedReplayReport::default()
-        },
+        memoize,
+        probing: false,
+        report: CompressedReplayReport::default(),
     };
-    let stats = {
+    let (stats, total_events) = {
         let _span = bigfoot_obs::span!("creplay.annotate");
-        walker.walk_top();
-        walker.ann.finish()
+        let total_events = grammar.walk_top(|sym, count| walker.walk(sym, count))?;
+        (walker.ann.finish(), total_events)
     };
-    let report = walker.report;
+    let report = CompressedReplayReport {
+        total_events,
+        ..walker.report
+    };
     bigfoot_obs::count_named("replay.memo.runs", report.memo_runs);
     bigfoot_obs::count_named("replay.memo.fallbacks", report.memo_fallbacks);
     bigfoot_obs::count_named("replay.memo.skipped_events", report.skipped_events);
@@ -872,6 +1015,79 @@ mod tests {
         assert_eq!(
             stats.to_json().to_string_compact(),
             serial.to_json().to_string_compact()
+        );
+    }
+
+    /// Check events in a raw trace.
+    fn check_events(raw: &[u8]) -> u64 {
+        crate::replay::TraceReader::new(raw)
+            .expect("header")
+            .filter(|ev| matches!(ev, Ok(Event::Check { .. })))
+            .count() as u64
+    }
+
+    #[test]
+    fn count_only_symbols_are_summed() {
+        // Two workers sweep three arrays in short inner loops, taking the
+        // lock once per outer iteration: every outer iteration syncs, so
+        // only the inner runs can be skipped, and BigFoot only counts
+        // their raw accesses.
+        let swept = record(
+            "class L { field g; }
+             class W { meth sweep(l, a, b, c, n) {
+                 for (i = 0; i < n; i = i + 1) {
+                     acq(l);
+                     for (j = 0; j < 8; j = j + 1) { c[j] = a[j] + b[j]; }
+                     rel(l);
+                 }
+                 return 0; } }
+             main {
+                 l = new L; w = new W;
+                 a = new_array(8); b = new_array(8); c = new_array(8); d = new_array(8);
+                 fork t1 = w.sweep(l, a, b, c, 40);
+                 fork t2 = w.sweep(l, a, b, d, 40);
+                 join(t1); join(t2);
+             }",
+        );
+        // Check-heavy: a check statement per element, on an advancing
+        // index, which FastTrack's fine engine cannot memoize.
+        let checked = record(
+            "main {
+                 a = new_array(64);
+                 for (i = 0; i < 64; i = i + 1) {
+                     a[i] = i;
+                     check(w: a[i..i + 1], r: a[0..64]);
+                 }
+             }",
+        );
+        for raw in [&swept, &checked] {
+            let packed = compress(raw).expect("compress");
+            for (name, config, _) in all_configs() {
+                let (stats, report) = replay_compressed_report(&packed, &config).expect("creplay");
+                let from_raw = replay_trace(raw, &config).expect("replay");
+                assert_eq!(
+                    stats.to_json().to_string_compact(),
+                    from_raw.to_json().to_string_compact(),
+                    "{name}"
+                );
+                assert!(report.skipped_events <= report.total_events, "{report:?}");
+            }
+        }
+        let packed = compress(&swept).expect("compress");
+        let bigfoot = ReplayConfig::bigfoot(ProxyTable::identity(), 1);
+        let (_, report) = replay_compressed_report(&packed, &bigfoot).expect("creplay");
+        assert!(
+            report.skipped_events * 10 >= report.total_events * 9,
+            "BigFoot only counts the sweeps' accesses: {report:?}"
+        );
+        let packed = compress(&checked).expect("compress");
+        let (_, report) =
+            replay_compressed_report(&packed, &ReplayConfig::fasttrack(1)).expect("creplay");
+        let checks = check_events(&checked);
+        assert!(checks >= 64);
+        assert!(
+            report.skipped_events >= checks,
+            "FastTrack only counts the {checks} checks: {report:?}"
         );
     }
 

@@ -33,7 +33,7 @@
 
 use crate::stats::{Race, RaceTarget, Stats};
 use crate::sync::SyncClocks;
-use bigfoot_bfj::{ArrId, CheckRef, ConcreteRange, Event, Loc, ObjId};
+use bigfoot_bfj::{ArrId, CheckRef, ConcreteRange, Event, EventSink, Loc, ObjId};
 use bigfoot_obs::fx::FxHashMap;
 use bigfoot_shadow::{ArrayShadow, FieldGrouping, Footprint, ObjectShadow, Slab};
 use bigfoot_vc::{AccessKind, Tid, VarState, VectorClock};
@@ -594,5 +594,28 @@ impl<S: ItemSink> Annotator<S> {
         bigfoot_vc::path_stats::flush();
         stats.publish();
         stats
+    }
+}
+
+/// The typed hooks run the per-kind functions that [`Annotator::ingest`]
+/// dispatches to, counting the event as `ingest` does. A detector that
+/// consumes checks only counts an access here; no [`Event::Access`] is
+/// ever built for it.
+impl<S: ItemSink> EventSink for Annotator<S> {
+    #[inline]
+    fn event(&mut self, ev: &Event) {
+        self.ingest(ev);
+    }
+
+    #[inline]
+    fn access(&mut self, t: Tid, kind: AccessKind, loc: Loc) {
+        self.events += 1;
+        Annotator::access(self, t, kind, loc);
+    }
+
+    #[inline]
+    fn check(&mut self, t: Tid, paths: &[(AccessKind, CheckRef<'_>)]) {
+        self.events += 1;
+        Annotator::check(self, t, paths.iter().copied());
     }
 }

@@ -12,15 +12,19 @@
 //! `Detector::bigfoot` must allocate as much at 10·N iterations as at N,
 //! so an executed check, its accesses and its syncs allocate nothing.
 //! Replay of the same program's recorded trace meets the same rule: the
-//! decoder builds no owned event and reuses its check scratch.
+//! decoder builds no owned event and reuses its check scratch. Compressed
+//! replay keeps its dictionary as the container's bytes and streams the
+//! top-level sequence, so a container of 10·N distinct checks allocates
+//! no more than one of N, but for a few reallocations of its per-symbol
+//! table.
 //! Lives in its own integration binary because the allocator is
 //! process-global.
 
 use bigfoot_bfj::{
-    compile, parse_program, ArrId, CheckTarget, CompiledVm, ConcreteRange, Event, EventSink, Loc,
-    ObjId, SchedPolicy, TraceWriter,
+    compile, parse_program, ArrId, CheckRef, CheckTarget, CompiledVm, CompressedTraceWriter,
+    ConcreteRange, Event, EventSink, Loc, ObjId, SchedPolicy, TraceWriter,
 };
-use bigfoot_detectors::{replay_trace, Detector, ProxyTable, ReplayConfig};
+use bigfoot_detectors::{replay_compressed, replay_trace, Detector, ProxyTable, ReplayConfig};
 use bigfoot_shadow::FieldGrouping;
 use bigfoot_vc::{AccessKind, Tid};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -321,4 +325,55 @@ fn replayed_checks_allocate_nothing_per_iteration() {
             "{name}: replay allocations grew with the iteration count: {at_n} at N, {at_10n} at 10N"
         );
     }
+}
+
+/// `n` objects, each written and then checked by thread 0: a container
+/// whose dictionary holds `n` distinct check entries (and `n` distinct
+/// accesses), with its raw twin. The objects are never allocated in the
+/// trace, so the shard skips them and keeps no state per object: any
+/// allocation that grows with `n` is the container's parse or walk.
+fn check_loop(n: u32) -> (Vec<u8>, Vec<u8>) {
+    let mut packed = CompressedTraceWriter::new();
+    let mut raw = TraceWriter::new();
+    for o in 0..n {
+        let (obj, kind) = (ObjId(o), AccessKind::Write);
+        let paths = [(kind, CheckRef::Fields(obj, &[0, 1][..]))];
+        packed.access(Tid(0), kind, Loc::Field(obj, 0));
+        packed.check(Tid(0), &paths);
+        raw.access(Tid(0), kind, Loc::Field(obj, 0));
+        raw.check(Tid(0), &paths);
+    }
+    (packed.into_bytes(), raw.into_bytes())
+}
+
+/// How many more allocations a compressed replay of 10·N distinct checks
+/// may make than one of N: the per-symbol table grows by doubling, a few
+/// reallocations more at 10·N.
+const PER_SYMBOL_GROWTH: u64 = 8;
+
+#[test]
+fn compressed_replay_allocates_nothing_per_dictionary_entry() {
+    const N: u32 = 1_000;
+    let (small, small_raw) = check_loop(N);
+    let (large, large_raw) = check_loop(10 * N);
+    let config = ReplayConfig::bigfoot(ProxyTable::identity(), 1);
+    let replay = |bytes: &[u8], raw: &[u8]| {
+        let (allocations, stats) =
+            allocations_during(|| replay_compressed(bytes, &config).expect("replay"));
+        let from_raw = replay_trace(raw, &config).expect("raw replay");
+        assert_eq!(
+            stats.to_json().to_string_compact(),
+            from_raw.to_json().to_string_compact()
+        );
+        (allocations, stats.checks)
+    };
+    // Warm-up: one-time registrations (obs counters, thread-locals).
+    replay(&small, &small_raw);
+    let (at_n, n_checks) = replay(&small, &small_raw);
+    let (at_10n, checks_10n) = replay(&large, &large_raw);
+    assert_eq!((n_checks, checks_10n), (u64::from(N), u64::from(10 * N)));
+    assert!(
+        at_10n <= at_n + PER_SYMBOL_GROWTH,
+        "allocations grew with the dictionary: {at_n} at N, {at_10n} at 10N"
+    );
 }

@@ -223,8 +223,8 @@ fn profile_json_counts_the_compressed_container() {
     let counter = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
     let bytes = std::fs::read(&trace).unwrap();
     let ct = bigfoot_bfj::read_compressed(&bytes).expect("valid BFTC");
-    assert_eq!(counter("trace.dict_entries"), ct.dict.len() as u64);
-    assert_eq!(counter("trace.rules"), ct.rules.len() as u64);
+    assert_eq!(counter("trace.dict_entries"), ct.grammar.dict_len() as u64);
+    assert_eq!(counter("trace.rules"), ct.grammar.rule_count() as u64);
     assert_eq!(counter("trace.compressed_bytes"), bytes.len() as u64 - 5);
 }
 
